@@ -1,5 +1,7 @@
 """Command-line front end: expansion, verification, conjecture scanning.
 
+The front end parses flags, dispatches to the check registry in
+`checks.py` (or to a series builder for `expand`) and prints the result.
 Exit statuses: 0 when every selected check passes, 1 when any check fails
 or a conjecture scan finds a counterexample, 2 on usage errors.  Output is
 deterministic for identical inputs up to elapsed-time fields; big integers
@@ -13,44 +15,23 @@ import argparse
 import json
 import sys
 
-from . import __version__
-from .checks import (
-    DEFAULT_ORDER_CONJECTURE,
-    DEFAULT_ORDER_IDENTITY,
-    DEFAULT_ORDER_PARITY,
-    DEFAULT_ORDER_PROVED,
-    S_PAIRS,
-    check_conjecture1,
-    check_conjecture2,
-    check_corollary2,
-    check_identity_id1,
-    check_identity_id2,
-    check_s_pair,
-    check_theorem1,
-    corollary2_progression,
-    cross_validate,
-    theorem1_progression,
-)
-from .partitions import count_restricted, p_table, regime3_rule, regime4_rule
-from .report import Stopwatch, Violation, proved_report
-from .squares import indicator_series, verify_set_equivalence
-from .theta import (
-    eq41_families,
+from . import (
+    __version__,
+    count_restricted,
     eq41_sides,
-    eq42_family,
     eq42_sides,
-    gauss_theta_sides,
-    r_decomposition_family,
-    regime3_product,
+    indicator_series,
+    p_table,
+    regime3_rule,
     regime3_sum,
-    regime4_product,
+    regime4_rule,
     regime4_sum,
     rr_G,
     rr_H,
-    rstar_families,
-    truncated_gauss_lhs,
-    truncated_gauss_rhs,
 )
+from .checks import READINGS, REGISTRY, RunOptions, run_check, theorem1_progression
+from .report import Stopwatch
+from .series import require_order
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -113,235 +94,33 @@ def _emit_table(rows, args, command, watch, target_params) -> None:
         print(f"{n}\t{c}")
 
 
+# expand targets: the s values each requires (None when it takes no s) and
+# its coefficients 0..n
+EXPAND_TARGETS = {
+    "p": (None, lambda s, n: p_table(n).values),
+    "R": ({2, 4}, lambda s, n: count_restricted(regime3_rule(s), n).values),
+    "Rstar": ({1, 3}, lambda s, n: count_restricted(regime4_rule(s), n).values),
+    "G": (None, lambda s, n: rr_G(n)[0].coeffs),
+    "H": (None, lambda s, n: rr_H(n)[0].coeffs),
+    "regime3": ({2, 4}, lambda s, n: regime3_sum(s, n).coeffs),
+    "regime4": ({1, 3}, lambda s, n: regime4_sum(s, n).coeffs),
+    "eq41": ({2, 4}, lambda s, n: eq41_sides(s, n)[0].coeffs),
+    "eq42": ({1, 3}, lambda s, n: eq42_sides(s, n)[0].coeffs),
+    "indicator": ({1, 2, 3, 4}, lambda s, n: indicator_series(
+        theorem1_progression(1 if s in (2, 4) else 2, s), n).coeffs),
+}
+
+
 def _expand_series(args, parser) -> list[tuple[int, int]]:
     target = args.target
-    order = args.order if args.order is not None else 20
-
-    def need_s(valid) -> int:
+    order = require_order(args.order if args.order is not None else 20)
+    valid, coefficients = EXPAND_TARGETS[target]
+    if valid is not None:
         if args.s is None:
             parser.error(f"target {target!r} requires --s")
         if args.s not in valid:
             parser.error(f"target {target!r} requires --s in {sorted(valid)}")
-        return args.s
-
-    if target == "p":
-        table = p_table(order)
-        return list(enumerate(table.values))
-    if target == "R":
-        s = need_s({2, 4})
-        return list(enumerate(count_restricted(regime3_rule(s), order).values))
-    if target == "Rstar":
-        s = need_s({1, 3})
-        return list(enumerate(count_restricted(regime4_rule(s), order).values))
-    if target == "G":
-        return list(enumerate(rr_G(order)[0].coeffs))
-    if target == "H":
-        return list(enumerate(rr_H(order)[0].coeffs))
-    if target == "regime3":
-        s = need_s({2, 4})
-        return list(enumerate(regime3_sum(s, order).coeffs))
-    if target == "regime4":
-        s = need_s({1, 3})
-        return list(enumerate(regime4_sum(s, order).coeffs))
-    if target == "eq41":
-        s = need_s({2, 4})
-        return list(enumerate(eq41_sides(s, order)[0].coeffs))
-    if target == "eq42":
-        s = need_s({1, 3})
-        return list(enumerate(eq42_sides(s, order)[0].coeffs))
-    if target == "indicator":
-        s = need_s({1, 2, 3, 4})
-        part = 1 if s in (2, 4) else 2
-        prog = theorem1_progression(part, s)
-        return list(enumerate(indicator_series(prog, order).coeffs))
-    parser.error(f"unknown expand target {target!r}")
-
-
-def _s_values(args, part1_set, part2_set) -> list[tuple[int, int]]:
-    """(part, s) instances selected by --part/--s, defaulting to all."""
-    pairs = [(1, s) for s in part1_set] + [(2, s) for s in part2_set]
-    if args.part is not None:
-        pairs = [(p, s) for (p, s) in pairs if p == args.part]
-    if args.s is not None:
-        pairs = [(p, s) for (p, s) in pairs if s == args.s]
-    return pairs
-
-
-def _run_verify(args, parser) -> list:
-    check = args.check
-    order = args.order
-    reports = []
-
-    if check == "theorem1":
-        instances = _s_values(args, (2, 4), (1, 3))
-        if not instances:
-            parser.error("theorem1 requires --s in {1, 2, 3, 4} (with a matching --part)")
-        n = order if order is not None else (
-            DEFAULT_ORDER_PARITY if args.fast_parity else DEFAULT_ORDER_PROVED
-        )
-        for part, s in instances:
-            reports.append(check_theorem1(part, s, n, use_parity_fastpath=args.fast_parity))
-        return reports
-
-    if check == "corollary2":
-        instances = _s_values(args, (2, 4), (1, 3))
-        if not instances:
-            parser.error("no (part, s) instance matches the given flags")
-        n = order if order is not None else DEFAULT_ORDER_PROVED
-        shared_p = p_table(n)
-        for part, s in instances:
-            reports.append(check_corollary2(part, s, n, p=shared_p))
-        return reports
-
-    if check in ("id1", "id2"):
-        valid = (2, 4) if check == "id1" else (1, 3)
-        svals = [args.s] if args.s is not None else list(valid)
-        if any(s not in valid for s in svals):
-            parser.error(f"{check} requires --s in {valid}")
-        ks = args.k_list if args.k_list else [1, 2, 3, 4, 5]
-        fn = check_identity_id1 if check == "id1" else check_identity_id2
-        for s in svals:
-            for k in ks:
-                if k < 1:
-                    parser.error("k must be >= 1")
-                reports.append(fn(s, k, order if order is not None else DEFAULT_ORDER_IDENTITY))
-        return reports
-
-    if check == "rogers":
-        n = order if order is not None else DEFAULT_ORDER_IDENTITY
-        for s in ((2, 4) if args.s is None else [args.s]):
-            if s not in (2, 4):
-                if args.s in (1, 3):
-                    break
-                parser.error("rogers requires --s in {1, 2, 3, 4}")
-            watch = Stopwatch()
-            lhs, rhs = regime3_sum(s, n), regime3_product(s, n)
-            viol = [Violation(i, lhs.coeffs[i], rhs.coeffs[i])
-                    for i in range(n + 1) if lhs.coeffs[i] != rhs.coeffs[i]]
-            reports.append(proved_report(f"rogers.regime3.s{s}", {"s": s, "order": n},
-                                         viol, watch.elapsed_ms()))
-        for s in ((1, 3) if args.s is None else [args.s]):
-            if s not in (1, 3):
-                break
-            watch = Stopwatch()
-            lhs, rhs = regime4_sum(s, n), regime4_product(s, n)
-            viol = [Violation(i, lhs.coeffs[i], rhs.coeffs[i])
-                    for i in range(n + 1) if lhs.coeffs[i] != rhs.coeffs[i]]
-            reports.append(proved_report(f"rogers.regime4.s{s}", {"s": s, "order": n},
-                                         viol, watch.elapsed_ms()))
-        if not reports:
-            parser.error("rogers requires --s in {1, 2, 3, 4}")
-        return reports
-
-    if check == "gauss":
-        n = order if order is not None else DEFAULT_ORDER_PROVED
-        watch = Stopwatch()
-        lhs, rhs = gauss_theta_sides(n)
-        viol = [Violation(i, lhs.coeffs[i], rhs.coeffs[i])
-                for i in range(n + 1) if lhs.coeffs[i] != rhs.coeffs[i]]
-        reports.append(proved_report("gauss.theta", {"order": n}, viol, watch.elapsed_ms()))
-        return reports
-
-    if check == "truncated-gauss":
-        n = order if order is not None else DEFAULT_ORDER_IDENTITY
-        ks = args.k_list if args.k_list else list(range(1, 11))
-        for k in ks:
-            if k < 1:
-                parser.error("k must be >= 1")
-            watch = Stopwatch()
-            lhs, rhs = truncated_gauss_lhs(k, n), truncated_gauss_rhs(k, n)
-            viol = [Violation(i, lhs.coeffs[i], rhs.coeffs[i])
-                    for i in range(n + 1) if lhs.coeffs[i] != rhs.coeffs[i]]
-            reports.append(proved_report(f"truncated_gauss.k{k}", {"k": k, "order": n},
-                                         viol, watch.elapsed_ms()))
-        return reports
-
-    if check == "set-equivalence":
-        bound = order if order is not None else 10**6
-        instances = []
-        for s in (2, 4):
-            instances.append(("set_equivalence.mod120.s%d" % s,
-                              eq41_families(s), theorem1_progression(1, s)))
-            instances.append(("set_equivalence.mod20.s%d" % s,
-                              [r_decomposition_family(s)], corollary2_progression(1, s)))
-        for s in (1, 3):
-            instances.append(("set_equivalence.mod40.s%d" % s,
-                              [eq42_family(s)], theorem1_progression(2, s)))
-            instances.append(("set_equivalence.mod15.s%d" % s,
-                              rstar_families(s), corollary2_progression(2, s)))
-        if args.s is not None:
-            instances = [i for i in instances if i[0].endswith(f"s{args.s}")]
-            if not instances:
-                parser.error("set-equivalence requires --s in {1, 2, 3, 4}")
-        for check_id, fams, prog in instances:
-            reports.append(verify_set_equivalence(fams, prog, bound, check_id))
-        return reports
-
-    if check == "cross-validate":
-        n = order if order is not None else DEFAULT_ORDER_CONJECTURE
-        rules = [regime3_rule(2), regime3_rule(4), regime4_rule(1), regime4_rule(3)]
-        if args.s is not None:
-            rules = [r for r in rules if r.s == args.s]
-            if not rules:
-                parser.error("cross-validate requires --s in {1, 2, 3, 4}")
-        for rule in rules:
-            reports.append(cross_validate(rule, n))
-        return reports
-
-    parser.error(f"unknown check {check!r}")
-
-
-def _run_conjecture(args, parser) -> tuple[list, list]:
-    """Returns (reports to emit, reports that gate the exit status).
-
-    For conjecture 2 under the default --reading both, only the
-    alternating-j reading gates the exit status: the literal displayed
-    reading is evaluated and reported alongside it, but its known
-    counterexamples are a finding about the displayed formula, not about
-    the conjecture under its consistent reading.
-    """
-    which = args.which
-    order = args.order if args.order is not None else DEFAULT_ORDER_CONJECTURE
-    reports = []
-
-    if which == "s-pairs":
-        shared_p = p_table(order)
-        for a, b in S_PAIRS:
-            reports.append(check_s_pair(a, b, order, p=shared_p))
-        return reports, reports
-
-    ks = args.k_list if args.k_list else [1, 2, 3, 4]
-    if any(k < 1 for k in ks):
-        parser.error("k must be >= 1")
-    instances = _s_values(args, (2, 4), (1, 3))
-    if not instances:
-        parser.error("no (part, s) instance matches the given flags")
-
-    if which == "1":
-        for part, s in instances:
-            for k in ks:
-                reports.append(check_conjecture1(part, s, k, order))
-        return reports, reports
-
-    if which == "2":
-        gating = []
-        for part, s in instances:
-            rule = regime3_rule(s) if part == 1 else regime4_rule(s)
-            table = count_restricted(rule, order)
-            for k in ks:
-                both = check_conjecture2(part, s, k, order, tables=table)
-                if args.reading == "both":
-                    reports.extend(both)
-                    gating.extend(r for r in both
-                                  if r.params["inner_sign"] == "alternating_j")
-                else:
-                    want = "alternating_j" if args.reading == "j" else "literal"
-                    chosen = [r for r in both if r.params["inner_sign"] == want]
-                    reports.extend(chosen)
-                    gating.extend(chosen)
-        return reports, gating
-
-    parser.error(f"unknown conjecture selector {which!r}")
+    return list(enumerate(coefficients(args.s, order)))
 
 
 def _parse_k_range(text: str, parser) -> list[int]:
@@ -383,22 +162,19 @@ def build_parser() -> argparse.ArgumentParser:
                             f"{TEXT_VIOLATION_LIMIT}")
 
     p_expand = sub.add_parser("expand", help="print series coefficients 0..N")
-    p_expand.add_argument("target", choices=(
-        "p", "R", "Rstar", "G", "H", "regime3", "regime4", "eq41", "eq42", "indicator"))
+    p_expand.add_argument("target", choices=tuple(EXPAND_TARGETS))
     common_flags(p_expand, with_part=False)
 
     p_verify = sub.add_parser("verify", help="run proved-statement checks")
-    p_verify.add_argument("check", choices=(
-        "theorem1", "corollary2", "id1", "id2", "rogers", "gauss",
-        "truncated-gauss", "set-equivalence", "cross-validate"))
+    p_verify.add_argument("check", choices=tuple(REGISTRY["verify"]))
     common_flags(p_verify, with_k=True)
     p_verify.add_argument("--fast-parity", action="store_true",
                           help="use the GF(2) bit-block path (theorem1 only)")
 
     p_conj = sub.add_parser("conjecture", help="run empirical conjecture scans")
-    p_conj.add_argument("which", choices=("1", "2", "s-pairs"))
+    p_conj.add_argument("which", choices=tuple(REGISTRY["conjecture"]))
     common_flags(p_conj, with_k=True)
-    p_conj.add_argument("--reading", choices=("j", "literal", "both"), default="both",
+    p_conj.add_argument("--reading", choices=tuple(READINGS), default="both",
                         help="inner sign reading for conjecture 2 "
                              "(j = alternating (-1)^j, literal = as displayed)")
 
@@ -424,21 +200,16 @@ def main(argv: list[str] | None = None) -> int:
             _emit_table(rows, args, command, watch, params)
             return EXIT_PASS
 
-        if args.command == "verify":
-            reports = _run_verify(args, parser)
-            _emit_reports(reports, args, command, watch)
-            return EXIT_PASS if all(r.passed for r in reports) else EXIT_COUNTEREXAMPLE
-
-        if args.command == "conjecture":
-            reports, gating = _run_conjecture(args, parser)
-            _emit_reports(reports, args, command, watch)
-            return EXIT_PASS if all(r.passed for r in gating) else EXIT_COUNTEREXAMPLE
+        name = args.check if args.command == "verify" else args.which
+        options = RunOptions(getattr(args, "fast_parity", False),
+                             getattr(args, "reading", "both"))
+        reports, gating = run_check(args.command, name, args.order, args.part,
+                                    args.s, args.k_list, options)
+        _emit_reports(reports, args, command, watch)
+        return EXIT_PASS if all(r.passed for r in gating) else EXIT_COUNTEREXAMPLE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    parser.error("no command given")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -12,7 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import INFINITE, QPochhammerSpec, TruncatedSeries, pochhammer_quotient
+from .series import TruncatedSeries, pochhammer_quotient, require_order
+from .theta import (
+    bilateral_sum,
+    r_decomposition_family,
+    regime3_denominators,
+    regime4_factors,
+    rstar_families,
+)
 
 REGIME_III = "regime3"
 REGIME_IV = "regime4"
@@ -78,10 +85,15 @@ def regime4_rule(s: int) -> PartResidueRule:
 
 @dataclass(frozen=True)
 class PartitionTable:
-    """values[n] = partition count for n = 0..n_max (values[0] is 1)."""
+    """values[n] = partition count for n = 0..n_max (values[0] is 1).
+
+    rule is the part rule the counts obey, None for the unrestricted p(n),
+    so a check handed a table can tell whether it counts what it needs.
+    """
 
     n_max: int
     values: tuple[int, ...]
+    rule: PartResidueRule | None = None
 
     def __post_init__(self) -> None:
         if len(self.values) != self.n_max + 1:
@@ -104,7 +116,7 @@ def p_table(n_max: int) -> PartitionTable:
 
     p(n) = sum_{k>=1} (-1)^(k-1) * (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)).
     """
-    values = [0] * (n_max + 1)
+    values = [0] * (require_order(n_max, "n_max") + 1)
     values[0] = 1
     for n in range(1, n_max + 1):
         total = 0
@@ -170,12 +182,12 @@ def count_restricted_bruteforce(rule: PartResidueRule, n: int) -> int:
 
 def count_restricted(rule: PartResidueRule, n_max: int) -> PartitionTable:
     """Restricted partition counts by unbounded-knapsack DP."""
-    values = [0] * (n_max + 1)
+    values = [0] * (require_order(n_max, "n_max") + 1)
     values[0] = 1
     for part in rule.allowed_parts(n_max):
         for i in range(part, n_max + 1):
             values[i] += values[i - part]
-    return PartitionTable(n_max, tuple(values))
+    return PartitionTable(n_max, tuple(values), rule)
 
 
 def r_gf(rule: PartResidueRule, order: int) -> TruncatedSeries:
@@ -185,78 +197,36 @@ def r_gf(rule: PartResidueRule, order: int) -> TruncatedSeries:
     Regime IV:  (q^s, q^(10-s), q^10; q^10)oo (q^(10-2s), q^(10+2s); q^20)oo
                 / (q;q)oo.
     """
-    s = rule.s
     if rule.kind == REGIME_III:
-        return pochhammer_quotient(
-            [],
-            [
-                QPochhammerSpec(1, 1, 2, INFINITE),
-                QPochhammerSpec(1, s, 10, INFINITE),
-                QPochhammerSpec(1, 10 - s, 10, INFINITE),
-            ],
-            order,
-        )
-    return pochhammer_quotient(
-        [
-            QPochhammerSpec(1, s, 10, INFINITE),
-            QPochhammerSpec(1, 10 - s, 10, INFINITE),
-            QPochhammerSpec(1, 10, 10, INFINITE),
-            QPochhammerSpec(1, 10 - 2 * s, 20, INFINITE),
-            QPochhammerSpec(1, 10 + 2 * s, 20, INFINITE),
-        ],
-        [QPochhammerSpec(1, 1, 1, INFINITE)],
-        order,
-    )
+        return pochhammer_quotient([], regime3_denominators(rule.s), order)
+    return pochhammer_quotient(*regime4_factors(rule.s), order)
 
 
-def _bilateral_indices(e, bound: int):
-    """All integers k with e(k) <= bound, for quadratics that increase
-    strictly once |k| >= 1 (true of every exponent used below)."""
-    if e(0) <= bound:
-        yield 0
-    k = 1
-    while e(k) <= bound:
-        yield k
-        k += 1
-    k = -1
-    while e(k) <= bound:
-        yield k
-        k -= 1
+def decomposition_families(rule: PartResidueRule):
+    """The theta families whose series times sum p(n) q^n generates the
+    restricted counts: k(5k+1-s) with sign (-1)^k for regime III, the two
+    R*_s families for regime IV."""
+    if rule.kind == REGIME_III:
+        return [r_decomposition_family(rule.s)]
+    return rstar_families(rule.s)
+
+
+def r_decomposed(rule: PartResidueRule, order: int, p: PartitionTable) -> TruncatedSeries:
+    """Decomposition route: the restricted counts to `order` as one product
+    of the families' bilateral theta series with the p(n) table."""
+    if p.rule is not None:
+        raise ValueError(f"decomposition needs a p(n) table, got counts for {p.rule}")
+    if p.n_max < order:
+        raise TableTooSmall(f"table stops at {p.n_max}, need {order}")
+    theta = bilateral_sum(decomposition_families(rule), order)
+    return theta * TruncatedSeries(p.values[: order + 1])
 
 
 def r_s_decomposed(s: int, n: int, p: PartitionTable) -> int:
     """R_s(n) = sum_k (-1)^k p(n - k(5k+1-s)), s in {2, 4}."""
-    if s not in (2, 4):
-        raise ValueError("s must be 2 or 4")
-    if p.n_max < n:
-        raise TableTooSmall(f"table stops at {p.n_max}, need {n}")
-
-    def e(k: int) -> int:
-        return k * (5 * k + 1 - s)
-
-    total = 0
-    for k in _bilateral_indices(e, n):
-        sign = 1 if k % 2 == 0 else -1
-        total += sign * p.values[n - e(k)]
-    return total
+    return r_decomposed(regime3_rule(s), n, p).coeffs[n]
 
 
 def r_star_decomposed(s: int, n: int, p: PartitionTable) -> int:
     """R*_s(n) = sum_k (p(n - (15k^2-(5-3s)k)) - p(n - (15k^2+(5+3s)k+s)))."""
-    if s not in (1, 3):
-        raise ValueError("s must be 1 or 3")
-    if p.n_max < n:
-        raise TableTooSmall(f"table stops at {p.n_max}, need {n}")
-
-    def e1(k: int) -> int:
-        return 15 * k * k - (5 - 3 * s) * k
-
-    def e2(k: int) -> int:
-        return 15 * k * k + (5 + 3 * s) * k + s
-
-    total = 0
-    for k in _bilateral_indices(e1, n):
-        total += p.values[n - e1(k)]
-    for k in _bilateral_indices(e2, n):
-        total -= p.values[n - e2(k)]
-    return total
+    return r_decomposed(regime4_rule(s), n, p).coeffs[n]

@@ -27,6 +27,13 @@ class OrderExceeded(ValueError):
     """Requested a coefficient beyond the truncation order."""
 
 
+def require_order(order: int, what: str = "order") -> int:
+    """Return order, or raise ValueError when it is negative."""
+    if order < 0:
+        raise ValueError(f"{what} must be nonnegative, got {order}")
+    return order
+
+
 # ---------------------------------------------------------------------------
 # in-place helpers on coefficient lists
 #
@@ -175,11 +182,6 @@ class TruncatedSeries:
             out[i] = -u * acc
         return TruncatedSeries(tuple(out))
 
-    def truncated(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise OrderExceeded("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
     def stretch(self, factor: int, order: int) -> "TruncatedSeries":
         """Substitute q -> q^factor, returning a series of the given order.
 
@@ -266,41 +268,42 @@ class QPochhammerSpec:
             k += 1
 
 
-def pochhammer(spec: QPochhammerSpec, order: int) -> TruncatedSeries:
-    """Exact truncated expansion of a q-Pochhammer symbol."""
-    out = [0] * (order + 1)
-    out[0] = 1
-    for e in spec.factor_exponents(order):
-        mul_binomial_inplace(out, -spec.sign, e)
-    return TruncatedSeries(tuple(out))
+def pochhammer_quotient_inplace(coeffs: list[int], numerators, denominators=()) -> None:
+    """Multiply coeffs in place by prod(numerators) / prod(denominators).
 
-
-def product_of(specs, order: int) -> TruncatedSeries:
-    """Product of several q-Pochhammer symbols."""
-    out = [0] * (order + 1)
-    out[0] = 1
-    for spec in specs:
+    The one expansion path for q-Pochhammer products: every factor
+    (1 - sign*q^e) is a single binomial pass over the list, so the cost is
+    linear per factor.  Denominator factors must have exponent >= 1 so the
+    quotient stays in Z[[q]].
+    """
+    order = len(coeffs) - 1
+    for spec in numerators:
         for e in spec.factor_exponents(order):
-            mul_binomial_inplace(out, -spec.sign, e)
-    return TruncatedSeries(tuple(out))
+            mul_binomial_inplace(coeffs, -spec.sign, e)
+    for spec in denominators:
+        for e in spec.factor_exponents(order):
+            div_binomial_inplace(coeffs, -spec.sign, e)
 
 
 def pochhammer_quotient(numerators, denominators, order: int) -> TruncatedSeries:
     """Expand prod(numerators) / prod(denominators) factor by factor.
 
     Equivalent to product_of(numerators) * product_of(denominators).inverse()
-    but linear per factor.  Denominator factors must have exponent >= 1 so
-    the quotient stays in Z[[q]].
+    but linear per factor.
     """
-    out = [0] * (order + 1)
-    out[0] = 1
-    for spec in numerators:
-        for e in spec.factor_exponents(order):
-            mul_binomial_inplace(out, -spec.sign, e)
-    for spec in denominators:
-        for e in spec.factor_exponents(order):
-            div_binomial_inplace(out, -spec.sign, e)
+    out = [1] + [0] * require_order(order)
+    pochhammer_quotient_inplace(out, numerators, denominators)
     return TruncatedSeries(tuple(out))
+
+
+def pochhammer(spec: QPochhammerSpec, order: int) -> TruncatedSeries:
+    """Exact truncated expansion of a q-Pochhammer symbol."""
+    return pochhammer_quotient([spec], [], order)
+
+
+def product_of(specs, order: int) -> TruncatedSeries:
+    """Product of several q-Pochhammer symbols."""
+    return pochhammer_quotient(specs, [], order)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .report import Stopwatch, Violation, proved_report
-from .series import TruncatedSeries
+from .series import TruncatedSeries, require_order
 from .theta import QuadraticExponentFamily
 
 
@@ -103,6 +103,7 @@ def verify_set_equivalence(families, p: SquareProgression, bound: int,
     Disagreements are reported, not raised: the report lists values seen by
     only one side and all multiplicity collisions.
     """
+    require_order(bound, "bound")
     watch = Stopwatch()
     families = list(families)
     hits = multiplicity_map(families, bound)

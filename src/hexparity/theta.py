@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import (
-    INFINITE,
-    DegenerateFactor,
     ParitySeries,
     QPochhammerSpec,
     TruncatedSeries,
     div_binomial_inplace,
     mul_binomial_inplace,
     pochhammer_quotient,
+    pochhammer_quotient_inplace,
+    require_order,
 )
 
 
@@ -102,7 +102,7 @@ def bilateral_sum(families, order: int, track_hits: bool = False):
     With track_hits=True also returns {exponent: number of (family, k)
     pairs landing there} so callers can confirm multiplicity-1 claims.
     """
-    out = [0] * (order + 1)
+    out = [0] * (require_order(order) + 1)
     hits: dict[int, int] = {}
     for fam in families:
         for k in fam.indices_within(order):
@@ -176,26 +176,23 @@ def r_decomposition_family(s: int) -> QuadraticExponentFamily:
 # ---------------------------------------------------------------------------
 
 
-def _poch_monomial_inplace(
-    coeffs: list[int], base: Monomial, step: Monomial, order: int
-) -> None:
-    """Multiply by (base; step)oo = prod_k (1 - base*step^k) in place.
+def monomial_pochhammer(base: Monomial, step: Monomial) -> list[QPochhammerSpec]:
+    """(base; step)oo = prod_k (1 - base*step^k) as q-Pochhammer specs.
 
     Factor k is (1 - c*q^e) with c = base.sign*step.sign^k and
-    e = base.exp + k*step.exp; factors beyond the order are skipped.
+    e = base.exp + k*step.exp.  A step -q^m alternates the sign, so the
+    product splits into its even-k and odd-k factors, two chains in q^(2m).
     """
     if step.exp < 1:
         raise ValueError("step exponent must be >= 1")
     if base.exp < 0:
         raise NegativeExponent(f"base exponent {base.exp} < 0")
-    c = base.sign
-    e = base.exp
-    while e <= order:
-        if c == 1 and e == 0:
-            raise DegenerateFactor("product contains the zero factor 1-1")
-        mul_binomial_inplace(coeffs, -c, e)
-        c *= step.sign
-        e += step.exp
+    if step.sign == 1:
+        return [QPochhammerSpec(base.sign, base.exp, step.exp)]
+    return [
+        QPochhammerSpec(base.sign, base.exp, 2 * step.exp),
+        QPochhammerSpec(-base.sign, base.exp + step.exp, 2 * step.exp),
+    ]
 
 
 def jtp_sides(
@@ -221,13 +218,14 @@ def jtp_sides(
         s1=(1 + bz) - Fraction(bq, 2),
     )
     sum_side = bilateral_sum([family], order)
-
-    prod = [0] * (order + 1)
-    prod[0] = 1
-    _poch_monomial_inplace(prod, z, qm, order)
-    _poch_monomial_inplace(prod, Monomial(q_sign * z_sign, m - a), qm, order)
-    _poch_monomial_inplace(prod, qm, qm, order)
-    return sum_side, TruncatedSeries(tuple(prod))
+    prod_side = pochhammer_quotient(
+        monomial_pochhammer(z, qm)
+        + monomial_pochhammer(Monomial(q_sign * z_sign, m - a), qm)
+        + monomial_pochhammer(qm, qm),
+        [],
+        order,
+    )
+    return sum_side, prod_side
 
 
 def quintuple_sum_families(z: Monomial, q: Monomial) -> list[QuadraticExponentFamily]:
@@ -266,16 +264,17 @@ def quintuple_sides(
     product side: (q, z, q/z; q)oo (q z^2, q/z^2; q^2)oo.
     """
     sum_side = bilateral_sum(quintuple_sum_families(z, q), order)
-
-    prod = [0] * (order + 1)
-    prod[0] = 1
     q2 = Monomial(1, 2 * q.exp)
-    _poch_monomial_inplace(prod, q, q, order)
-    _poch_monomial_inplace(prod, z, q, order)
-    _poch_monomial_inplace(prod, Monomial(q.sign * z.sign, q.exp - z.exp), q, order)
-    _poch_monomial_inplace(prod, Monomial(q.sign, q.exp + 2 * z.exp), q2, order)
-    _poch_monomial_inplace(prod, Monomial(q.sign, q.exp - 2 * z.exp), q2, order)
-    return sum_side, TruncatedSeries(tuple(prod))
+    prod_side = pochhammer_quotient(
+        monomial_pochhammer(q, q)
+        + monomial_pochhammer(z, q)
+        + monomial_pochhammer(Monomial(q.sign * z.sign, q.exp - z.exp), q)
+        + monomial_pochhammer(Monomial(q.sign, q.exp + 2 * z.exp), q2)
+        + monomial_pochhammer(Monomial(q.sign, q.exp - 2 * z.exp), q2),
+        [],
+        order,
+    )
+    return sum_side, prod_side
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +292,7 @@ def gauss_theta_sides(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
         n += 1
     lhs = TruncatedSeries(tuple(out))
     rhs = pochhammer_quotient(
-        [QPochhammerSpec(1, 1, 1, INFINITE)],
-        [QPochhammerSpec(-1, 1, 1, INFINITE)],
-        order,
+        [QPochhammerSpec(1, 1, 1)], [QPochhammerSpec(-1, 1, 1)], order
     )
     return lhs, rhs
 
@@ -318,18 +315,14 @@ def partial_theta(k: int, order: int) -> TruncatedSeries:
 def even_gauss_factor(order: int) -> TruncatedSeries:
     """(-q^2;q^2)oo / (q^2;q^2)oo."""
     return pochhammer_quotient(
-        [QPochhammerSpec(-1, 2, 2, INFINITE)],
-        [QPochhammerSpec(1, 2, 2, INFINITE)],
-        order,
+        [QPochhammerSpec(-1, 2, 2)], [QPochhammerSpec(1, 2, 2)], order
     )
 
 
 def even_binomial_ratio(k: int, order: int) -> TruncatedSeries:
     """(-q^2;q^2)_k / (q^2;q^2)_k."""
     return pochhammer_quotient(
-        [QPochhammerSpec(-1, 2, 2, k)],
-        [QPochhammerSpec(1, 2, 2, k)],
-        order,
+        [QPochhammerSpec(-1, 2, 2, k)], [QPochhammerSpec(1, 2, 2, k)], order
     )
 
 
@@ -347,17 +340,11 @@ def gauss_error_tail(k: int, order: int) -> TruncatedSeries:
     if lead > order:
         return TruncatedSeries(tuple(acc))
 
-    term = [0] * (order + 1)
-    term[0] = 1
-    e = 2 * (n + 1)
-    while e <= order:
-        mul_binomial_inplace(term, 1, e)  # (-q^(2n+2);q^2)oo
-        e += 2
-    div_binomial_inplace(term, -1, 2 * n)  # 1/(1-q^(2n))
-    e = 2 * (n + 1)
-    while e <= order:
-        div_binomial_inplace(term, -1, e)  # 1/(q^(2n+2);q^2)oo
-        e += 2
+    term = [1] + [0] * order
+    # (-q^(2n+2);q^2)oo / ((1-q^(2n)) (q^(2n+2);q^2)oo)
+    pochhammer_quotient_inplace(
+        term, [QPochhammerSpec(-1, 2 * n + 2, 2)], [QPochhammerSpec(1, 2 * n, 2)]
+    )
 
     while True:
         for i in range(order, lead - 1, -1):
@@ -392,57 +379,40 @@ def truncated_gauss_rhs(k: int, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def rr_G(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """G(q) = sum q^(n^2)/(q;q)_n = 1/(q, q^4; q^5)oo; returns both forms."""
+def _rogers_ramanujan(shift: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """sum q^(n^2+shift*n)/(q;q)_n = 1/(q^a, q^(5-a); q^5)oo with a = 1+shift.
+
+    shift 0 gives G, shift 1 gives H; returns (sum form, product form).
+    """
     acc = [0] * (order + 1)
     acc[0] = 1
-    term = [0] * (order + 1)
-    term[0] = 1
+    term = [1] + [0] * order
     n = 1
-    while n * n <= order:
-        # term_n = term_(n-1) * q^(2n-1) / (1 - q^n)
-        sh = 2 * n - 1
-        for i in range(order, sh - 1, -1):
-            term[i] = term[i - sh]
-        for i in range(sh):
-            term[i] = 0
+    while n * n + shift * n <= order:
+        # term_n = term_(n-1) * q^(2n-1+shift) / (1 - q^n)
+        sh = 2 * n - 1 + shift
+        term[sh:] = term[: order + 1 - sh]
+        term[:sh] = [0] * sh
         div_binomial_inplace(term, -1, n)
-        for i in range(n * n, order + 1):
+        for i in range(n * n + shift * n, order + 1):
             acc[i] += term[i]
         n += 1
     sum_side = TruncatedSeries(tuple(acc))
+    a = 1 + shift
     prod_side = pochhammer_quotient(
-        [],
-        [QPochhammerSpec(1, 1, 5, INFINITE), QPochhammerSpec(1, 4, 5, INFINITE)],
-        order,
+        [], [QPochhammerSpec(1, a, 5), QPochhammerSpec(1, 5 - a, 5)], order
     )
     return sum_side, prod_side
+
+
+def rr_G(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """G(q) = sum q^(n^2)/(q;q)_n = 1/(q, q^4; q^5)oo; returns both forms."""
+    return _rogers_ramanujan(0, order)
 
 
 def rr_H(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """H(q) = sum q^(n^2+n)/(q;q)_n = 1/(q^2, q^3; q^5)oo; both forms."""
-    acc = [0] * (order + 1)
-    acc[0] = 1
-    term = [0] * (order + 1)
-    term[0] = 1
-    n = 1
-    while n * n + n <= order:
-        sh = 2 * n
-        for i in range(order, sh - 1, -1):
-            term[i] = term[i - sh]
-        for i in range(sh):
-            term[i] = 0
-        div_binomial_inplace(term, -1, n)
-        for i in range(n * n + n, order + 1):
-            acc[i] += term[i]
-        n += 1
-    sum_side = TruncatedSeries(tuple(acc))
-    prod_side = pochhammer_quotient(
-        [],
-        [QPochhammerSpec(1, 2, 5, INFINITE), QPochhammerSpec(1, 3, 5, INFINITE)],
-        order,
-    )
-    return sum_side, prod_side
+    return _rogers_ramanujan(1, order)
 
 
 def regime3_sum(s: int, order: int) -> TruncatedSeries:
@@ -548,30 +518,47 @@ def regime3_product(s: int, order: int) -> TruncatedSeries:
     if s not in (2, 4):
         raise ValueError("s must be 2 or 4")
     half = rr_G if s == 2 else rr_H
-    inner = half((order + 1) // 2)[0].stretch(2, order)
-    out = list(inner.coeffs)
-    e = 1
-    while e <= order:
-        div_binomial_inplace(out, -1, e)  # 1/(q;q^2)oo
-        e += 2
+    out = list(half((order + 1) // 2)[0].stretch(2, order).coeffs)
+    pochhammer_quotient_inplace(out, [], [QPochhammerSpec(1, 1, 2)])  # 1/(q;q^2)oo
     return TruncatedSeries(tuple(out))
+
+
+def regime3_denominators(s: int) -> list[QPochhammerSpec]:
+    """(q;q^2)oo (q^s, q^(10-s); q^10)oo, whose reciprocal generates R_s."""
+    if s not in (2, 4):
+        raise ValueError("s must be 2 or 4")
+    return [
+        QPochhammerSpec(1, 1, 2),
+        QPochhammerSpec(1, s, 10),
+        QPochhammerSpec(1, 10 - s, 10),
+    ]
+
+
+def regime4_factors(
+    s: int, first_decade_exponent: int | None = None
+) -> tuple[list[QPochhammerSpec], list[QPochhammerSpec]]:
+    """(numerators, denominators) of the product that generates R*_s:
+    (q^s, q^(10-s), q^10; q^10)oo (q^(10-2s), q^(10+2s); q^20)oo / (q;q)oo.
+
+    first_decade_exponent replaces the leading q^s, for eq42_sides' literal
+    reading.
+    """
+    if s not in (1, 3):
+        raise ValueError("s must be 1 or 3")
+    first = s if first_decade_exponent is None else first_decade_exponent
+    numerators = [
+        QPochhammerSpec(1, first, 10),
+        QPochhammerSpec(1, 10 - s, 10),
+        QPochhammerSpec(1, 10, 10),
+        QPochhammerSpec(1, 10 - 2 * s, 20),
+        QPochhammerSpec(1, 10 + 2 * s, 20),
+    ]
+    return numerators, [QPochhammerSpec(1, 1, 1)]
 
 
 def regime4_product(s: int, order: int) -> TruncatedSeries:
     """(q^s, q^(10-s), q^10; q^10)oo (q^(10-2s), q^(10+2s); q^20)oo/(q;q)oo."""
-    if s not in (1, 3):
-        raise ValueError("s must be 1 or 3")
-    return pochhammer_quotient(
-        [
-            QPochhammerSpec(1, s, 10, INFINITE),
-            QPochhammerSpec(1, 10 - s, 10, INFINITE),
-            QPochhammerSpec(1, 10, 10, INFINITE),
-            QPochhammerSpec(1, 10 - 2 * s, 20, INFINITE),
-            QPochhammerSpec(1, 10 + 2 * s, 20, INFINITE),
-        ],
-        [QPochhammerSpec(1, 1, 1, INFINITE)],
-        order,
-    )
+    return pochhammer_quotient(*regime4_factors(s), order)
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +574,8 @@ def eq41_sides(s: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """
     left = bilateral_sum(eq41_families(s), order)
     right = pochhammer_quotient(
-        [QPochhammerSpec(1, 2, 2, INFINITE)],
-        [
-            QPochhammerSpec(1, 1, 2, INFINITE),
-            QPochhammerSpec(1, s, 10, INFINITE),
-            QPochhammerSpec(1, 10 - s, 10, INFINITE),
-            QPochhammerSpec(-1, 2, 2, INFINITE),
-        ],
+        [QPochhammerSpec(1, 2, 2)],
+        regime3_denominators(s) + [QPochhammerSpec(-1, 2, 2)],
         order,
     )
     return left, right
@@ -608,21 +590,11 @@ def eq42_sides(
     that makes the identity hold; passing first_decade_exponent=2 selects
     the alternative literal reading so callers can report its failure.
     """
-    ffe = s if first_decade_exponent is None else first_decade_exponent
     left = bilateral_sum([eq42_family(s)], order)
+    numerators, denominators = regime4_factors(s, first_decade_exponent)
     right = pochhammer_quotient(
-        [
-            QPochhammerSpec(1, ffe, 10, INFINITE),
-            QPochhammerSpec(1, 10 - s, 10, INFINITE),
-            QPochhammerSpec(1, 10, 10, INFINITE),
-            QPochhammerSpec(1, 10 - 2 * s, 20, INFINITE),
-            QPochhammerSpec(1, 10 + 2 * s, 20, INFINITE),
-            QPochhammerSpec(1, 2, 2, INFINITE),
-        ],
-        [
-            QPochhammerSpec(1, 1, 1, INFINITE),
-            QPochhammerSpec(-1, 2, 2, INFINITE),
-        ],
+        numerators + [QPochhammerSpec(1, 2, 2)],
+        denominators + [QPochhammerSpec(-1, 2, 2)],
         order,
     )
     return left, right

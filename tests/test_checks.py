@@ -18,7 +18,7 @@ from hexparity.checks import (
     cross_validate,
     rho_series,
 )
-from hexparity.partitions import p_table, regime3_rule, regime4_rule
+from hexparity.partitions import count_restricted, p_table, regime3_rule, regime4_rule
 from hexparity.report import CheckReport, Violation
 from hexparity.squares import SquareProgression, index_set, is_square
 from hexparity.theta import regime3_sum, regime4_sum
@@ -218,3 +218,26 @@ def test_cross_validate_all_rules():
         report = cross_validate(rule, 150)
         assert report.status == "PASS", rule
     assert cross_validate(regime3_rule(2), 0).status == "PASS"
+
+
+def test_tables_record_what_they_count():
+    assert p_table(10).rule is None
+    assert count_restricted(regime4_rule(1), 10).rule == regime4_rule(1)
+
+
+def test_conjecture2_rejects_table_for_another_rule():
+    # a regime-IV s=1 count table handed to a regime-III s=2 scan
+    wrong = count_restricted(regime4_rule(1), 50)
+    with pytest.raises(ValueError):
+        check_conjecture2(1, 2, 1, 50, tables=wrong)
+    right = count_restricted(regime3_rule(2), 50)
+    assert len(check_conjecture2(1, 2, 1, 50, tables=right)) == 2
+
+
+def test_p_table_checks_reject_count_tables():
+    counts = count_restricted(regime4_rule(1), 50)
+    with pytest.raises(ValueError):
+        check_corollary2(1, 2, 50, p=counts)
+    with pytest.raises(ValueError):
+        check_s_pair(6, 8, 50, p=counts)
+    assert check_corollary2(1, 2, 50, p=p_table(50)).status == "PASS"

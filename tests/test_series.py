@@ -193,6 +193,30 @@ def test_pochhammer_quotient_matches_inverse():
     direct = product_of(num, 20) * product_of(den, 20).inverse()
     assert q == direct
 
+    # random spec lists against schoolbook products and the series inverse
+    def random_specs(rng, min_offset):
+        specs, count = [], rng.randint(0, 3)
+        while len(specs) < count:
+            sign, offset = rng.choice([1, -1]), rng.randint(min_offset, 6)
+            if sign == 1 and offset == 0:
+                continue
+            specs.append((sign, offset, rng.randint(1, 5), rng.choice([None, 0, 1, 2, 4])))
+        return specs
+
+    def schoolbook(specs, order):
+        out = TruncatedSeries.one(order)
+        for spec in specs:
+            out = out * TruncatedSeries.of(poch_oracle(*spec, order))
+        return out
+
+    rng = random.Random(37)
+    for _ in range(80):
+        order = rng.randint(0, 40)
+        num, den = random_specs(rng, 0), random_specs(rng, 1)
+        q = pochhammer_quotient([QPochhammerSpec(*a) for a in num],
+                                [QPochhammerSpec(*a) for a in den], order)
+        assert q == schoolbook(num, order) * schoolbook(den, order).inverse()
+
 
 def test_coefficient_access():
     inv = pochhammer(QPochhammerSpec(1, 1, 1, INFINITE), 10).inverse()

@@ -7,9 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from hexparity.series import INFINITE, QPochhammerSpec, TruncatedSeries, pochhammer
+from hexparity.series import (
+    INFINITE,
+    DegenerateFactor,
+    QPochhammerSpec,
+    TruncatedSeries,
+    monomial,
+    pochhammer,
+    pochhammer_quotient,
+)
 from hexparity.theta import (
     Monomial,
+    monomial_pochhammer,
     NegativeExponent,
     QuadraticExponentFamily,
     bilateral_sum,
@@ -99,6 +108,42 @@ def test_negative_exponent_raises():
         bilateral_sum([fam], 10)
     with pytest.raises(NegativeExponent):
         jtp_sides(1, 3, 1, 1, 10)  # q/z has exponent 1-3 < 0
+
+
+def test_monomial_pochhammer_matches_schoolbook_binomials():
+    # (base; step)oo multiplied out one explicit binomial (1 - c*q^e) at a
+    # time under TruncatedSeries.__mul__, c = base.sign*step.sign^k and
+    # e = base.exp + k*step.exp; the errors are checked in the order a
+    # factor-by-factor expansion meets them
+    import random
+
+    rng = random.Random(41)
+    for _ in range(300):
+        base = Monomial(rng.choice([1, -1]), rng.randint(-2, 8))
+        step = Monomial(rng.choice([1, -1]), rng.randint(0, 6))
+        order = rng.randint(0, 40)
+        if step.exp < 1:
+            with pytest.raises(ValueError) as info:
+                monomial_pochhammer(base, step)
+            assert type(info.value) is ValueError
+            continue
+        if base.exp < 0:
+            with pytest.raises(NegativeExponent):
+                monomial_pochhammer(base, step)
+            continue
+        if (base.sign, base.exp) == (1, 0):
+            with pytest.raises(DegenerateFactor):
+                monomial_pochhammer(base, step)
+            continue
+        expected = TruncatedSeries.one(order)
+        k = 0
+        while base.exp + k * step.exp <= order:
+            c = base.sign * step.sign ** k
+            factor = TruncatedSeries.one(order) - monomial(c, base.exp + k * step.exp, order)
+            expected = expected * factor
+            k += 1
+        got = pochhammer_quotient(monomial_pochhammer(base, step), [], order)
+        assert got == expected, (base, step, order)
 
 
 def test_jtp_specializations_agree():
