@@ -3,7 +3,9 @@
 The front end parses flags, dispatches to the check registry in
 `checks.py` (or to a series builder for `expand`) and prints the result.
 Exit statuses: 0 when every selected check passes, 1 when any check fails
-or a conjecture scan finds a counterexample, 2 on usage errors.  Output is
+or a conjecture scan finds a counterexample, 2 on usage errors, 3 on any
+other error inside the program (reported in one line, never as a
+traceback, so that 1 keeps meaning a counterexample).  Output is
 deterministic for identical inputs up to elapsed-time fields; big integers
 are serialized as decimal strings because they exceed JSON number
 precision.
@@ -36,6 +38,7 @@ from .series import require_order
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 TEXT_VIOLATION_LIMIT = 10
 
@@ -210,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program, not a counterexample
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

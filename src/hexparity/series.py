@@ -13,6 +13,8 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import add, mul, neg, sub
 
 
 class NonUnitConstantTerm(ValueError):
@@ -39,26 +41,55 @@ def require_order(order: int, what: str = "order") -> int:
 #
 # Multiplying or dividing by a single binomial (1 + c*q^m) is a linear pass,
 # and every infinite product in this package factors into such binomials.
+# Each pass runs its per-coefficient work at C level, over list slices
+# (`map`, `accumulate`), so it takes at most about sqrt(len) interpreted
+# steps for c = +-1; the arithmetic stays exact Python ints.
 # ---------------------------------------------------------------------------
 
 
 def mul_binomial_inplace(coeffs: list[int], c: int, m: int) -> None:
     """Multiply by (1 + c*q^m) in place."""
     if m == 0:
-        scale = 1 + c
-        for i in range(len(coeffs)):
-            coeffs[i] *= scale
-        return
-    for i in range(len(coeffs) - 1, m - 1, -1):
-        coeffs[i] += c * coeffs[i - m]
+        coeffs[:] = map(mul, coeffs, repeat(1 + c))
+    elif c == 1:
+        coeffs[m:] = map(add, coeffs[m:], coeffs[:-m])
+    elif c == -1:
+        coeffs[m:] = map(sub, coeffs[m:], coeffs[:-m])
+    else:
+        coeffs[m:] = map(add, coeffs[m:], map(mul, coeffs[:-m], repeat(c)))
 
 
 def div_binomial_inplace(coeffs: list[int], c: int, m: int) -> None:
-    """Divide by (1 + c*q^m) in place; requires m >= 1."""
+    """Divide by (1 + c*q^m) in place; requires m >= 1.
+
+    Solves out[i] = coeffs[i] - c*out[i-m].  For c = +-1 and m*m <= len
+    each residue class mod m becomes its running sum (alternating for
+    c = 1: odd positions of the class are negated before and after);
+    otherwise each length-m block subtracts c times the finished block
+    before it.
+    """
     if m < 1:
         raise ValueError("cannot divide by a constant binomial factor")
-    for i in range(m, len(coeffs)):
-        coeffs[i] -= c * coeffs[i - m]
+    n = len(coeffs)
+    if c in (1, -1) and m * m <= n:
+        for r in range(m):
+            run = coeffs[r::m]
+            if c == 1:
+                run[1::2] = map(neg, run[1::2])
+                run = list(accumulate(run))
+                run[1::2] = map(neg, run[1::2])
+                coeffs[r::m] = run
+            else:
+                coeffs[r::m] = accumulate(run)
+        return
+    for i in range(m, n, m):
+        prev = coeffs[i - m:i]
+        if c == -1:
+            coeffs[i:i + m] = map(add, coeffs[i:i + m], prev)
+        elif c == 1:
+            coeffs[i:i + m] = map(sub, coeffs[i:i + m], prev)
+        else:
+            coeffs[i:i + m] = map(sub, coeffs[i:i + m], map(mul, prev, repeat(c)))
 
 
 @dataclass(frozen=True)
@@ -105,24 +136,19 @@ class TruncatedSeries:
         return not any(self.coeffs)
 
     def nonzero_count(self) -> int:
-        return sum(1 for c in self.coeffs if c)
+        return len(self.coeffs) - self.coeffs.count(0)
 
     # -- ring operations (order = min of operand orders) ---------------------
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
-        )
+        # map stops at the shorter operand: order = min of the orders
+        return TruncatedSeries(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1))
-        )
+        return TruncatedSeries(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
+        return TruncatedSeries(tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
@@ -131,20 +157,21 @@ class TruncatedSeries:
         if self.nonzero_count() > other.nonzero_count():
             a, b = b, a
         out = [0] * (n + 1)
+        # each row out[i:] += ai*b runs at C level; map stops at out's end
         for i in range(min(len(a), n + 1)):
             ai = a[i]
             if ai == 0:
                 continue
             if ai == 1:
-                for j in range(min(len(b), n + 1 - i)):
-                    out[i + j] += b[j]
+                out[i:] = map(add, out[i:], b)
+            elif ai == -1:
+                out[i:] = map(sub, out[i:], b)
             else:
-                for j in range(min(len(b), n + 1 - i)):
-                    out[i + j] += ai * b[j]
+                out[i:] = map(add, out[i:], map(mul, b, repeat(ai)))
         return TruncatedSeries(tuple(out))
 
     def scale(self, c: int) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(c * v for v in self.coeffs))
+        return TruncatedSeries(tuple(map(mul, self.coeffs, repeat(c))))
 
     def shift(self, m: int) -> "TruncatedSeries":
         """Multiply by q^m, truncating at the same order."""
@@ -153,7 +180,7 @@ class TruncatedSeries:
         if m == 0:
             return self
         n = self.order
-        return TruncatedSeries((0,) * min(m, n + 1) + self.coeffs[: n + 1 - m])
+        return TruncatedSeries((0,) * min(m, n + 1) + self.coeffs[: max(n + 1 - m, 0)])
 
     def times_binomial(self, c: int, m: int) -> "TruncatedSeries":
         out = list(self.coeffs)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .series import (
     ParitySeries,
@@ -347,8 +348,7 @@ def gauss_error_tail(k: int, order: int) -> TruncatedSeries:
     )
 
     while True:
-        for i in range(order, lead - 1, -1):
-            acc[i] += term[i - lead]
+        acc[lead:] = map(add, acc[lead:], term)
         n += 1
         lead = 2 * n * (k + 1)
         if lead > order:
@@ -394,8 +394,8 @@ def _rogers_ramanujan(shift: int, order: int) -> tuple[TruncatedSeries, Truncate
         term[sh:] = term[: order + 1 - sh]
         term[:sh] = [0] * sh
         div_binomial_inplace(term, -1, n)
-        for i in range(n * n + shift * n, order + 1):
-            acc[i] += term[i]
+        lo = n * n + shift * n
+        acc[lo:] = map(add, acc[lo:], term[lo:])
         n += 1
     sum_side = TruncatedSeries(tuple(acc))
     a = 1 + shift
@@ -432,8 +432,7 @@ def regime3_sum(s: int, order: int) -> TruncatedSeries:
         e = n * (3 * n + s - 1) // 2
         if e > order:
             break
-        for i in range(e, order + 1):
-            acc[i] += base[i - e]
+        acc[e:] = map(add, acc[e:], base)
         n += 1
         if (n * (3 * n + s - 1)) // 2 > order:
             break
@@ -458,8 +457,7 @@ def regime4_sum(s: int, order: int) -> TruncatedSeries:
         e = n * (n + 1)
         if e > order:
             break
-        for i in range(e, order + 1):
-            acc[i] += base[i - e]
+        acc[e:] = map(add, acc[e:], base)
         n += 1
         if n * (n + 1) > order:
             break

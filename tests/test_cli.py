@@ -191,6 +191,21 @@ def test_negative_order_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "expand p --order 100000000000000000000",
+    "verify corollary2 --order 100000000000000000000",
+])
+def test_internal_error_exits_3(capsys, argv):
+    # an order past the platform's list size fails inside the program; that
+    # must not read as exit 1, which means a counterexample
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: OverflowError: ")
+    assert "Traceback" not in err
+
+
 def test_verify_choices_are_the_registry():
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))

@@ -54,6 +54,15 @@ def random_series(rng: random.Random, order: int, unit: bool = False) -> Truncat
     return TruncatedSeries.of(coeffs)
 
 
+def sparse_series(rng: random.Random, order: int) -> TruncatedSeries:
+    """Coefficients from {0, 1, -1, small, multi-limb}, at a random density."""
+    density = rng.random()
+    pool = (1, -1, rng.randint(-9, 9), rng.randint(-2**130, 2**130))
+    return TruncatedSeries.of(
+        rng.choice(pool) if rng.random() < density else 0 for _ in range(order + 1)
+    )
+
+
 def test_monomial_examples():
     assert monomial(1, 0, 5).coeffs == (1, 0, 0, 0, 0, 0)
     assert monomial(-2, 3, 5).coeffs == (0, 0, 0, -2, 0, 0)
@@ -108,6 +117,15 @@ def test_mul_matches_oracle():
         a = random_series(rng, order)
         b = random_series(rng, order)
         assert list((a * b).coeffs) == poly_mul_oracle(list(a.coeffs), list(b.coeffs), order)
+    # unequal orders, sparse operands (the sparser one drives the rows), and
+    # rows with a_i in {0, 1, -1, other}, other including multi-limb values
+    for _ in range(150):
+        na, nb = rng.randint(0, 40), rng.randint(0, 40)
+        a, b = sparse_series(rng, na), sparse_series(rng, nb)
+        n = min(na, nb)
+        want = poly_mul_oracle(list(a.coeffs), list(b.coeffs), n)
+        assert list((a * b).coeffs) == want
+        assert list((b * a).coeffs) == want
 
 
 def test_inverse_of_partition_product():
@@ -259,13 +277,34 @@ def test_parity_commutes_with_inverse():
 
 
 def test_parity_binomial_ops_match_bigint():
+    # Every branch of the binomial passes: m from 0 (a scale) past the list
+    # length, with lengths around perfect squares so that m*m = len - 1, len
+    # and len + 1 all occur (the switch between per-residue running sums and
+    # per-block passes when dividing), c = +-1 and one |c| >= 2, and
+    # multi-limb coefficients of both signs.  Multiplication is checked
+    # against the schoolbook product with the binomial, division against the
+    # series inverse of the binomial, and both against the GF(2) mirror.
     rng = random.Random(31)
-    for _ in range(20):
-        a = random_series(rng, 150)
-        m = rng.randint(1, 12)
-        assert a.times_binomial(1, m).reduce_mod2() == a.reduce_mod2().times_binomial(m)
-        assert a.div_binomial(-1, m).reduce_mod2() == a.reduce_mod2().div_binomial(m)
-        assert a.shift(m).reduce_mod2() == a.reduce_mod2().shift(m)
+    for length in (1, 2, 3, 4, 5, 15, 16, 17, 48, 49, 50):
+        order = length - 1
+        for m in range(0, length + 3):
+            a = TruncatedSeries.of(rng.randint(-2**200, 2**200) for _ in range(length))
+            for c in (1, -1, -3):
+                binomial = [1] + [0] * order
+                if m <= order:
+                    binomial[m] += c
+                product = a.times_binomial(c, m)
+                assert list(product.coeffs) == poly_mul_oracle(list(a.coeffs), binomial, order)
+                assert product.reduce_mod2() == a.reduce_mod2().times_binomial(m)
+                if m == 0:
+                    with pytest.raises(ValueError):
+                        a.div_binomial(c, m)
+                    continue
+                quotient = a.div_binomial(c, m)
+                assert quotient == a * TruncatedSeries.of(binomial).inverse()
+                assert quotient.times_binomial(c, m) == a
+                assert quotient.reduce_mod2() == a.reduce_mod2().div_binomial(m)
+            assert a.shift(m).reduce_mod2() == a.reduce_mod2().shift(m)
 
 
 def test_parity_series_validation():

@@ -3,6 +3,7 @@ partition DPs as independent oracles where the coefficients count things."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -254,10 +255,21 @@ def test_regime4_sum_equals_product_side():
 
 
 def test_regime_parity_paths_match_bigint():
+    # seeded orders, plus the orders at which the last summand's exponent
+    # n(3n+s-1)/2 (regime III) or n(n+1) (regime IV) lands on the order
+    # exactly, and one below: these pin the bounds of each accumulation
+    rng = random.Random(41)
+    seeded = [0, 1, 400] + [rng.randint(0, 1500) for _ in range(27)]
     for s in (2, 4):
-        assert regime3_sum_parity(s, 400) == regime3_sum(s, 400).reduce_mod2()
+        edges = [n * (3 * n + s - 1) // 2 + d for n in (1, 2, 5, 12, 31) for d in (0, -1)]
+        for order in seeded + edges:
+            assert regime3_sum_parity(s, order) == regime3_sum(s, order).reduce_mod2(), \
+                (s, order)
     for s in (1, 3):
-        assert regime4_sum_parity(s, 400) == regime4_sum(s, 400).reduce_mod2()
+        edges = [n * (n + 1) + d for n in (1, 2, 7, 20, 38) for d in (0, -1)]
+        for order in seeded + edges:
+            assert regime4_sum_parity(s, order) == regime4_sum(s, order).reduce_mod2(), \
+                (s, order)
 
 
 def test_eq41_sides_agree():
