@@ -119,16 +119,7 @@ def check_theorem1(part: int, s: int, order: int | None = None,
     else:
         lhs = (regime3_sum if part == 1 else regime4_sum)(s, order).reduce_mod2()
     rhs_bits = indicator_bits(theorem1_progression(part, s), order)
-
-    violations = []
-    diff = lhs.bits ^ rhs_bits
-    while diff:
-        low = diff & -diff
-        n = low.bit_length() - 1
-        violations.append(Violation(n, lhs.bit(n), (rhs_bits >> n) & 1))
-        diff ^= low
-        if not collect_all:
-            break
+    violations = _bit_violations(lhs.bits, rhs_bits, collect_all)
     return proved_report(
         f"theorem1.part{part}.s{s}",
         {"part": part, "s": s, "order": order,
@@ -138,25 +129,36 @@ def check_theorem1(part: int, s: int, order: int | None = None,
     )
 
 
+def _bit_violations(lhs: int, rhs: int, collect_all: bool) -> list[Violation]:
+    """A Violation(n, lhs bit, rhs bit) for each n where the packed parity
+    series lhs and rhs differ, in increasing n (only the first unless
+    collect_all)."""
+    diff = format(lhs ^ rhs, "b")[::-1]
+    violations = []
+    n = diff.find("1")
+    while n >= 0:
+        violations.append(Violation(n, (lhs >> n) & 1, (rhs >> n) & 1))
+        if not collect_all:
+            break
+        n = diff.find("1", n + 1)
+    return violations
+
+
 def _parity_sum_violations(p: PartitionTable, ks: list[int],
                            target: SquareProgression, order: int,
                            collect_all: bool) -> list[Violation]:
     """Points n <= order where the parity of sum_{k in ks} p(n-k) is not
-    the truth of target at n (ks sorted)."""
-    parity = [v & 1 for v in p.values[: order + 1]]
-    violations = []
-    for n in range(order + 1):
-        acc = 0
-        for k in ks:
-            if k > n:
-                break
-            acc ^= parity[n - k]
-        want = 1 if target.holds(n) else 0
-        if acc != want:
-            violations.append(Violation(n, acc, want))
-            if not collect_all:
-                break
-    return violations
+    the truth of target at n.
+
+    Mod 2 the sums are one GF(2) product: the indicator of ks times
+    sum (p(n) mod 2) q^n, i.e. the XOR of the shifted parity bits.
+    """
+    parity = TruncatedSeries(p.values[: order + 1]).reduce_mod2().bits
+    lhs = 0
+    for k in ks:
+        lhs ^= parity << k
+    lhs &= (1 << (order + 1)) - 1
+    return _bit_violations(lhs, indicator_bits(target, order), collect_all)
 
 
 def check_corollary2(part: int, s: int, order: int | None = None,

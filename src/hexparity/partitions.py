@@ -11,6 +11,8 @@ decompositions into shifted p(n) values.  All three must agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, sub
 
 from .series import TruncatedSeries, pochhammer_quotient, require_order
 from .theta import (
@@ -111,27 +113,48 @@ class PartitionTable:
         return self.values[n]
 
 
+# block length of p_table: pentagonal terms at least this long are added to
+# a whole block with one slice pass
+P_TABLE_BLOCK = 128
+
+
 def p_table(n_max: int) -> PartitionTable:
     """p(0..n_max) by the pentagonal-number recurrence.
 
     p(n) = sum_{k>=1} (-1)^(k-1) * (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)).
+
+    The n are taken in blocks of P_TABLE_BLOCK.  A term with pentagonal
+    number g >= P_TABLE_BLOCK reads only values before the block, so it is
+    added to the whole block with one slice pass; only the terms with
+    smaller g are summed per n.
     """
     values = [0] * (require_order(n_max, "n_max") + 1)
     values[0] = 1
-    for n in range(1, n_max + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > n:
+    # the generalized pentagonal numbers g, increasing, with the operation
+    # (add for k odd, sub for k even) that applies their term
+    terms = []
+    k = 1
+    while k * (3 * k - 1) // 2 <= n_max:
+        op = add if k % 2 == 1 else sub
+        terms += [(k * (3 * k - 1) // 2, op), (k * (3 * k + 1) // 2, op)]
+        k += 1
+    near = [(g, op) for g, op in terms if g < P_TABLE_BLOCK]
+    far = [(g, op) for g, op in terms if g >= P_TABLE_BLOCK]
+    for lo in range(1, n_max + 1, P_TABLE_BLOCK):
+        hi = min(lo + P_TABLE_BLOCK, n_max + 1)
+        block = [0] * (hi - lo)
+        for g, op in far:
+            if g >= hi:
                 break
-            sign = 1 if k % 2 == 1 else -1
-            total += sign * values[n - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= n:
-                total += sign * values[n - g2]
-            k += 1
-        values[n] = total
+            start = max(lo, g)
+            block[start - lo:] = map(op, block[start - lo:], values[start - g:hi - g])
+        for n in range(lo, hi):
+            total = block[n - lo]
+            for g, op in near:
+                if g > n:
+                    break
+                total = op(total, values[n - g])
+            values[n] = total
     return PartitionTable(n_max, tuple(values))
 
 
@@ -181,12 +204,23 @@ def count_restricted_bruteforce(rule: PartResidueRule, n: int) -> int:
 
 
 def count_restricted(rule: PartResidueRule, n_max: int) -> PartitionTable:
-    """Restricted partition counts by unbounded-knapsack DP."""
+    """Restricted partition counts by unbounded-knapsack DP.
+
+    Admitting a part m sets values[i] += values[i - m] for i = m, m+1, ...:
+    each residue class mod m becomes its running sum.  For a part larger
+    than sqrt(n_max + 1) each length-m block instead adds the finished
+    block before it, which takes fewer steps.
+    """
     values = [0] * (require_order(n_max, "n_max") + 1)
     values[0] = 1
+    size = n_max + 1
     for part in rule.allowed_parts(n_max):
-        for i in range(part, n_max + 1):
-            values[i] += values[i - part]
+        if part * part <= size:
+            for r in range(part):
+                values[r::part] = accumulate(values[r::part])
+        else:
+            for i in range(part, size, part):
+                values[i:i + part] = map(add, values[i:i + part], values[i - part:i])
     return PartitionTable(n_max, tuple(values), rule)
 
 

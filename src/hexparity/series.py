@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import add, mul, neg, sub
+from operator import add, and_, mul, neg, sub
 
 
 class NonUnitConstantTerm(ValueError):
@@ -229,10 +229,13 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out))
 
     def reduce_mod2(self) -> "ParitySeries":
+        # one byte per coefficient; the bytes at positions j mod 8, read as
+        # one int, hold those coefficients' parities at bits 8i, so shifting
+        # that int by j puts each parity in place
+        low = bytearray(map(and_, self.coeffs, repeat(1)))
         bits = 0
-        for i, c in enumerate(self.coeffs):
-            if c & 1:
-                bits |= 1 << i
+        for j in range(8):
+            bits |= int.from_bytes(low[j::8], "little") << j
         return ParitySeries(self.order, bits)
 
     def __repr__(self) -> str:
@@ -417,23 +420,34 @@ class ParitySeries:
     def shift(self, m: int) -> "ParitySeries":
         return ParitySeries(self.order, (self.bits << m) & self._mask(self.order))
 
+    @staticmethod
+    def times_binomial_bits(bits: int, m: int, top: int) -> int:
+        """bits * (1 + q^m) on a raw bit int, keeping bits 0..top."""
+        return (bits ^ (bits << m)) & ((1 << (top + 1)) - 1)
+
+    @staticmethod
+    def div_binomial_bits(bits: int, m: int, top: int) -> int:
+        """bits / (1 + q^m) on a raw bit int, keeping bits 0..top.
+
+        1/(1 + q^m) = (1 + q^m)(1 + q^2m)(1 + q^4m)... mod 2, so the
+        quotient is log2(top/m) shifted XORs.
+        """
+        if m < 1:
+            raise ValueError("cannot divide by a constant binomial factor")
+        mask = (1 << (top + 1)) - 1
+        bits &= mask
+        while m <= top:
+            bits = (bits ^ (bits << m)) & mask
+            m <<= 1
+        return bits
+
     def times_binomial(self, m: int) -> "ParitySeries":
         """Multiply by (1 + q^m); signs are invisible mod 2."""
-        return ParitySeries(
-            self.order, (self.bits ^ (self.bits << m)) & self._mask(self.order)
-        )
+        return ParitySeries(self.order, self.times_binomial_bits(self.bits, m, self.order))
 
     def div_binomial(self, m: int) -> "ParitySeries":
         """Divide by (1 + q^m): multiply by the geometric series in q^m."""
-        if m < 1:
-            raise ValueError("cannot divide by a constant binomial factor")
-        mask = self._mask(self.order)
-        x = self.bits
-        sh = m
-        while sh <= self.order:
-            x = (x ^ (x << sh)) & mask
-            sh <<= 1
-        return ParitySeries(self.order, x)
+        return ParitySeries(self.order, self.div_binomial_bits(self.bits, m, self.order))
 
     def square(self) -> "ParitySeries":
         """Frobenius: squaring mod 2 doubles every exponent."""

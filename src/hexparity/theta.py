@@ -11,7 +11,7 @@ per monomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
@@ -50,7 +50,9 @@ class QuadraticExponentFamily:
     The coefficients are exact rationals; e(k) and the sign quadratic
     t(k) = s2*k^2 + s1*k must evaluate to integers at every contributing k
     (checked, so transcription slips in the constants surface immediately).
-    a2 > 0 guarantees that truncation windows are finite.
+    a2 > 0 guarantees that truncation windows are finite.  Both quadratics
+    are also held as integer numerators over one common denominator, so a
+    k is evaluated in int arithmetic.
     """
 
     a2: Fraction
@@ -59,6 +61,16 @@ class QuadraticExponentFamily:
     s2: Fraction = Fraction(0)
     s1: Fraction = Fraction(0)
     base_sign: int = 1
+    # (a2, a1, a0, denominator) and (s2, s1, denominator) as ints
+    _e: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    _t: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        e_den = math.lcm(self.a2.denominator, self.a1.denominator, self.a0.denominator)
+        t_den = math.lcm(self.s2.denominator, self.s1.denominator)
+        object.__setattr__(self, "_e", (int(self.a2 * e_den), int(self.a1 * e_den),
+                                        int(self.a0 * e_den), e_den))
+        object.__setattr__(self, "_t", (int(self.s2 * t_den), int(self.s1 * t_den), t_den))
 
     @staticmethod
     def make(a2, a1, a0, s2=0, s1=0, base_sign: int = 1) -> "QuadraticExponentFamily":
@@ -73,16 +85,18 @@ class QuadraticExponentFamily:
         return f
 
     def exponent(self, k: int) -> int:
-        v = self.a2 * k * k + self.a1 * k + self.a0
-        if v.denominator != 1:
-            raise ValueError(f"exponent {v} at k={k} is not an integer")
-        return int(v)
+        a2, a1, a0, den = self._e
+        v = (a2 * k + a1) * k + a0
+        if v % den:
+            raise ValueError(f"exponent {Fraction(v, den)} at k={k} is not an integer")
+        return v // den
 
     def sign(self, k: int) -> int:
-        t = self.s2 * k * k + self.s1 * k
-        if t.denominator != 1:
-            raise ValueError(f"sign exponent {t} at k={k} is not an integer")
-        return self.base_sign * (-1 if int(t) & 1 else 1)
+        s2, s1, den = self._t
+        t = (s2 * k + s1) * k
+        if t % den:
+            raise ValueError(f"sign exponent {Fraction(t, den)} at k={k} is not an integer")
+        return -self.base_sign if t // den & 1 else self.base_sign
 
     def indices_within(self, bound: int):
         """All k in Z with e(k) <= bound, scanning outward from the vertex."""
@@ -419,23 +433,24 @@ def regime3_sum(s: int, order: int) -> TruncatedSeries:
     """sum_n (-q;q)_n q^(n(3n+s-1)/2) / (q;q)_(2n+1), s in {2, 4}.
 
     The running base (-q;q)_n/(q;q)_(2n+1) is updated by one binomial
-    multiplication and two binomial divisions per n.
+    multiplication and two binomial divisions per n.  Only its
+    coefficients 0..order-e(n) reach the sum from step n on, so it is
+    truncated there before each update.
     """
     if s not in (2, 4):
         raise ValueError("s must be 2 or 4")
-    acc = [0] * (order + 1)
+    acc = [0] * (require_order(order) + 1)
     base = [0] * (order + 1)
     base[0] = 1
     div_binomial_inplace(base, -1, 1)  # 1/(1-q)
-    n = 0
+    n = e = 0
     while True:
+        acc[e:] = map(add, acc[e:], base)
+        n += 1
         e = n * (3 * n + s - 1) // 2
         if e > order:
             break
-        acc[e:] = map(add, acc[e:], base)
-        n += 1
-        if (n * (3 * n + s - 1)) // 2 > order:
-            break
+        del base[order - e + 1:]
         mul_binomial_inplace(base, 1, n)
         div_binomial_inplace(base, -1, 2 * n)
         div_binomial_inplace(base, -1, 2 * n + 1)
@@ -443,69 +458,72 @@ def regime3_sum(s: int, order: int) -> TruncatedSeries:
 
 
 def regime4_sum(s: int, order: int) -> TruncatedSeries:
-    """sum_n q^(n(n+1)) / (q;q)_(2n+(s-1)/2), s in {1, 3}."""
+    """sum_n q^(n(n+1)) / (q;q)_(2n+(s-1)/2), s in {1, 3}.
+
+    The running base is truncated as in regime3_sum.
+    """
     if s not in (1, 3):
         raise ValueError("s must be 1 or 3")
     d = (s - 1) // 2
-    acc = [0] * (order + 1)
+    acc = [0] * (require_order(order) + 1)
     base = [0] * (order + 1)
     base[0] = 1
     if d:
         div_binomial_inplace(base, -1, 1)
-    n = 0
+    n = e = 0
     while True:
+        acc[e:] = map(add, acc[e:], base)
+        n += 1
         e = n * (n + 1)
         if e > order:
             break
-        acc[e:] = map(add, acc[e:], base)
-        n += 1
-        if n * (n + 1) > order:
-            break
+        del base[order - e + 1:]
         div_binomial_inplace(base, -1, 2 * n - 1 + d)
         div_binomial_inplace(base, -1, 2 * n + d)
     return TruncatedSeries(tuple(acc))
 
 
 def regime3_sum_parity(s: int, order: int) -> ParitySeries:
-    """regime3_sum reduced mod 2, computed natively on bit blocks."""
+    """regime3_sum reduced mod 2, computed natively on bit blocks.
+
+    The same passes as regime3_sum on a raw bit int, at the same shrinking
+    precision: each pass keeps only bits 0..order-e(n) of the base.
+    """
     if s not in (2, 4):
         raise ValueError("s must be 2 or 4")
-    mask = (1 << (order + 1)) - 1
-    base = ParitySeries(order, 1).div_binomial(1)
+    times, div = ParitySeries.times_binomial_bits, ParitySeries.div_binomial_bits
+    base = div(1, 1, require_order(order))
     acc = 0
-    n = 0
+    n = e = 0
     while True:
+        acc ^= base << e
+        n += 1
         e = n * (3 * n + s - 1) // 2
         if e > order:
             break
-        acc ^= (base.bits << e) & mask
-        n += 1
-        if (n * (3 * n + s - 1)) // 2 > order:
-            break
-        base = base.times_binomial(n).div_binomial(2 * n).div_binomial(2 * n + 1)
+        top = order - e
+        base = div(div(times(base, n, top), 2 * n, top), 2 * n + 1, top)
     return ParitySeries(order, acc)
 
 
 def regime4_sum_parity(s: int, order: int) -> ParitySeries:
-    """regime4_sum reduced mod 2, computed natively on bit blocks."""
+    """regime4_sum reduced mod 2, at the shrinking precision of
+    regime3_sum_parity."""
     if s not in (1, 3):
         raise ValueError("s must be 1 or 3")
     d = (s - 1) // 2
-    mask = (1 << (order + 1)) - 1
-    base = ParitySeries(order, 1)
-    if d:
-        base = base.div_binomial(1)
+    div = ParitySeries.div_binomial_bits
+    base = div(1, 1, require_order(order)) if d else 1
     acc = 0
-    n = 0
+    n = e = 0
     while True:
+        acc ^= base << e
+        n += 1
         e = n * (n + 1)
         if e > order:
             break
-        acc ^= (base.bits << e) & mask
-        n += 1
-        if n * (n + 1) > order:
-            break
-        base = base.div_binomial(2 * n - 1 + d).div_binomial(2 * n + d)
+        top = order - e
+        base = div(div(base, 2 * n - 1 + d, top), 2 * n + d, top)
     return ParitySeries(order, acc)
 
 

@@ -3,10 +3,13 @@ moderate orders (the acceptance suite reruns them at contract scale)."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from hexparity.checks import (
     S_PAIRS,
+    _parity_sum_violations,
     check_conjecture1,
     check_conjecture2,
     check_corollary2,
@@ -15,15 +18,24 @@ from hexparity.checks import (
     check_s_pair,
     check_theorem1,
     conjecture1_difference,
+    corollary2_progression,
     cross_validate,
     rho_series,
+    theorem1_progression,
 )
-from hexparity.partitions import count_restricted, p_table, regime3_rule, regime4_rule
+from hexparity.partitions import (
+    PartitionTable,
+    count_restricted,
+    p_table,
+    regime3_rule,
+    regime4_rule,
+)
 from hexparity.report import CheckReport, Violation
 from hexparity.squares import SquareProgression, index_set, is_square
 from hexparity.theta import regime3_sum, regime4_sum
 
 ALL_INSTANCES = ((1, 2), (1, 4), (2, 1), (2, 3))
+S_PAIR_CONTROLS = ((7, 9), (10, 16), (14, 32))
 
 
 def test_report_invariants():
@@ -113,6 +125,66 @@ def test_s_pair_controls_fail_early():
         report = check_s_pair(a, b, 200, p=shared)
         assert report.status == "EMPIRICAL_COUNTEREXAMPLE", (a, b)
         assert report.violations[0].n < 200
+
+
+def parity_sum_violations_oracle(p, ks, target, order, collect_all):
+    """For each n, the parity of sum_{k in ks, k <= n} p(n-k) summed term
+    by term from a list of p(n) mod 2."""
+    parity = [v & 1 for v in p.values[: order + 1]]
+    violations = []
+    for n in range(order + 1):
+        acc = 0
+        for k in ks:
+            if k > n:
+                break
+            acc ^= parity[n - k]
+        want = 1 if target.holds(n) else 0
+        if acc != want:
+            violations.append(Violation(n, acc, want))
+            if not collect_all:
+                break
+    return violations
+
+
+def parity_scans():
+    """(index progression, target) of every corollary2 instance, every
+    S-pair and the failing controls."""
+    scans = [(corollary2_progression(part, s), theorem1_progression(part, s))
+             for part, s in ALL_INSTANCES]
+    scans += [(SquareProgression(a, 1), SquareProgression(b, 1))
+              for a, b in S_PAIRS + S_PAIR_CONTROLS]
+    return scans
+
+
+def test_parity_sum_violations_match_double_loop():
+    # orders on both sides of the 8-value packing boundary, and one large
+    for order in (0, 1, 7, 8, 9, 17, 1200):
+        p = p_table(order)
+        for index_prog, target in parity_scans():
+            ks = index_set(index_prog, order)
+            for collect_all in (True, False):
+                got = _parity_sum_violations(p, ks, target, order, collect_all)
+                want = parity_sum_violations_oracle(p, ks, target, order, collect_all)
+                assert got == want, (index_prog, target, order, collect_all)
+    p = p_table(1200)
+    for a, b in S_PAIR_CONTROLS:
+        ks = index_set(SquareProgression(a, 1), 1200)
+        assert parity_sum_violations_oracle(p, ks, SquareProgression(b, 1), 1200, True)
+
+
+def test_parity_sum_violations_dense_tables():
+    # random tables of both signs violate at about half the points, so
+    # every bit of the packing and of the violation walk is exercised
+    rng = random.Random(23)
+    for order in (0, 5, 64, 301):
+        table = PartitionTable(order, tuple(rng.randint(-2**70, 2**70)
+                                            for _ in range(order + 1)))
+        for index_prog, target in parity_scans():
+            ks = index_set(index_prog, order)
+            for collect_all in (True, False):
+                got = _parity_sum_violations(table, ks, target, order, collect_all)
+                want = parity_sum_violations_oracle(table, ks, target, order, collect_all)
+                assert got == want, (index_prog, target, order, collect_all)
 
 
 def test_conjecture1_small_scan():

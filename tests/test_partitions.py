@@ -6,6 +6,8 @@ from __future__ import annotations
 import pytest
 
 from hexparity.partitions import (
+    ORACLE_BOUND,
+    P_TABLE_BLOCK,
     OracleBoundExceeded,
     TableTooSmall,
     count_restricted,
@@ -44,6 +46,38 @@ def test_recurrence_matches_enumeration():
     table = p_table(25)
     for n in range(26):
         assert table[n] == p_bruteforce(n)
+
+
+def p_recurrence_oracle(n_max: int) -> list[int]:
+    """The pentagonal recurrence summed term by term for each n, without
+    blocks."""
+    values = [0] * (n_max + 1)
+    values[0] = 1
+    for n in range(1, n_max + 1):
+        total = 0
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 == 1 else -1
+            total += sign * values[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * values[n - k * (3 * k + 1) // 2]
+            k += 1
+        values[n] = total
+    return values
+
+
+def test_p_table_blocks_match_recurrence():
+    # orders around one, two and three blocks, and one far past them
+    b = P_TABLE_BLOCK
+    for n_max in (0, 1, b - 1, b, b + 1, 2 * b, 3 * b + 7, 2000):
+        assert list(p_table(n_max).values) == p_recurrence_oracle(n_max), n_max
+
+
+def test_p_table_matches_enumeration_to_oracle_bound():
+    # n <= 40 is acceptance criterion 1; enumeration at the bound itself
+    # takes seconds, and a wrong value below it would carry into it
+    table = p_table(ORACLE_BOUND)
+    assert table[ORACLE_BOUND] == p_bruteforce(ORACLE_BOUND)
 
 
 def test_the_seven_partitions_of_five():
@@ -88,6 +122,15 @@ def test_gf_route_matches_dp():
         table = count_restricted(rule, 30)
         assert series.coeffs == table.values
         assert series.coefficient(0) == 1
+
+
+def test_restricted_dp_matches_gf_at_every_order():
+    # every size from 1 to 151 passes the perfect squares at which a part
+    # switches from per-residue running sums to per-block passes
+    for rule in ALL_RULES:
+        for n_max in range(151):
+            table = count_restricted(rule, n_max)
+            assert table.values == r_gf(rule, n_max).coeffs, (rule, n_max)
 
 
 def test_gf_route_is_reciprocal_of_spec_product():

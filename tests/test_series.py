@@ -307,6 +307,23 @@ def test_parity_binomial_ops_match_bigint():
             assert a.shift(m).reduce_mod2() == a.reduce_mod2().shift(m)
 
 
+def test_parity_bit_kernels_truncate():
+    # a pass kept to bits 0..top equals the full-length pass cut at top,
+    # whatever the input holds above top
+    rng = random.Random(37)
+    for _ in range(300):
+        order = rng.randint(0, 90)
+        top = rng.randint(0, order)
+        m = rng.randint(1, order + 2)
+        x = ParitySeries(order, rng.getrandbits(order + 1))
+        low = (1 << (top + 1)) - 1
+        assert ParitySeries.times_binomial_bits(x.bits, m, top) == \
+            x.times_binomial(m).bits & low
+        assert ParitySeries.div_binomial_bits(x.bits, m, top) == x.div_binomial(m).bits & low
+    with pytest.raises(ValueError):
+        ParitySeries.div_binomial_bits(1, 0, 5)
+
+
 def test_parity_series_validation():
     with pytest.raises(ValueError):
         ParitySeries(3, 1 << 5)

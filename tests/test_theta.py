@@ -272,6 +272,48 @@ def test_regime_parity_paths_match_bigint():
                 (s, order)
 
 
+def regime_sum_oracle(regime: int, s: int, order: int) -> TruncatedSeries:
+    """The regime III or IV sum with each summand expanded on its own by
+    pochhammer_quotient at the full order and shifted into place."""
+    acc = TruncatedSeries.zero(order)
+    n = 0
+    while True:
+        if regime == 3:
+            e = n * (3 * n + s - 1) // 2
+            numerators = [QPochhammerSpec(-1, 1, 1, n)]  # (-q;q)_n
+            count = 2 * n + 1
+        else:
+            e = n * (n + 1)
+            numerators = []
+            count = 2 * n + (s - 1) // 2
+        if e > order:
+            return acc
+        summand = pochhammer_quotient(numerators, [QPochhammerSpec(1, 1, 1, count)], order)
+        acc = acc + summand.shift(e)
+        n += 1
+
+
+def test_regime_sums_match_per_summand_oracle():
+    # both paths against the summands expanded one by one, so a truncation
+    # slip shared by the exact and the parity path still shows; the orders
+    # include those at which a summand's exponent lands on the order
+    rng = random.Random(43)
+    seeded = [0, 1, 2, 3] + [rng.randint(0, 900) for _ in range(8)]
+    for regime, svals in ((3, (2, 4)), (4, (1, 3))):
+        for s in svals:
+            if regime == 3:
+                exponents = [n * (3 * n + s - 1) // 2 for n in (1, 2, 5, 12, 24)]
+                exact, parity = regime3_sum, regime3_sum_parity
+            else:
+                exponents = [n * (n + 1) for n in (1, 2, 7, 20, 29)]
+                exact, parity = regime4_sum, regime4_sum_parity
+            edges = [e + d for e in exponents for d in (-1, 0, 1)]
+            for order in seeded + edges:
+                oracle = regime_sum_oracle(regime, s, order)
+                assert exact(s, order) == oracle, (regime, s, order)
+                assert parity(s, order) == oracle.reduce_mod2(), (regime, s, order)
+
+
 def test_eq41_sides_agree():
     for s in (2, 4):
         lhs, rhs = eq41_sides(s, 300)
