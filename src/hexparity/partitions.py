@@ -11,6 +11,7 @@ decompositions into shifted p(n) values.  All three must agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from operator import add, sub
 
@@ -165,6 +166,7 @@ def p_bruteforce(n: int) -> int:
     if n > ORACLE_BOUND:
         raise OracleBoundExceeded(f"enumeration capped at n <= {ORACLE_BOUND}")
 
+    @cache  # one cache per call, dropped with it
     def count(remaining: int, largest: int) -> int:
         if remaining == 0:
             return 1

@@ -301,10 +301,9 @@ class QPochhammerSpec:
 def pochhammer_quotient_inplace(coeffs: list[int], numerators, denominators=()) -> None:
     """Multiply coeffs in place by prod(numerators) / prod(denominators).
 
-    The one expansion path for q-Pochhammer products: every factor
-    (1 - sign*q^e) is a single binomial pass over the list, so the cost is
-    linear per factor.  Denominator factors must have exponent >= 1 so the
-    quotient stays in Z[[q]].
+    Every factor (1 - sign*q^e) is a single binomial pass over the list, so
+    the cost is linear per factor.  Denominator factors must have exponent
+    >= 1 so the quotient stays in Z[[q]].
     """
     order = len(coeffs) - 1
     for spec in numerators:
@@ -315,13 +314,96 @@ def pochhammer_quotient_inplace(coeffs: list[int], numerators, denominators=()) 
             div_binomial_inplace(coeffs, -spec.sign, e)
 
 
-def pochhammer_quotient(numerators, denominators, order: int) -> TruncatedSeries:
-    """Expand prod(numerators) / prod(denominators) factor by factor.
+def _binomial_exponents(numerators, denominators, order: int) -> tuple[int, list[int]]:
+    """(lead, c) with prod(numerators) / prod(denominators) equal to
+    lead * prod_{m=1..order} (1 - q^m)^c[m] up to q^order.
 
-    Equivalent to product_of(numerators) * product_of(denominators).inverse()
-    but linear per factor.
+    A factor (1 + q^e) is (1 - q^2e) / (1 - q^e); at e = 0 it is the
+    constant 2, which goes into lead and which a denominator may not hold.
+    c[0] is always 0.
     """
-    out = [1] + [0] * require_order(order)
+    c = [0] * (require_order(order) + 1)
+    lead = 1
+    for d, specs in ((1, numerators), (-1, denominators)):
+        for spec in specs:
+            if spec.count == 0:
+                continue
+            e, step = spec.offset, spec.step
+            stop = None if spec.count is None else e + spec.count * step
+            if spec.sign == 1:
+                c[e:stop:step] = map(add, c[e:stop:step], repeat(d))
+                continue
+            if e == 0:
+                if d < 0:
+                    raise ValueError("cannot divide by a constant binomial factor")
+                lead *= 2
+            # the two updates of c[0] cancel when e = 0
+            c[e:stop:step] = map(sub, c[e:stop:step], repeat(d))
+            stop = None if stop is None else 2 * stop
+            c[2 * e:stop:2 * step] = map(add, c[2 * e:stop:2 * step], repeat(d))
+    return lead, c
+
+
+def _expand_by_recurrence(lead: int, c: list[int]) -> list[int]:
+    """Coefficients of lead * prod_{m>=1} (1 - q^m)^c[m] up to q^(len(c)-1).
+
+    The logarithmic derivative gives n*f(n) = sum_{k=1..n} g(k)*f(n-k) with
+    g(k) = -sum_{d|k} d*c[d] (Euler's n*p(n) = sum sigma(k)*p(n-k) is the
+    case c = -1).  Each nonzero f(j), once known, adds f(j)*g(k) to the
+    pending sums of every later n = j + k in one slice pass, so the cost is
+    sum over the nonzero f(j) of (order - j) multiply-adds; zeros cost
+    nothing.  n*f(n) must divide exactly: a remainder means the input is not
+    a product in Z[[q]] and raises ArithmeticError.
+    """
+    order = len(c) - 1
+    g = [0] * (order + 1)
+    for m in range(1, order + 1):
+        if c[m]:
+            g[m::m] = map(sub, g[m::m], repeat(m * c[m]))
+    acc = [0] * (order + 1)  # acc[n] = n*f(n) once every f(j < n) is in
+    acc[0] = lead
+    for n in range(order + 1):
+        t = acc[n]
+        if not t:
+            continue
+        if n:
+            t, r = divmod(t, n)
+            if r:
+                raise ArithmeticError(f"{n} does not divide {acc[n]} at q^{n}")
+            acc[n] = t
+        rest = g[1:order + 1 - n]
+        if t == 1:
+            acc[n + 1:] = map(add, acc[n + 1:], rest)
+        elif t == -1:
+            acc[n + 1:] = map(sub, acc[n + 1:], rest)
+        else:
+            acc[n + 1:] = map(add, acc[n + 1:], map(mul, rest, repeat(t)))
+    return acc
+
+
+def pochhammer_quotient(numerators, denominators, order: int) -> TruncatedSeries:
+    """Expand prod(numerators) / prod(denominators) up to q^order.
+
+    Equivalent to product_of(numerators) * product_of(denominators).inverse().
+    The kernel is chosen from the net exponent sum(c[m]) of the quotient
+    written as lead * prod (1 - q^m)^c[m]:
+
+    - net >= 0 (no pole at q = 1, as on the theta-type product sides, whose
+      coefficients are small and mostly zero): the recurrence of
+      _expand_by_recurrence, whose cost grows with the nonzero coefficients
+      found, not with the number of factors;
+    - net < 0 (coefficients grow like partition numbers): one binomial pass
+      per factor through pochhammer_quotient_inplace, linear per factor.
+
+    Both kernels are exact on every input; the rule only picks the faster
+    one.  It is known to pick the slower one for 1/(-q;q)oo, whose net is
+    positive but whose coefficients are all nonzero and grow (its pole is at
+    q = -1).
+    """
+    lead, c = _binomial_exponents(numerators, denominators, order)
+    if sum(c) >= 0:
+        return TruncatedSeries(tuple(_expand_by_recurrence(lead, c)))
+    out = [1] + [0] * order
     pochhammer_quotient_inplace(out, numerators, denominators)
     return TruncatedSeries(tuple(out))
 

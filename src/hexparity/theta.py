@@ -393,11 +393,8 @@ def truncated_gauss_rhs(k: int, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _rogers_ramanujan(shift: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """sum q^(n^2+shift*n)/(q;q)_n = 1/(q^a, q^(5-a); q^5)oo with a = 1+shift.
-
-    shift 0 gives G, shift 1 gives H; returns (sum form, product form).
-    """
+def _rogers_ramanujan_sum(shift: int, order: int) -> TruncatedSeries:
+    """sum q^(n^2+shift*n)/(q;q)_n: G for shift 0, H for shift 1."""
     acc = [0] * (order + 1)
     acc[0] = 1
     term = [1] + [0] * order
@@ -411,12 +408,16 @@ def _rogers_ramanujan(shift: int, order: int) -> tuple[TruncatedSeries, Truncate
         lo = n * n + shift * n
         acc[lo:] = map(add, acc[lo:], term[lo:])
         n += 1
-    sum_side = TruncatedSeries(tuple(acc))
+    return TruncatedSeries(tuple(acc))
+
+
+def _rogers_ramanujan(shift: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """The sum form of _rogers_ramanujan_sum and the product form
+    1/(q^a, q^(5-a); q^5)oo with a = 1+shift."""
     a = 1 + shift
-    prod_side = pochhammer_quotient(
+    return _rogers_ramanujan_sum(shift, order), pochhammer_quotient(
         [], [QPochhammerSpec(1, a, 5), QPochhammerSpec(1, 5 - a, 5)], order
     )
-    return sum_side, prod_side
 
 
 def rr_G(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -533,8 +534,8 @@ def regime3_product(s: int, order: int) -> TruncatedSeries:
     regime3_sum is a genuinely independent route."""
     if s not in (2, 4):
         raise ValueError("s must be 2 or 4")
-    half = rr_G if s == 2 else rr_H
-    out = list(half((order + 1) // 2)[0].stretch(2, order).coeffs)
+    half = _rogers_ramanujan_sum(0 if s == 2 else 1, (order + 1) // 2)
+    out = list(half.stretch(2, order).coeffs)
     pochhammer_quotient_inplace(out, [], [QPochhammerSpec(1, 1, 2)])  # 1/(q;q^2)oo
     return TruncatedSeries(tuple(out))
 

@@ -206,6 +206,22 @@ def test_internal_error_exits_3(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_inexact_recurrence_exits_3(capsys, monkeypatch):
+    # a remainder in the product recurrence is a fault of the program: it
+    # must raise and exit 3, never be rounded into a PASS or a violation
+    from fractions import Fraction
+
+    import hexparity.series as series
+
+    monkeypatch.setattr(series, "_binomial_exponents",
+                        lambda num, den, order: (1, [0, Fraction(1, 2)] + [0] * (order - 1)))
+    code, out, err = run_cli(capsys, "verify", "gauss", "--order", "10")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err.startswith("internal error: ArithmeticError: ")
+    assert "Traceback" not in err
+
+
 def test_verify_choices_are_the_registry():
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))

@@ -74,10 +74,10 @@ def test_p_table_blocks_match_recurrence():
 
 
 def test_p_table_matches_enumeration_to_oracle_bound():
-    # n <= 40 is acceptance criterion 1; enumeration at the bound itself
-    # takes seconds, and a wrong value below it would carry into it
+    # n <= 40 is acceptance criterion 1; this covers every n up to the bound
     table = p_table(ORACLE_BOUND)
-    assert table[ORACLE_BOUND] == p_bruteforce(ORACLE_BOUND)
+    for n in range(ORACLE_BOUND + 1):
+        assert table[n] == p_bruteforce(n), n
 
 
 def test_the_seven_partitions_of_five():

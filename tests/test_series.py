@@ -4,6 +4,7 @@ and the GF(2) mirror."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,9 +16,12 @@ from hexparity.series import (
     ParitySeries,
     QPochhammerSpec,
     TruncatedSeries,
+    _binomial_exponents,
+    _expand_by_recurrence,
     monomial,
     pochhammer,
     pochhammer_quotient,
+    pochhammer_quotient_inplace,
     product_of,
 )
 
@@ -204,6 +208,25 @@ def test_product_of_empty_and_square():
     assert list(square.coeffs) == poly_mul_oracle(single, single, 10)
 
 
+def random_specs(rng: random.Random, min_offset: int) -> list[tuple]:
+    """Up to three (sign, offset, step, count) tuples, none degenerate."""
+    specs, count = [], rng.randint(0, 3)
+    while len(specs) < count:
+        sign, offset = rng.choice([1, -1]), rng.randint(min_offset, 6)
+        if sign == 1 and offset == 0:
+            continue
+        specs.append((sign, offset, rng.randint(1, 5), rng.choice([None, 0, 1, 2, 4])))
+    return specs
+
+
+def schoolbook(specs, order: int) -> TruncatedSeries:
+    """The product of the specs, each multiplied out by poch_oracle."""
+    out = TruncatedSeries.one(order)
+    for spec in specs:
+        out = out * TruncatedSeries.of(poch_oracle(*spec, order))
+    return out
+
+
 def test_pochhammer_quotient_matches_inverse():
     num = [QPochhammerSpec(-1, 1, 2, INFINITE)]
     den = [QPochhammerSpec(1, 1, 1, INFINITE), QPochhammerSpec(1, 3, 4, 2)]
@@ -212,21 +235,6 @@ def test_pochhammer_quotient_matches_inverse():
     assert q == direct
 
     # random spec lists against schoolbook products and the series inverse
-    def random_specs(rng, min_offset):
-        specs, count = [], rng.randint(0, 3)
-        while len(specs) < count:
-            sign, offset = rng.choice([1, -1]), rng.randint(min_offset, 6)
-            if sign == 1 and offset == 0:
-                continue
-            specs.append((sign, offset, rng.randint(1, 5), rng.choice([None, 0, 1, 2, 4])))
-        return specs
-
-    def schoolbook(specs, order):
-        out = TruncatedSeries.one(order)
-        for spec in specs:
-            out = out * TruncatedSeries.of(poch_oracle(*spec, order))
-        return out
-
     rng = random.Random(37)
     for _ in range(80):
         order = rng.randint(0, 40)
@@ -234,6 +242,74 @@ def test_pochhammer_quotient_matches_inverse():
         q = pochhammer_quotient([QPochhammerSpec(*a) for a in num],
                                 [QPochhammerSpec(*a) for a in den], order)
         assert q == schoolbook(num, order) * schoolbook(den, order).inverse()
+
+
+def test_recurrence_matches_binomial_passes():
+    # the recurrence helper, called directly whatever the net exponent,
+    # against the binomial passes, and at orders <= 40 against schoolbook
+    # products and the series inverse; pochhammer_quotient must agree too,
+    # whichever kernel it picks
+    named = [
+        ([], [(-1, 1, 1, None)], 300),  # 1/(-q;q)oo: net >= 0, dense
+        ([], [(-1, 1, 1, None)] * 6, 300),  # net >= 0, multi-limb
+        ([(-1, 0, 2, 4), (1, 1, 1, None)], [], 300),  # constant factor 2
+        ([(1, 1, 1, None)], [(-1, 1, 1, None)], 300),  # Gauss
+        ([], [(1, 1, 1, None)] * 2, 300),  # net < 0, multi-limb
+    ]
+    rng = random.Random(53)
+    cases = named + [
+        (random_specs(rng, 0), random_specs(rng, 1),
+         rng.randint(0, 40) if i % 2 else rng.randint(0, 300))
+        for i in range(120)
+    ]
+    seen = set()
+    for num, den, order in cases:
+        numerators = [QPochhammerSpec(*a) for a in num]
+        denominators = [QPochhammerSpec(*a) for a in den]
+        lead, c = _binomial_exponents(numerators, denominators, order)
+        got = _expand_by_recurrence(lead, c)
+        want = [1] + [0] * order
+        pochhammer_quotient_inplace(want, numerators, denominators)
+        assert got == want, (num, den, order)
+        assert pochhammer_quotient(numerators, denominators, order).coeffs == tuple(want)
+        if order <= 40:
+            assert got == list((schoolbook(num, order) * schoolbook(den, order).inverse()).coeffs)
+        net = sum(c)
+        seen.add("net >= 0" if net >= 0 else "net < 0")
+        if lead > 1:
+            seen.add("constant factor")
+        if any(a[3] not in (None, 0) for a in num + den):
+            seen.add("finite count")
+        if net >= 0 and max(map(abs, got)).bit_length() > 64:
+            seen.add("multi-limb, net >= 0")
+        if net < 0 and max(map(abs, got)).bit_length() > 64:
+            seen.add("multi-limb, net < 0")
+    assert len(seen) == 6, seen
+
+
+def test_recurrence_remainder_raises():
+    # (1 - q)^(1/2) is not in Z[[q]]: 1*f(1) = -1/2 must raise, not round
+    with pytest.raises(ArithmeticError):
+        _expand_by_recurrence(1, [0, Fraction(1, 2), 0])
+
+
+def test_both_kernels_share_the_error_contract():
+    # a denominator factor at exponent 0 (the constant 2) and a negative
+    # order raise the same ValueError whichever kernel the net exponent
+    # picks, as the binomial pass itself does
+    with pytest.raises(ValueError) as passes:
+        pochhammer_quotient_inplace([1, 0, 0], [], [QPochhammerSpec(-1, 0, 1)])
+    for extra in ([], [QPochhammerSpec(1, 1, 1)] * 3):  # net >= 0, net < 0
+        denominators = [QPochhammerSpec(-1, 0, 1)] + extra
+        assert (sum(_binomial_exponents([], extra, 30)[1]) >= 0) == (not extra)
+        with pytest.raises(ValueError) as routed:
+            pochhammer_quotient([], denominators, 30)
+        assert type(routed.value) is ValueError
+        assert str(routed.value) == str(passes.value)
+        with pytest.raises(ValueError):
+            pochhammer_quotient(extra, [], -1)
+    with pytest.raises(ValueError):
+        _binomial_exponents([], [], -1)
 
 
 def test_coefficient_access():

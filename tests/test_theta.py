@@ -187,6 +187,19 @@ def test_specialized_sums_equal_bilateral_families():
             bilateral_sum(rstar_families(s), order)
 
 
+def test_theta_sides_agree_at_scale():
+    # the product sides at an order where the binomial passes were the
+    # bottleneck; each side is built by its own route
+    order = 3000
+    pairs = [gauss_theta_sides(order), jtp_sides(-1, 1, -1, 5, order),
+             quintuple_sides(Monomial(-1, 1), Monomial(-1, 5), order)]
+    pairs += [eq41_sides(s, order) for s in (2, 4)]
+    pairs += [eq42_sides(s, order) for s in (1, 3)]
+    for lhs, rhs in pairs:
+        assert lhs.order == rhs.order == order
+        assert lhs == rhs
+
+
 def test_gauss_theta_sides():
     lhs, rhs = gauss_theta_sides(500)
     assert lhs == rhs
