@@ -557,20 +557,28 @@ def run_check(command: str, name: str, order: int | None = None,
               ks: list[int] | None = None, options: RunOptions = RunOptions()):
     """Run a registered check; returns (reports, reports gating the exit).
 
-    Raises ValueError on a negative order, a k below 1, or flags that
-    select no instance.  Under the "both" reading the literal conjecture-2
-    reports are emitted but do not gate: their known counterexamples are a
-    finding about the displayed formula, not about the conjecture under
-    its consistent reading.
+    Raises ValueError on a negative order, a k below 1, flags that select
+    no instance, and flags the check does not take: ks where it has no
+    default_ks, options.fast_parity where it has no parity_order, part or s
+    where no instance carries that key.  Under the "both" reading the
+    literal conjecture-2 reports are emitted but do not gate: their known
+    counterexamples are a finding about the displayed formula, not about
+    the conjecture under its consistent reading.
     """
     entry = REGISTRY[command][name]
+    flags = {"part": part, "s": s}
+    for key, value in flags.items():
+        _require(value is None or any(key in i for i in entry.instances),
+                 f"{name} takes no --{key}")
+    _require(not ks or bool(entry.default_ks), f"{name} takes no --k")
+    _require(not options.fast_parity or entry.parity_order is not None,
+             f"{name} has no --fast-parity path")
     if order is None:
         use_parity = options.fast_parity and entry.parity_order is not None
         order = entry.parity_order if use_parity else entry.default_order
     require_order(order)
     ks = list(ks or entry.default_ks) if entry.default_ks else []
     _require(all(k >= 1 for k in ks), "k must be >= 1")
-    flags = {"part": part, "s": s}
     selected = [i for i in entry.instances
                 if all(i[key] == value for key, value in flags.items()
                        if value is not None and key in i)]

@@ -13,9 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
-from operator import add, sub
+from operator import add
 
-from .series import TruncatedSeries, pochhammer_quotient, require_order
+from .series import (
+    P_TABLE_BLOCK,  # p_table's block length, re-exported
+    TruncatedSeries,
+    _divide_by_euler,
+    pochhammer_quotient,
+    require_order,
+)
 from .theta import (
     bilateral_sum,
     r_decomposition_family,
@@ -114,48 +120,17 @@ class PartitionTable:
         return self.values[n]
 
 
-# block length of p_table: pentagonal terms at least this long are added to
-# a whole block with one slice pass
-P_TABLE_BLOCK = 128
-
-
 def p_table(n_max: int) -> PartitionTable:
-    """p(0..n_max) by the pentagonal-number recurrence.
+    """p(0..n_max): [1, 0, ...] divided by (q;q)oo.
 
-    p(n) = sum_{k>=1} (-1)^(k-1) * (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)).
-
-    The n are taken in blocks of P_TABLE_BLOCK.  A term with pentagonal
-    number g >= P_TABLE_BLOCK reads only values before the block, so it is
-    added to the whole block with one slice pass; only the terms with
-    smaller g are summed per n.
+    The division runs the pentagonal-number recurrence
+    p(n) = sum_{k>=1} (-1)^(k-1) * (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))
+    in blocks of P_TABLE_BLOCK (series._divide_by_euler, the kernel behind
+    every partition-type product).
     """
     values = [0] * (require_order(n_max, "n_max") + 1)
     values[0] = 1
-    # the generalized pentagonal numbers g, increasing, with the operation
-    # (add for k odd, sub for k even) that applies their term
-    terms = []
-    k = 1
-    while k * (3 * k - 1) // 2 <= n_max:
-        op = add if k % 2 == 1 else sub
-        terms += [(k * (3 * k - 1) // 2, op), (k * (3 * k + 1) // 2, op)]
-        k += 1
-    near = [(g, op) for g, op in terms if g < P_TABLE_BLOCK]
-    far = [(g, op) for g, op in terms if g >= P_TABLE_BLOCK]
-    for lo in range(1, n_max + 1, P_TABLE_BLOCK):
-        hi = min(lo + P_TABLE_BLOCK, n_max + 1)
-        block = [0] * (hi - lo)
-        for g, op in far:
-            if g >= hi:
-                break
-            start = max(lo, g)
-            block[start - lo:] = map(op, block[start - lo:], values[start - g:hi - g])
-        for n in range(lo, hi):
-            total = block[n - lo]
-            for g, op in near:
-                if g > n:
-                    break
-                total = op(total, values[n - g])
-            values[n] = total
+    _divide_by_euler(values, 1, 1)
     return PartitionTable(n_max, tuple(values))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, repeat
+from math import gcd
 from operator import add, and_, mul, neg, sub
 
 
@@ -191,6 +192,11 @@ class TruncatedSeries:
         out = list(self.coeffs)
         div_binomial_inplace(out, c, m)
         return TruncatedSeries(tuple(out))
+
+    def times_quotient(self, numerators, denominators) -> "TruncatedSeries":
+        """self * prod(numerators) / prod(denominators), by the kernel
+        pochhammer_quotient would pick for the quotient alone."""
+        return _quotient_times(self, numerators, denominators, self.order)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be +1 or -1."""
@@ -381,30 +387,142 @@ def _expand_by_recurrence(lead: int, c: list[int]) -> list[int]:
     return acc
 
 
+# block length of the division by (q;q)oo: pentagonal terms at least this
+# long are added to a whole block with one slice pass
+P_TABLE_BLOCK = 128
+
+
+def _divide_run_by_euler(run: list[int]) -> None:
+    """Divide run in place by (x;x)oo, x being the run's variable.
+
+    Euler's pentagonal theorem (x;x)oo = sum_k (-1)^k x^(k(3k-1)/2) turns
+    the division into out(n) = run(n) + sum_{k>=1} (-1)^(k-1) *
+    (out(n - k(3k-1)/2) + out(n - k(3k+1)/2)); on run = [1, 0, ...] this is
+    the p(n) recurrence.  The n are taken in blocks of P_TABLE_BLOCK.  A
+    term with pentagonal number g >= P_TABLE_BLOCK reads only values before
+    the block, so it is added to the whole block with one slice pass; only
+    the terms with smaller g are summed per n.
+    """
+    size = len(run)
+    # the generalized pentagonal numbers g, increasing, with the operation
+    # (add for k odd, sub for k even) that applies their term
+    terms = []
+    k = 1
+    while k * (3 * k - 1) // 2 < size:
+        op = add if k % 2 == 1 else sub
+        terms += [(k * (3 * k - 1) // 2, op), (k * (3 * k + 1) // 2, op)]
+        k += 1
+    near = [(g, op) for g, op in terms if g < P_TABLE_BLOCK]
+    far = [(g, op) for g, op in terms if g >= P_TABLE_BLOCK]
+    for lo in range(1, size, P_TABLE_BLOCK):
+        hi = min(lo + P_TABLE_BLOCK, size)
+        block = run[lo:hi]
+        for g, op in far:
+            if g >= hi:
+                break
+            start = max(lo, g)
+            block[start - lo:] = map(op, block[start - lo:], run[start - g:hi - g])
+        for n in range(lo, hi):
+            total = block[n - lo]
+            for g, op in near:
+                if g > n:
+                    break
+                total = op(total, run[n - g])
+            run[n] = total
+
+
+def _divide_by_euler(coeffs: list[int], d: int, times: int) -> None:
+    """Divide coeffs in place by (q^d;q^d)oo^times.
+
+    Every residue class mod d is a run in x = q^d, divided times over by
+    _divide_run_by_euler.  A run of zeros stays zero and is skipped: a
+    product in q^d has only its class 0 nonzero.
+    """
+    for r in range(min(d, len(coeffs))):
+        run = coeffs[r::d]
+        if not any(run):
+            continue
+        for _ in range(times):
+            _divide_run_by_euler(run)
+        coeffs[r::d] = run
+
+
+def _quotient_route(numerators, denominators, order: int):
+    """(numerator, d, k) with prod(numerators) / prod(denominators) equal to
+    numerator / (q^d;q^d)oo^k up to q^order, or None where the binomial
+    passes are the faster kernel.
+
+    Written as lead * prod (1 - q^m)^c[m] (_binomial_exponents):
+
+    - net exponent sum(c) >= 0: the whole quotient is the numerator, with
+      k = 0, expanded by _expand_by_recurrence;
+    - net < 0 (a pole at q = 1; coefficients grow like partition numbers)
+      and every spec infinite: d is the gcd of the m with c[m] != 0, and k
+      the least count that, added to c at every multiple of d, makes the
+      net >= 0.  If every exponent of that numerator is then >= 0, it is a
+      product of binomials with no denominator left (the theta-type
+      numerators of the partition products: (q^2;q^2)oo for 1/(q;q^2)oo,
+      the quintuple product of the regime-IV product, (q^4;q^4)oo for
+      (-q^2;q^2)oo/(q^2;q^2)oo), and the recurrence expands it.
+    - otherwise None.  A finite spec such as (q;q)_n makes the numerator
+      dense ((q^(n+1);q)oo for 1/(q;q)_n), and a finite product is only a
+      few passes.
+    """
+    lead, c = _binomial_exponents(numerators, denominators, order)
+    net = sum(c)
+    if net >= 0:
+        return _expand_by_recurrence(lead, c), 1, 0
+    if any(spec.count is not None for spec in (*numerators, *denominators)):
+        return None
+    d = gcd(*(m for m, cm in enumerate(c) if cm))
+    k = -(net // (order // d))  # ceil(-net / number of multiples of d)
+    c[d::d] = map(add, c[d::d], repeat(k))
+    if min(c) < 0:
+        return None
+    return _expand_by_recurrence(lead, c), d, k
+
+
 def pochhammer_quotient(numerators, denominators, order: int) -> TruncatedSeries:
     """Expand prod(numerators) / prod(denominators) up to q^order.
 
     Equivalent to product_of(numerators) * product_of(denominators).inverse().
-    The kernel is chosen from the net exponent sum(c[m]) of the quotient
-    written as lead * prod (1 - q^m)^c[m]:
+    _quotient_route picks the kernel from the spec list alone:
 
-    - net >= 0 (no pole at q = 1, as on the theta-type product sides, whose
-      coefficients are small and mostly zero): the recurrence of
-      _expand_by_recurrence, whose cost grows with the nonzero coefficients
-      found, not with the number of factors;
-    - net < 0 (coefficients grow like partition numbers): one binomial pass
-      per factor through pochhammer_quotient_inplace, linear per factor.
+    - net exponent >= 0 (no pole at q = 1, as on the theta-type product
+      sides, whose coefficients are small and mostly zero): the recurrence
+      of _expand_by_recurrence, whose cost grows with the nonzero
+      coefficients found, not with the number of factors;
+    - net < 0 with a theta-type numerator (the partition-type products):
+      that numerator by the recurrence, then k blocked divisions by
+      (q^d;q^d)oo (_divide_by_euler), about order^1.5 additions each;
+    - otherwise (finite products, or a numerator with a denominator left):
+      one binomial pass per factor through pochhammer_quotient_inplace,
+      linear per factor.
 
-    Both kernels are exact on every input; the rule only picks the faster
+    Every kernel is exact on every input; the rule only picks the faster
     one.  It is known to pick the slower one for 1/(-q;q)oo, whose net is
     positive but whose coefficients are all nonzero and grow (its pole is at
     q = -1).
     """
-    lead, c = _binomial_exponents(numerators, denominators, order)
-    if sum(c) >= 0:
-        return TruncatedSeries(tuple(_expand_by_recurrence(lead, c)))
-    out = [1] + [0] * order
-    pochhammer_quotient_inplace(out, numerators, denominators)
+    return _quotient_times(None, numerators, denominators, order)
+
+
+def _quotient_times(start: TruncatedSeries | None, numerators, denominators,
+                    order: int) -> TruncatedSeries:
+    """start * prod(numerators) / prod(denominators) up to q^order, start
+    None standing for 1, by the kernel _quotient_route picks: on the
+    recurrence routes a sparse multiply of start by the numerator, then the
+    divisions by (q^d;q^d)oo."""
+    route = _quotient_route(numerators, denominators, order)
+    if route is None:
+        out = [1] + [0] * order if start is None else list(start.coeffs)
+        pochhammer_quotient_inplace(out, numerators, denominators)
+        return TruncatedSeries(tuple(out))
+    out, d, k = route
+    if start is not None:
+        out = list((start * TruncatedSeries(tuple(out))).coeffs)
+    if k:
+        _divide_by_euler(out, d, k)
     return TruncatedSeries(tuple(out))
 
 

@@ -22,7 +22,6 @@ from .series import (
     div_binomial_inplace,
     mul_binomial_inplace,
     pochhammer_quotient,
-    pochhammer_quotient_inplace,
     require_order,
 )
 
@@ -344,32 +343,35 @@ def even_binomial_ratio(k: int, order: int) -> TruncatedSeries:
 def gauss_error_tail(k: int, order: int) -> TruncatedSeries:
     """sum_{n>k} q^(2n(k+1)) (-q^(2n+2);q^2)oo / ((1-q^(2n)) (q^(2n+2);q^2)oo).
 
-    Built incrementally: consecutive terms differ by a shift of 2(k+1), a
-    multiplication by (1-q^(2n)) and a division by (1+q^(2n+2)).
+    Every exponent is even, so the sum is built in x = q^2 to order
+    order // 2 and stretched.  Consecutive terms differ by a shift of k+1
+    in x, a multiplication by (1-x^n) and a division by (1+x^(n+1)); only
+    the coefficients 0..order//2 - lead of a term reach the sum from its
+    lead on, so the term is truncated there before each update.  Still
+    about order^2 / (4(k+1)) steps: each division by (1+x^(n+1)) is dense.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    acc = [0] * (order + 1)
+    half = require_order(order) // 2
+    acc = [0] * (half + 1)
     n = k + 1
-    lead = 2 * n * (k + 1)
-    if lead > order:
-        return TruncatedSeries(tuple(acc))
-
-    term = [1] + [0] * order
-    # (-q^(2n+2);q^2)oo / ((1-q^(2n)) (q^(2n+2);q^2)oo)
-    pochhammer_quotient_inplace(
-        term, [QPochhammerSpec(-1, 2 * n + 2, 2)], [QPochhammerSpec(1, 2 * n, 2)]
-    )
-
+    lead = n * (k + 1)
+    if lead > half:
+        return TruncatedSeries(tuple(acc)).stretch(2, order)
+    # (-x^(n+1);x)oo / (x^n;x)oo
+    term = list(pochhammer_quotient(
+        [QPochhammerSpec(-1, n + 1, 1)], [QPochhammerSpec(1, n, 1)], half
+    ).coeffs)
     while True:
         acc[lead:] = map(add, acc[lead:], term)
         n += 1
-        lead = 2 * n * (k + 1)
-        if lead > order:
+        lead = n * (k + 1)
+        if lead > half:
             break
-        mul_binomial_inplace(term, -1, 2 * (n - 1))
-        div_binomial_inplace(term, 1, 2 * n)
-    return TruncatedSeries(tuple(acc))
+        del term[half - lead + 1:]
+        mul_binomial_inplace(term, -1, n - 1)
+        div_binomial_inplace(term, 1, n)
+    return TruncatedSeries(tuple(acc)).stretch(2, order)
 
 
 def truncated_gauss_lhs(k: int, order: int) -> TruncatedSeries:
@@ -535,9 +537,7 @@ def regime3_product(s: int, order: int) -> TruncatedSeries:
     if s not in (2, 4):
         raise ValueError("s must be 2 or 4")
     half = _rogers_ramanujan_sum(0 if s == 2 else 1, (order + 1) // 2)
-    out = list(half.stretch(2, order).coeffs)
-    pochhammer_quotient_inplace(out, [], [QPochhammerSpec(1, 1, 2)])  # 1/(q;q^2)oo
-    return TruncatedSeries(tuple(out))
+    return half.stretch(2, order).times_quotient([], [QPochhammerSpec(1, 1, 2)])
 
 
 def regime3_denominators(s: int) -> list[QPochhammerSpec]:

@@ -191,6 +191,26 @@ def test_negative_order_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # --k on a check with no k values
+    ("verify rogers --k 3", "rogers takes no --k"),
+    ("conjecture s-pairs --k 1..2", "s-pairs takes no --k"),
+    # --fast-parity on a check with no GF(2) path
+    ("verify rogers --fast-parity", "rogers has no --fast-parity path"),
+    ("verify gauss --fast-parity --order 10", "gauss has no --fast-parity path"),
+    # --part or --s where no instance carries that key
+    ("verify cross-validate --part 1", "cross-validate takes no --part"),
+    ("verify set-equivalence --part 2 --s 1", "set-equivalence takes no --part"),
+    ("verify gauss --s 2", "gauss takes no --s"),
+    ("verify truncated-gauss --s 2 --k 1", "truncated-gauss takes no --s"),
+])
+def test_flag_a_check_ignores_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == cli.EXIT_USAGE == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     "expand p --order 100000000000000000000",
     "verify corollary2 --order 100000000000000000000",

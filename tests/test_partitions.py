@@ -124,6 +124,27 @@ def test_gf_route_matches_dp():
         assert series.coefficient(0) == 1
 
 
+def test_dp_route_does_not_use_the_division_kernel(monkeypatch):
+    # the product route and the p(n) table of the decomposition route both
+    # divide by (q;q)oo through one kernel; the DP, the third route, must
+    # stay free of it, or the three routes would not be independent
+    import hexparity.partitions as partitions
+    import hexparity.series as series
+
+    def broken(coeffs, d, times):
+        raise AssertionError("division kernel called")
+
+    want = {rule: r_gf(rule, 300).coeffs for rule in ALL_RULES}
+    monkeypatch.setattr(series, "_divide_by_euler", broken)
+    monkeypatch.setattr(partitions, "_divide_by_euler", broken)
+    for rule in ALL_RULES:
+        with pytest.raises(AssertionError):
+            r_gf(rule, 50)
+        assert count_restricted(rule, 300).values == want[rule]
+    with pytest.raises(AssertionError):
+        p_table(50)
+
+
 def test_restricted_dp_matches_gf_at_every_order():
     # every size from 1 to 151 passes the perfect squares at which a part
     # switches from per-residue running sums to per-block passes

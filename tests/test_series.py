@@ -10,6 +10,7 @@ import pytest
 
 from hexparity.series import (
     INFINITE,
+    P_TABLE_BLOCK,
     DegenerateFactor,
     NonUnitConstantTerm,
     OrderExceeded,
@@ -17,7 +18,9 @@ from hexparity.series import (
     QPochhammerSpec,
     TruncatedSeries,
     _binomial_exponents,
+    _divide_by_euler,
     _expand_by_recurrence,
+    _quotient_route,
     monomial,
     pochhammer,
     pochhammer_quotient,
@@ -287,6 +290,72 @@ def test_recurrence_matches_binomial_passes():
     assert len(seen) == 6, seen
 
 
+def test_division_kernel_matches_binomial_passes():
+    # the division by (q^d;q^d)oo^k against the binomial passes, on
+    # [1, 0, ...] and on random start lists: spec lists in q^d for d = 1, 2
+    # and 5 (pochhammer_quotient and times_quotient, whichever route they
+    # pick) and the division alone, at orders 0..3 and around one block
+    b = P_TABLE_BLOCK
+    orders = [0, 1, 2, 3, b - 1, b, b + 1]
+    named = [
+        ([], [(1, 1, 1, None)]),  # 1/(q;q)oo
+        ([(1, 1, 10, None), (1, 9, 10, None), (1, 10, 10, None),
+          (1, 8, 20, None), (1, 12, 20, None)], [(1, 1, 1, None)]),  # regime IV
+        ([(-1, 2, 2, None)], [(1, 2, 2, None)]),  # (-q^2;q^2)oo/(q^2;q^2)oo, k = 2
+        ([(1, 5, 10, None)], [(1, 5, 5, None)] * 2),  # d = 5
+        ([(-1, 0, 3, None)], [(1, 1, 1, None)]),  # constant factor 2
+        ([], [(1, 1, 1, None)] * 4),  # multi-limb
+        ([], [(1, 1, 1, 5), (1, 2, 2, None)]),  # finite count
+    ]
+    rng = random.Random(59)
+    cases = [(num, den, order) for num, den in named for order in orders]
+    for i in range(140):
+        d = (1, 2, 5)[i % 3]
+        num = [(sg, d * o, d * st, n) for sg, o, st, n in random_specs(rng, 0)]
+        den = [(sg, d * o, d * st, n) for sg, o, st, n in random_specs(rng, 1)]
+        den.append((1, d * rng.randint(1, 3), d * rng.randint(1, 2), None))
+        cases.append((num, den, rng.choice(orders + [rng.randint(4, 300)])))
+    seen = set()
+    for num, den, order in cases:
+        numerators = [QPochhammerSpec(*a) for a in num]
+        denominators = [QPochhammerSpec(*a) for a in den]
+        want = [1] + [0] * order
+        pochhammer_quotient_inplace(want, numerators, denominators)
+        assert pochhammer_quotient(numerators, denominators, order).coeffs == tuple(want)
+        start = sparse_series(rng, order)
+        want_times = list(start.coeffs)
+        pochhammer_quotient_inplace(want_times, numerators, denominators)
+        got_times = start.times_quotient(numerators, denominators)
+        assert got_times.coeffs == tuple(want_times), (num, den, order)
+        if any(a[3] not in (None, 0) for a in num + den):
+            seen.add("finite count")  # routed to the passes
+        route = _quotient_route(numerators, denominators, order)
+        if route is None:
+            seen.add("passes")
+            continue
+        _, d, k = route
+        if k == 0:
+            continue
+        seen |= {f"d = {d}", f"order {order}"}
+        if _binomial_exponents(numerators, denominators, order)[0] > 1:
+            seen.add("constant factor")
+        if max(map(abs, want)).bit_length() > 64:
+            seen.add("multi-limb")
+    # at order 0 there is no factor, so the net is 0 and nothing is divided
+    assert seen >= {"d = 1", "d = 2", "d = 5", "constant factor", "multi-limb",
+                    "finite count", "passes"} | {f"order {n}" for n in orders[1:]}, seen
+
+    # the division alone on random start lists, d and k from 1 to 3
+    for order in orders + [2 * b + 3, 300]:
+        for d in (1, 2, 5):
+            for k in (1, 2, 3):
+                got = list(sparse_series(rng, order).coeffs)
+                want = got[:]
+                pochhammer_quotient_inplace(want, [], [QPochhammerSpec(1, d, d)] * k)
+                _divide_by_euler(got, d, k)
+                assert got == want, (order, d, k)
+
+
 def test_recurrence_remainder_raises():
     # (1 - q)^(1/2) is not in Z[[q]]: 1*f(1) = -1/2 must raise, not round
     with pytest.raises(ArithmeticError):
@@ -305,6 +374,9 @@ def test_both_kernels_share_the_error_contract():
         with pytest.raises(ValueError) as routed:
             pochhammer_quotient([], denominators, 30)
         assert type(routed.value) is ValueError
+        assert str(routed.value) == str(passes.value)
+        with pytest.raises(ValueError) as routed:
+            TruncatedSeries.one(30).times_quotient([], denominators)
         assert str(routed.value) == str(passes.value)
         with pytest.raises(ValueError):
             pochhammer_quotient(extra, [], -1)

@@ -228,6 +228,26 @@ def test_gauss_error_tail_leading_exponent():
         assert tail.coefficient(lead) == 1
 
 
+def test_gauss_error_tail_matches_per_term_oracle():
+    # every term q^(2n(k+1)) (-q^(2n+2);q^2)oo / (q^(2n);q^2)oo expanded in
+    # q on its own at the full order, against the sum built in q^2 with
+    # truncated terms; odd and even orders, and orders at which a term's
+    # lead lands on the order or next to it
+    rng = random.Random(61)
+    for k in (1, 2, 3, 5):
+        leads = [2 * n * (k + 1) for n in range(k + 1, k + 5)]
+        orders = [0, 1, 2, rng.randint(3, 400), rng.randint(3, 400)]
+        for order in orders + [e + d for e in leads for d in (-1, 0, 1)]:
+            oracle = TruncatedSeries.zero(order)
+            n = k + 1
+            while 2 * n * (k + 1) <= order:
+                term = pochhammer_quotient([QPochhammerSpec(-1, 2 * n + 2, 2)],
+                                           [QPochhammerSpec(1, 2 * n, 2)], order)
+                oracle = oracle + term.shift(2 * n * (k + 1))
+                n += 1
+            assert gauss_error_tail(k, order) == oracle, (k, order)
+
+
 def test_rr_sum_equals_product():
     g_sum, g_prod = rr_G(500)
     h_sum, h_prod = rr_H(500)
