@@ -8,7 +8,7 @@ EMPIRICAL_COUNTEREXAMPLE with every violation recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .partitions import (
@@ -29,8 +29,6 @@ from .theta import (
     bilateral_sum,
     eq41_families,
     eq42_family,
-    even_binomial_ratio,
-    gauss_error_tail,
     gauss_theta_sides,
     partial_theta,
     regime3_product,
@@ -288,8 +286,7 @@ def _check_identity(part: int, s: int, k: int, order: int | None,
     bilateral = rho_series(part, s, order)
     regime = (regime3_sum if part == 1 else regime4_sum)(s, order)
     lhs = partial_theta(k, order) * regime - bilateral
-    tail = even_binomial_ratio(k, order).scale(2) * gauss_error_tail(k, order)
-    rhs = tail * bilateral
+    rhs = truncated_gauss_rhs(k, order) * bilateral
     if k % 2 == 1:
         rhs = -rhs
     return _compare_series(
@@ -456,7 +453,7 @@ READINGS = {
 @dataclass(frozen=True)
 class RunOptions:
     fast_parity: bool = False
-    reading: str = "both"
+    reading: str | None = None  # a READINGS key; None for the check's default
 
 
 @dataclass(frozen=True)
@@ -467,7 +464,9 @@ class RegisteredCheck:
     the instances by the keys they carry.  run(instances, order, ks,
     options) returns the reports of the selected instances.  default_ks is
     empty for checks that take no k; parity_order is the default order
-    under options.fast_parity, for checks with a GF(2) path.
+    under options.fast_parity, for checks with a GF(2) path;
+    default_reading is the READINGS key run when options.reading is None,
+    for checks that take a reading.
     """
 
     default_order: int
@@ -475,6 +474,7 @@ class RegisteredCheck:
     run: Callable[[list[dict], int, list[int], RunOptions], list[CheckReport]]
     default_ks: tuple[int, ...] = ()
     parity_order: int | None = None
+    default_reading: str | None = None
 
 
 def _each(check):
@@ -544,7 +544,7 @@ REGISTRY: dict[str, dict[str, RegisteredCheck]] = {
         "1": RegisteredCheck(DEFAULT_ORDER_CONJECTURE, PART_S, _each(check_conjecture1),
                              default_ks=(1, 2, 3, 4)),
         "2": RegisteredCheck(DEFAULT_ORDER_CONJECTURE, PART_S, _run_conjecture2,
-                             default_ks=(1, 2, 3, 4)),
+                             default_ks=(1, 2, 3, 4), default_reading="both"),
         "s-pairs": RegisteredCheck(DEFAULT_ORDER_CONJECTURE,
                                    tuple({"a": a, "b": b} for a, b in S_PAIRS),
                                    _run_with_p_table(check_s_pair)),
@@ -559,8 +559,9 @@ def run_check(command: str, name: str, order: int | None = None,
 
     Raises ValueError on a negative order, a k below 1, flags that select
     no instance, and flags the check does not take: ks where it has no
-    default_ks, options.fast_parity where it has no parity_order, part or s
-    where no instance carries that key.  Under the "both" reading the
+    default_ks, options.fast_parity where it has no parity_order,
+    options.reading where it has no default_reading, part or s where no
+    instance carries that key.  Under the "both" reading the
     literal conjecture-2 reports are emitted but do not gate: their known
     counterexamples are a finding about the displayed formula, not about
     the conjecture under its consistent reading.
@@ -573,6 +574,10 @@ def run_check(command: str, name: str, order: int | None = None,
     _require(not ks or bool(entry.default_ks), f"{name} takes no --k")
     _require(not options.fast_parity or entry.parity_order is not None,
              f"{name} has no --fast-parity path")
+    _require(options.reading is None or entry.default_reading is not None,
+             f"{name} takes no --reading")
+    if options.reading is None:
+        options = replace(options, reading=entry.default_reading)
     if order is None:
         use_parity = options.fast_parity and entry.parity_order is not None
         order = entry.parity_order if use_parity else entry.default_order

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import (
@@ -177,9 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj = sub.add_parser("conjecture", help="run empirical conjecture scans")
     p_conj.add_argument("which", choices=tuple(REGISTRY["conjecture"]))
     common_flags(p_conj, with_k=True)
-    p_conj.add_argument("--reading", choices=tuple(READINGS), default="both",
+    p_conj.add_argument("--reading", choices=tuple(READINGS), default=None,
                         help="inner sign reading for conjecture 2 "
-                             "(j = alternating (-1)^j, literal = as displayed)")
+                             "(j = alternating (-1)^j, literal = as displayed; "
+                             "default both)")
 
     return parser
 
@@ -196,20 +198,29 @@ def main(argv: list[str] | None = None) -> int:
     else:
         args.k_list = None
 
+    status = EXIT_PASS
     try:
         if args.command == "expand":
             rows = _expand_series(args, parser)
             params = {"target": args.target, "s": args.s, "order": args.order}
             _emit_table(rows, args, command, watch, params)
-            return EXIT_PASS
-
-        name = args.check if args.command == "verify" else args.which
-        options = RunOptions(getattr(args, "fast_parity", False),
-                             getattr(args, "reading", "both"))
-        reports, gating = run_check(args.command, name, args.order, args.part,
-                                    args.s, args.k_list, options)
-        _emit_reports(reports, args, command, watch)
-        return EXIT_PASS if all(r.passed for r in gating) else EXIT_COUNTEREXAMPLE
+        else:
+            name = args.check if args.command == "verify" else args.which
+            options = RunOptions(getattr(args, "fast_parity", False),
+                                 getattr(args, "reading", None))
+            reports, gating = run_check(args.command, name, args.order, args.part,
+                                        args.s, args.k_list, options)
+            if not all(r.passed for r in gating):
+                status = EXIT_COUNTEREXAMPLE
+            _emit_reports(reports, args, command, watch)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): not a fault of the program.
+        # Point stdout at devnull so the flush at shutdown cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

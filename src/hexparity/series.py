@@ -541,13 +541,19 @@ def product_of(specs, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
+# hex digit -> the two hex digits of its bits spread to the even positions
+_SPREAD_NIBBLES = str.maketrans({
+    f"{v:x}": f"{sum((v >> i & 1) << 2 * i for i in range(4)):02x}" for v in range(16)
+})
+
+
 @dataclass(frozen=True)
 class ParitySeries:
     """Coefficients mod 2, bit n of `bits` being the parity of q^n.
 
     Addition is XOR; multiplication is carry-less.  Multiplying or dividing
-    by (1 + q^m) costs one shifted XOR (respectively log2(order/m) of them),
-    so congruence checks scale to order ~10^6.
+    by (1 + q^m) costs one shifted XOR (respectively log2(order/m) of them)
+    and squaring is a bit spread, so congruence checks scale to order ~10^7.
     """
 
     order: int
@@ -626,6 +632,46 @@ class ParitySeries:
         return (bits ^ (bits << m)) & ((1 << (top + 1)) - 1)
 
     @staticmethod
+    def spread_bits(bits: int) -> int:
+        """Move bit i of a raw bit int to bit 2i: x(q) -> x(q^2).
+
+        Runs at C level: every hex digit of bits becomes the two hex digits
+        of its spread (_SPREAD_NIBBLES), and the string is read back.
+        """
+        return int(format(bits, "x").translate(_SPREAD_NIBBLES), 16)
+
+    @staticmethod
+    def reciprocal_qq_bits(count: int, top: int) -> int:
+        """1/(q;q)_count mod 2 on a raw bit int, keeping bits 0..top, by
+        multiplications only.
+
+        Mod 2, (q;q)_count = O(q) * (q;q)_(count//2)(q^2), O being the
+        product of the (1 + q^o) over odd o <= count, and O(q)^2 = O(q^2)
+        (Frobenius), so
+
+            1/(q;q)_count = O(q) * [(q;q)_(count//2) / (q;q)_count](q^2).
+
+        The bracket is this function at precision top//2 times count//2
+        binomials.  Each level is count one-shift passes (none with an
+        exponent past its precision), and the precision halves at each
+        level: about 1.5*count*top shifted bits in all.
+        """
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        if require_order(top, "top") == 0:
+            return 1
+        half = top // 2
+        bits = ParitySeries.reciprocal_qq_bits(count, half)
+        mask = (1 << (half + 1)) - 1
+        for m in range(1, min(count // 2, half) + 1):
+            bits = (bits ^ (bits << m)) & mask
+        bits = ParitySeries.spread_bits(bits)
+        mask = (1 << (top + 1)) - 1
+        for m in range(1, min(count, top) + 1, 2):
+            bits = (bits ^ (bits << m)) & mask
+        return bits
+
+    @staticmethod
     def div_binomial_bits(bits: int, m: int, top: int) -> int:
         """bits / (1 + q^m) on a raw bit int, keeping bits 0..top.
 
@@ -651,16 +697,8 @@ class ParitySeries:
 
     def square(self) -> "ParitySeries":
         """Frobenius: squaring mod 2 doubles every exponent."""
-        out = 0
-        x = self.bits
-        while x:
-            low = x & -x
-            i = low.bit_length() - 1
-            if 2 * i > self.order:
-                break
-            out |= 1 << (2 * i)
-            x ^= low
-        return ParitySeries(self.order, out)
+        low = self.bits & self._mask(self.order // 2)
+        return ParitySeries(self.order, self.spread_bits(low))
 
     def inverse(self) -> "ParitySeries":
         """Newton inversion over GF(2): x -> a*x^2 doubles the precision."""

@@ -333,11 +333,14 @@ def even_gauss_factor(order: int) -> TruncatedSeries:
     )
 
 
+def even_binomial_factors(k: int) -> tuple[list[QPochhammerSpec], list[QPochhammerSpec]]:
+    """(numerators, denominators) of (-q^2;q^2)_k / (q^2;q^2)_k."""
+    return [QPochhammerSpec(-1, 2, 2, k)], [QPochhammerSpec(1, 2, 2, k)]
+
+
 def even_binomial_ratio(k: int, order: int) -> TruncatedSeries:
     """(-q^2;q^2)_k / (q^2;q^2)_k."""
-    return pochhammer_quotient(
-        [QPochhammerSpec(-1, 2, 2, k)], [QPochhammerSpec(1, 2, 2, k)], order
-    )
+    return pochhammer_quotient(*even_binomial_factors(k), order)
 
 
 def gauss_error_tail(k: int, order: int) -> TruncatedSeries:
@@ -384,10 +387,11 @@ def truncated_gauss_lhs(k: int, order: int) -> TruncatedSeries:
 
 
 def truncated_gauss_rhs(k: int, order: int) -> TruncatedSeries:
-    """2 * even_binomial_ratio(k) * gauss_error_tail(k)."""
+    """2 * even_binomial_ratio(k) * gauss_error_tail(k), the ratio applied
+    to the tail as its 2k binomial passes."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return even_binomial_ratio(k, order).scale(2) * gauss_error_tail(k, order)
+    return gauss_error_tail(k, order).times_quotient(*even_binomial_factors(k)).scale(2)
 
 
 # ---------------------------------------------------------------------------
@@ -486,48 +490,68 @@ def regime4_sum(s: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(acc))
 
 
-def regime3_sum_parity(s: int, order: int) -> ParitySeries:
-    """regime3_sum reduced mod 2, computed natively on bit blocks.
+def _backward_parity_sum(base: int, last: int, exponent, factors, order: int) -> ParitySeries:
+    """sum_{n=0..last} q^exponent(n) * base_n mod 2, exponent(0) being 0.
 
-    The same passes as regime3_sum on a raw bit int, at the same shrinking
-    precision: each pass keeps only bits 0..order-e(n) of the base.
+    base is base_last as a raw bit int (bits 0..order), and base_(n-1) is
+    base_n times the (1 + q^m) for m in factors(n): one shift per factor,
+    at full precision, so every base_n is exact up to q^order.
+    """
+    mask = (1 << (order + 1)) - 1
+    acc = 0
+    for n in range(last, 0, -1):
+        acc ^= base << exponent(n)
+        for m in factors(n):
+            base = (base ^ (base << m)) & mask
+    return ParitySeries(order, (acc ^ base) & mask)
+
+
+def _last_index(exponent, order: int) -> int:
+    """The largest n with exponent(n) <= order, exponent increasing from
+    exponent(0) = 0."""
+    n = 0
+    while exponent(n + 1) <= order:
+        n += 1
+    return n
+
+
+def regime3_sum_parity(s: int, order: int) -> ParitySeries:
+    """regime3_sum reduced mod 2, by multiplications only.
+
+    Mod 2 the base (-q;q)_n/(q;q)_(2n+1) is (q;q)_n/(q;q)_(2n+1), and since
+    (1 + q^2n) = (1 + q^n)^2, base_(n-1) = base_n (1 + q^n)(1 + q^(2n+1)).
+    So the summands are walked backward from the last one, n = M, whose
+    base is (q;q)_M times ParitySeries.reciprocal_qq_bits(2M+1).
     """
     if s not in (2, 4):
         raise ValueError("s must be 2 or 4")
-    times, div = ParitySeries.times_binomial_bits, ParitySeries.div_binomial_bits
-    base = div(1, 1, require_order(order))
-    acc = 0
-    n = e = 0
-    while True:
-        acc ^= base << e
-        n += 1
-        e = n * (3 * n + s - 1) // 2
-        if e > order:
-            break
-        top = order - e
-        base = div(div(times(base, n, top), 2 * n, top), 2 * n + 1, top)
-    return ParitySeries(order, acc)
+    def exponent(n):
+        return n * (3 * n + s - 1) // 2
+    last = _last_index(exponent, require_order(order))
+    base = ParitySeries.reciprocal_qq_bits(2 * last + 1, order)
+    mask = (1 << (order + 1)) - 1
+    for m in range(1, last + 1):
+        base = (base ^ (base << m)) & mask
+    return _backward_parity_sum(base, last, exponent,
+                                lambda n: (n, 2 * n + 1), order)
 
 
 def regime4_sum_parity(s: int, order: int) -> ParitySeries:
-    """regime4_sum reduced mod 2, at the shrinking precision of
-    regime3_sum_parity."""
+    """regime4_sum reduced mod 2, by multiplications only.
+
+    With d = (s-1)/2 the base is 1/(q;q)_(2n+d), so base_(n-1) =
+    base_n (1 + q^(2n-1+d))(1 + q^(2n+d)) mod 2, walked backward from
+    ParitySeries.reciprocal_qq_bits(2M+d) as in regime3_sum_parity.
+    """
     if s not in (1, 3):
         raise ValueError("s must be 1 or 3")
     d = (s - 1) // 2
-    div = ParitySeries.div_binomial_bits
-    base = div(1, 1, require_order(order)) if d else 1
-    acc = 0
-    n = e = 0
-    while True:
-        acc ^= base << e
-        n += 1
-        e = n * (n + 1)
-        if e > order:
-            break
-        top = order - e
-        base = div(div(base, 2 * n - 1 + d, top), 2 * n + d, top)
-    return ParitySeries(order, acc)
+    def exponent(n):
+        return n * (n + 1)
+    last = _last_index(exponent, require_order(order))
+    base = ParitySeries.reciprocal_qq_bits(2 * last + d, order)
+    return _backward_parity_sum(base, last, exponent,
+                                lambda n: (2 * n - 1 + d, 2 * n + d), order)
 
 
 def regime3_product(s: int, order: int) -> TruncatedSeries:

@@ -5,6 +5,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +207,9 @@ def test_negative_order_is_a_usage_error(capsys, argv):
     ("verify set-equivalence --part 2 --s 1", "set-equivalence takes no --part"),
     ("verify gauss --s 2", "gauss takes no --s"),
     ("verify truncated-gauss --s 2 --k 1", "truncated-gauss takes no --s"),
+    # --reading on a scan with no readings
+    ("conjecture 1 --reading j --order 20", "1 takes no --reading"),
+    ("conjecture s-pairs --reading literal", "s-pairs takes no --reading"),
 ])
 def test_flag_a_check_ignores_is_a_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
@@ -239,6 +246,29 @@ def test_inexact_recurrence_exits_3(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
     assert err.startswith("internal error: ArithmeticError: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_is_not_an_internal_error(unbuffered):
+    # the reader closes the pipe before anything is written, as `| head`
+    # does after its lines: the run keeps its own status and says nothing.
+    # Unbuffered, the write inside main fails; buffered, the final flush
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from hexparity.cli import main; sys.exit(main(sys.argv[1:]))",
+         "conjecture", "1", "--order", "20", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (cli.EXIT_PASS, cli.EXIT_COUNTEREXAMPLE)
+    assert "internal error" not in err
     assert "Traceback" not in err
 
 

@@ -472,6 +472,57 @@ def test_parity_bit_kernels_truncate():
         ParitySeries.div_binomial_bits(1, 0, 5)
 
 
+def test_square_matches_set_bit_walk():
+    # the spread kernel against the set-bit walk it replaced, on seeded
+    # random bits of every density; orders just under twice the top set
+    # bit cut the square's top bits off
+    def walk(x: ParitySeries) -> ParitySeries:
+        out = 0
+        bits = x.bits
+        while bits:
+            low = bits & -bits
+            i = low.bit_length() - 1
+            if 2 * i > x.order:
+                break
+            out |= 1 << (2 * i)
+            bits ^= low
+        return ParitySeries(x.order, out)
+
+    rng = random.Random(47)
+    cases = [ParitySeries(order, bits) for order, bits in ((0, 0), (0, 1), (1, 3), (7, 255))]
+    for _ in range(300):
+        order = rng.choice((rng.randint(0, 70), rng.randint(0, 2000)))
+        bits = rng.getrandbits(order + 1)
+        if rng.random() < 0.3:
+            bits &= rng.getrandbits(order + 1) & rng.getrandbits(order + 1)
+        cases.append(ParitySeries(order, bits))
+        top = bits.bit_length() - 1
+        if top > 0:
+            for cut in (2 * top - 1, 2 * top, top):
+                cases.append(ParitySeries(max(cut, top), bits))
+    for x in cases:
+        assert x.square() == walk(x), x
+        assert ParitySeries.spread_bits(x.bits) == walk(ParitySeries(2 * x.order, x.bits)).bits
+
+
+def test_reciprocal_qq_bits_matches_exact_quotient():
+    # 1/(q;q)_K mod 2 against the exact quotient reduced mod 2, at
+    # precisions on both sides of K/2 and K (where the odd and the
+    # halved passes stop short) and at 2^j +- 1 (where the halving
+    # recursion changes depth)
+    for count in (0, 1, 2, 3, 7, 8, 33):
+        tops = {0, 1, 2, count // 2 - 1, count // 2 + 1, count - 1, count + 1}
+        tops |= {2**j + d for j in range(1, 11) for d in (-1, 1)}
+        for top in sorted(t for t in tops if t >= 0):
+            exact = pochhammer_quotient([], [QPochhammerSpec(1, 1, 1, count)], top)
+            assert ParitySeries.reciprocal_qq_bits(count, top) == exact.reduce_mod2().bits, \
+                (count, top)
+    with pytest.raises(ValueError):
+        ParitySeries.reciprocal_qq_bits(-1, 5)
+    with pytest.raises(ValueError):
+        ParitySeries.reciprocal_qq_bits(3, -1)
+
+
 def test_parity_series_validation():
     with pytest.raises(ValueError):
         ParitySeries(3, 1 << 5)

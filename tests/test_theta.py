@@ -11,6 +11,7 @@ import pytest
 from hexparity.series import (
     INFINITE,
     DegenerateFactor,
+    ParitySeries,
     QPochhammerSpec,
     TruncatedSeries,
     monomial,
@@ -220,6 +221,16 @@ def test_truncated_gauss_identity():
     ).coefficient(2)
 
 
+def test_truncated_gauss_rhs_matches_schoolbook_product():
+    # the ratio applied to the tail by binomial passes against the
+    # schoolbook product of the two expanded series
+    rng = random.Random(59)
+    for k, order in [(1, 0), (10, 1500)] + [(rng.randint(1, 10), rng.randint(0, 1500))
+                                           for _ in range(5)]:
+        schoolbook = even_binomial_ratio(k, order).scale(2) * gauss_error_tail(k, order)
+        assert truncated_gauss_rhs(k, order) == schoolbook, (k, order)
+
+
 def test_gauss_error_tail_leading_exponent():
     for k in (1, 2, 3):
         tail = gauss_error_tail(k, 120)
@@ -290,9 +301,12 @@ def test_regime4_sum_equals_product_side():
 def test_regime_parity_paths_match_bigint():
     # seeded orders, plus the orders at which the last summand's exponent
     # n(3n+s-1)/2 (regime III) or n(n+1) (regime IV) lands on the order
-    # exactly, and one below: these pin the bounds of each accumulation
+    # exactly, and one below: these pin the bounds of each accumulation.
+    # Orders 2^j - 1, 2^j and 2^j + 1 are where the halving recursion of
+    # ParitySeries.reciprocal_qq_bits changes depth
     rng = random.Random(41)
     seeded = [0, 1, 400] + [rng.randint(0, 1500) for _ in range(27)]
+    seeded += [2**j + d for j in range(1, 13) for d in (-1, 0, 1)]
     for s in (2, 4):
         edges = [n * (3 * n + s - 1) // 2 + d for n in (1, 2, 5, 12, 31) for d in (0, -1)]
         for order in seeded + edges:
@@ -303,6 +317,44 @@ def test_regime_parity_paths_match_bigint():
         for order in seeded + edges:
             assert regime4_sum_parity(s, order) == regime4_sum(s, order).reduce_mod2(), \
                 (s, order)
+
+
+def forward_parity_sum(regime: int, s: int, order: int) -> int:
+    """The regime sum mod 2 by the forward walk that divides: the base is
+    updated from n-1 to n by a multiplication and two divisions
+    (regime III) or two divisions (regime IV) by binomials, kept to bits
+    0..order-e(n)."""
+    times, div = ParitySeries.times_binomial_bits, ParitySeries.div_binomial_bits
+    if regime == 3:
+        base = div(1, 1, order)
+    else:
+        d = (s - 1) // 2
+        base = div(1, 1, order) if d else 1
+    acc = 0
+    n = e = 0
+    while True:
+        acc ^= base << e
+        n += 1
+        e = n * (3 * n + s - 1) // 2 if regime == 3 else n * (n + 1)
+        if e > order:
+            return acc
+        top = order - e
+        if regime == 3:
+            base = div(div(times(base, n, top), 2 * n, top), 2 * n + 1, top)
+        else:
+            base = div(div(base, 2 * n - 1 + d, top), 2 * n + d, top)
+
+
+def test_regime_parity_sums_match_forward_division_walk():
+    # the backward multiply-only walk against the forward walk that
+    # divides, at orders where the bigint sums are too slow to compare
+    rng = random.Random(53)
+    for regime, svals, parity in ((3, (2, 4), regime3_sum_parity),
+                                  (4, (1, 3), regime4_sum_parity)):
+        s = rng.choice(svals)
+        for order in (20_000, 100_000):
+            assert parity(s, order).bits == forward_parity_sum(regime, s, order), \
+                (regime, s, order)
 
 
 def regime_sum_oracle(regime: int, s: int, order: int) -> TruncatedSeries:
