@@ -283,10 +283,8 @@ def _check_identity(part: int, s: int, k: int, order: int | None,
     if order is None:
         order = DEFAULT_ORDER_IDENTITY
     watch = Stopwatch()
-    bilateral = rho_series(part, s, order)
-    regime = (regime3_sum if part == 1 else regime4_sum)(s, order)
-    lhs = partial_theta(k, order) * regime - bilateral
-    rhs = truncated_gauss_rhs(k, order) * bilateral
+    lhs = conjecture1_difference(part, s, k, order)
+    rhs = truncated_gauss_rhs(k, order) * rho_series(part, s, order)
     if k % 2 == 1:
         rhs = -rhs
     return _compare_series(

@@ -26,7 +26,7 @@ from .theta import (
     bilateral_sum,
     r_decomposition_family,
     regime3_denominators,
-    regime4_factors,
+    regime4_product,
     rstar_families,
 )
 
@@ -109,14 +109,6 @@ class PartitionTable:
             raise ValueError("table length must be n_max + 1")
 
     def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-    def value_or_zero(self, n: int) -> int:
-        """Table lookup with the convention that counts vanish for n < 0."""
-        if n < 0:
-            return 0
-        if n > self.n_max:
-            raise TableTooSmall(f"need value at {n}, table stops at {self.n_max}")
         return self.values[n]
 
 
@@ -210,7 +202,7 @@ def r_gf(rule: PartResidueRule, order: int) -> TruncatedSeries:
     """
     if rule.kind == REGIME_III:
         return pochhammer_quotient([], regime3_denominators(rule.s), order)
-    return pochhammer_quotient(*regime4_factors(rule.s), order)
+    return regime4_product(rule.s, order)
 
 
 def decomposition_families(rule: PartResidueRule):

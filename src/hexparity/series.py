@@ -227,11 +227,7 @@ class TruncatedSeries:
         if (self.order + 1) * factor <= order:
             raise OrderExceeded("source series too short for requested order")
         out = [0] * (order + 1)
-        for i, c in enumerate(self.coeffs):
-            e = i * factor
-            if e > order:
-                break
-            out[e] = c
+        out[::factor] = self.coeffs[:order // factor + 1]
         return TruncatedSeries(tuple(out))
 
     def reduce_mod2(self) -> "ParitySeries":
@@ -701,14 +697,18 @@ class ParitySeries:
         return ParitySeries(self.order, self.spread_bits(low))
 
     def inverse(self) -> "ParitySeries":
-        """Newton inversion over GF(2): x -> a*x^2 doubles the precision."""
+        """Newton inversion over GF(2): x -> a*x^2 doubles the precision.
+
+        Each step runs at the precision it reaches, 2*top + 1 from an x
+        exact up to q^top (capped at the order): self masked there times
+        x^2.
+        """
         if not self.bits & 1:
             raise NonUnitConstantTerm("constant term is 0 mod 2")
-        x = ParitySeries(self.order, 1)
-        prec = 1
-        while prec <= self.order:
-            x = self * x.square()
-            prec *= 2
+        x = ParitySeries(0, 1)
+        while x.order < self.order:
+            top = min(2 * x.order + 1, self.order)
+            x = ParitySeries(top, self.bits & self._mask(top)) * ParitySeries(top, x.bits).square()
         return x
 
     def __repr__(self) -> str:

@@ -110,26 +110,16 @@ class QuadraticExponentFamily:
             k -= 1
 
 
-def bilateral_sum(families, order: int, track_hits: bool = False):
-    """Sum of sign(k)*q^e(k) over k in Z for each family, truncated.
-
-    With track_hits=True also returns {exponent: number of (family, k)
-    pairs landing there} so callers can confirm multiplicity-1 claims.
-    """
+def bilateral_sum(families, order: int) -> TruncatedSeries:
+    """Sum of sign(k)*q^e(k) over k in Z for each family, truncated."""
     out = [0] * (require_order(order) + 1)
-    hits: dict[int, int] = {}
     for fam in families:
         for k in fam.indices_within(order):
             e = fam.exponent(k)
             if e < 0:
                 raise NegativeExponent(f"e({k}) = {e} < 0")
             out[e] += fam.sign(k)
-            if track_hits:
-                hits[e] = hits.get(e, 0) + 1
-    series = TruncatedSeries(tuple(out))
-    if track_hits:
-        return series, hits
-    return series
+    return TruncatedSeries(tuple(out))
 
 
 def pentagonal_family() -> QuadraticExponentFamily:
@@ -347,34 +337,23 @@ def gauss_error_tail(k: int, order: int) -> TruncatedSeries:
     """sum_{n>k} q^(2n(k+1)) (-q^(2n+2);q^2)oo / ((1-q^(2n)) (q^(2n+2);q^2)oo).
 
     Every exponent is even, so the sum is built in x = q^2 to order
-    order // 2 and stretched.  Consecutive terms differ by a shift of k+1
-    in x, a multiplication by (1-x^n) and a division by (1+x^(n+1)); only
-    the coefficients 0..order//2 - lead of a term reach the sum from its
-    lead on, so the term is truncated there before each update.  Still
-    about order^2 / (4(k+1)) steps: each division by (1+x^(n+1)) is dense.
+    order // 2 by _forward_sum and stretched: consecutive terms differ by
+    a shift of k+1 in x, a multiplication by (1-x^(n-1)) and a division by
+    (1+x^n).  Still about order^2 / (4(k+1)) steps: each division by
+    (1+x^n) is dense.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     half = require_order(order) // 2
-    acc = [0] * (half + 1)
-    n = k + 1
-    lead = n * (k + 1)
-    if lead > half:
-        return TruncatedSeries(tuple(acc)).stretch(2, order)
-    # (-x^(n+1);x)oo / (x^n;x)oo
-    term = list(pochhammer_quotient(
-        [QPochhammerSpec(-1, n + 1, 1)], [QPochhammerSpec(1, n, 1)], half
-    ).coeffs)
-    while True:
-        acc[lead:] = map(add, acc[lead:], term)
-        n += 1
-        lead = n * (k + 1)
-        if lead > half:
-            break
-        del term[half - lead + 1:]
-        mul_binomial_inplace(term, -1, n - 1)
-        div_binomial_inplace(term, 1, n)
-    return TruncatedSeries(tuple(acc)).stretch(2, order)
+    first = k + 1
+    # (-x^(n+1);x)oo / (x^n;x)oo at n = first, to the precision its
+    # summand needs
+    base = pochhammer_quotient(
+        [QPochhammerSpec(-1, first + 1, 1)], [QPochhammerSpec(1, first, 1)],
+        max(half - first * (k + 1), 0),
+    )
+    return _forward_sum(list(base.coeffs), first, lambda n: n * (k + 1),
+                        lambda n: ([(-1, n - 1)], [(1, n)]), half).stretch(2, order)
 
 
 def truncated_gauss_lhs(k: int, order: int) -> TruncatedSeries:
@@ -401,20 +380,8 @@ def truncated_gauss_rhs(k: int, order: int) -> TruncatedSeries:
 
 def _rogers_ramanujan_sum(shift: int, order: int) -> TruncatedSeries:
     """sum q^(n^2+shift*n)/(q;q)_n: G for shift 0, H for shift 1."""
-    acc = [0] * (order + 1)
-    acc[0] = 1
-    term = [1] + [0] * order
-    n = 1
-    while n * n + shift * n <= order:
-        # term_n = term_(n-1) * q^(2n-1+shift) / (1 - q^n)
-        sh = 2 * n - 1 + shift
-        term[sh:] = term[: order + 1 - sh]
-        term[:sh] = [0] * sh
-        div_binomial_inplace(term, -1, n)
-        lo = n * n + shift * n
-        acc[lo:] = map(add, acc[lo:], term[lo:])
-        n += 1
-    return TruncatedSeries(tuple(acc))
+    return _forward_sum([1] + [0] * order, 0, lambda n: n * n + shift * n,
+                        lambda n: ([], [(-1, n)]), order)
 
 
 def _rogers_ramanujan(shift: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -439,54 +406,51 @@ def rr_H(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
 def regime3_sum(s: int, order: int) -> TruncatedSeries:
     """sum_n (-q;q)_n q^(n(3n+s-1)/2) / (q;q)_(2n+1), s in {2, 4}.
 
-    The running base (-q;q)_n/(q;q)_(2n+1) is updated by one binomial
-    multiplication and two binomial divisions per n.  Only its
-    coefficients 0..order-e(n) reach the sum from step n on, so it is
-    truncated there before each update.
+    _forward_sum walks the base (-q;q)_n/(q;q)_(2n+1) from 1/(1-q), one
+    binomial multiplication and two binomial divisions per n.
     """
     if s not in (2, 4):
         raise ValueError("s must be 2 or 4")
-    acc = [0] * (require_order(order) + 1)
-    base = [0] * (order + 1)
-    base[0] = 1
-    div_binomial_inplace(base, -1, 1)  # 1/(1-q)
-    n = e = 0
-    while True:
-        acc[e:] = map(add, acc[e:], base)
-        n += 1
-        e = n * (3 * n + s - 1) // 2
-        if e > order:
-            break
-        del base[order - e + 1:]
-        mul_binomial_inplace(base, 1, n)
-        div_binomial_inplace(base, -1, 2 * n)
-        div_binomial_inplace(base, -1, 2 * n + 1)
-    return TruncatedSeries(tuple(acc))
+    return _forward_sum([1] * (require_order(order) + 1), 0,
+                        lambda n: n * (3 * n + s - 1) // 2,
+                        lambda n: ([(1, n)], [(-1, 2 * n), (-1, 2 * n + 1)]), order)
 
 
 def regime4_sum(s: int, order: int) -> TruncatedSeries:
     """sum_n q^(n(n+1)) / (q;q)_(2n+(s-1)/2), s in {1, 3}.
 
-    The running base is truncated as in regime3_sum.
+    With d = (s-1)/2, _forward_sum walks the base 1/(q;q)_(2n+d) from
+    1/(q;q)_d (1 for d = 0, 1/(1-q) for d = 1), two binomial divisions
+    per n.
     """
     if s not in (1, 3):
         raise ValueError("s must be 1 or 3")
     d = (s - 1) // 2
+    return _forward_sum([1] + [d] * require_order(order), 0, lambda n: n * (n + 1),
+                        lambda n: ([], [(-1, 2 * n - 1 + d), (-1, 2 * n + d)]), order)
+
+
+def _forward_sum(base: list[int], first: int, exponent, factors, order: int) -> TruncatedSeries:
+    """sum_{n>=first} q^exponent(n) * base_n up to q^order, exponent increasing.
+
+    base is base_first as a coefficient list (consumed), and base_n is
+    base_(n-1) times the (1 + c*q^m) for (c, m) in factors(n)[0], divided
+    by those in factors(n)[1].  Only the coefficients 0..order-exponent(n)
+    of base_n reach the sum, so the base is truncated there before each
+    update and each add.
+    """
     acc = [0] * (require_order(order) + 1)
-    base = [0] * (order + 1)
-    base[0] = 1
-    if d:
-        div_binomial_inplace(base, -1, 1)
-    n = e = 0
-    while True:
+    n = first
+    while (e := exponent(n)) <= order:
+        del base[order - e + 1:]
+        if n > first:
+            numerators, denominators = factors(n)
+            for c, m in numerators:
+                mul_binomial_inplace(base, c, m)
+            for c, m in denominators:
+                div_binomial_inplace(base, c, m)
         acc[e:] = map(add, acc[e:], base)
         n += 1
-        e = n * (n + 1)
-        if e > order:
-            break
-        del base[order - e + 1:]
-        div_binomial_inplace(base, -1, 2 * n - 1 + d)
-        div_binomial_inplace(base, -1, 2 * n + d)
     return TruncatedSeries(tuple(acc))
 
 

@@ -418,10 +418,13 @@ def test_parity_is_ring_homomorphism():
 
 
 def test_parity_commutes_with_inverse():
+    # orders 2^j - 1, 2^j and 2^j + 1 are where the Newton steps of
+    # ParitySeries.inverse stop at or just past a doubled precision
     rng = random.Random(29)
-    for _ in range(20):
-        a = random_series(rng, 64, unit=True)
-        assert a.inverse().reduce_mod2() == a.reduce_mod2().inverse()
+    orders = [64] * 20 + [0] + [2**j + d for j in range(1, 11) for d in (-1, 0, 1)]
+    for order in orders:
+        a = random_series(rng, order, unit=True)
+        assert a.inverse().reduce_mod2() == a.reduce_mod2().inverse(), order
 
 
 def test_parity_binomial_ops_match_bigint():

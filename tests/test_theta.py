@@ -46,6 +46,7 @@ from hexparity.theta import (
     truncated_gauss_lhs,
     truncated_gauss_rhs,
 )
+from hexparity.squares import SquareProgression, index_set, multiplicity_map
 
 
 def restricted_count(n_max: int, allows) -> list[int]:
@@ -78,7 +79,7 @@ def test_bilateral_order_independence_and_hits():
     b = bilateral_sum(list(reversed(fams)), 50)
     assert a == b
     assert a.coefficient(0) == 1
-    _, hits = bilateral_sum(fams, 500, track_hits=True)
+    hits = multiplicity_map(fams, 500)
     assert all(m == 1 for m in hits.values())
 
 
@@ -259,12 +260,20 @@ def test_gauss_error_tail_matches_per_term_oracle():
             assert gauss_error_tail(k, order) == oracle, (k, order)
 
 
+def boundary_orders(exponent) -> list[int]:
+    """Every order 0..69, then e(n) - 1, e(n) and e(n) + 1 for the first
+    six summands and 300: where _forward_sum's truncation and its last
+    summand change."""
+    edges = {exponent(n) + d for n in range(6) for d in (-1, 0, 1)}
+    return sorted(set(range(70)) | {e for e in edges if e >= 0} | {300})
+
+
 def test_rr_sum_equals_product():
-    g_sum, g_prod = rr_G(500)
-    h_sum, h_prod = rr_H(500)
-    assert g_sum == g_prod
-    assert h_sum == h_prod
-    assert h_sum.coefficient(0) == 1
+    for shift, rr in ((0, rr_G), (1, rr_H)):
+        for order in boundary_orders(lambda n: n * n + shift * n):
+            sum_form, product_form = rr(order)
+            assert sum_form == product_form, (shift, order)
+    assert rr_H(500)[0].coefficient(0) == 1
 
 
 def test_rr_G_counts_parts_pm1_mod5():
@@ -282,20 +291,20 @@ def test_rr_H_counts_parts_pm2_mod5():
 
 def test_regime3_sum_equals_product_side():
     for s in (2, 4):
-        lhs = regime3_sum(s, 300)
-        rhs = regime3_product(s, 300)
-        assert lhs == rhs, s
-        assert lhs.coefficient(0) == 1
-        assert all(c >= 0 for c in lhs.coeffs)
+        for order in boundary_orders(lambda n: n * (3 * n + s - 1) // 2):
+            lhs = regime3_sum(s, order)
+            assert lhs == regime3_product(s, order), (s, order)
+            assert lhs.coefficient(0) == 1
+            assert all(c >= 0 for c in lhs.coeffs)
 
 
 def test_regime4_sum_equals_product_side():
     for s in (1, 3):
-        lhs = regime4_sum(s, 300)
-        rhs = regime4_product(s, 300)
-        assert lhs == rhs, s
-        assert lhs.coefficient(0) == 1
-        assert all(c >= 0 for c in lhs.coeffs)
+        for order in boundary_orders(lambda n: n * (n + 1)):
+            lhs = regime4_sum(s, order)
+            assert lhs == regime4_product(s, order), (s, order)
+            assert lhs.coefficient(0) == 1
+            assert all(c >= 0 for c in lhs.coeffs)
 
 
 def test_regime_parity_paths_match_bigint():
@@ -420,10 +429,9 @@ def test_eq42_literal_q2_reading_fails():
 
 
 def test_eq41_bilateral_mod2_is_exponent_indicator():
-    from hexparity.squares import index_set, SquareProgression
-
     for s in (2, 4):
-        series, hits = bilateral_sum(eq41_families(s), 10_000, track_hits=True)
+        series = bilateral_sum(eq41_families(s), 10_000)
+        hits = multiplicity_map(eq41_families(s), 10_000)
         assert all(m == 1 for m in hits.values())
         assert sorted(hits) == index_set(
             SquareProgression(120, (3 * s - 5) ** 2), 10_000
