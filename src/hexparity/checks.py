@@ -9,6 +9,8 @@ EMPIRICAL_COUNTEREXAMPLE with every violation recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import add, mul
 from typing import Callable
 
 from .partitions import (
@@ -45,8 +47,8 @@ from .theta import (
 # is asserted to hold
 S_PAIRS = ((6, 8), (8, 12), (12, 24), (15, 40), (16, 48), (20, 120), (21, 168))
 
-# default truncation orders: proved statements on the big-integer path,
-# parity-only runs, conjecture scans
+# default truncation orders, read only by REGISTRY: proved statements on the
+# big-integer path, parity-only runs, conjecture scans
 DEFAULT_ORDER_PROVED = 2000
 DEFAULT_ORDER_PARITY = 100_000
 DEFAULT_ORDER_CONJECTURE = 500
@@ -104,47 +106,39 @@ def rho_series(part: int, s: int, order: int) -> TruncatedSeries:
     return bilateral_sum(_rho_families(part, s), order)
 
 
-def check_theorem1(part: int, s: int, order: int | None = None,
-                   use_parity_fastpath: bool = False,
-                   collect_all: bool = True):
+def check_theorem1(part: int, s: int, order: int,
+                   use_parity_fastpath: bool = False):
     """Regime sum reduced mod 2 versus the square-progression indicator."""
     _validate_part_s(part, s)
-    if order is None:
-        order = DEFAULT_ORDER_PARITY if use_parity_fastpath else DEFAULT_ORDER_PROVED
     watch = Stopwatch()
     if use_parity_fastpath:
         lhs = (regime3_sum_parity if part == 1 else regime4_sum_parity)(s, order)
     else:
         lhs = (regime3_sum if part == 1 else regime4_sum)(s, order).reduce_mod2()
     rhs_bits = indicator_bits(theorem1_progression(part, s), order)
-    violations = _bit_violations(lhs.bits, rhs_bits, collect_all)
     return proved_report(
         f"theorem1.part{part}.s{s}",
         {"part": part, "s": s, "order": order,
          "path": "parity" if use_parity_fastpath else "bigint"},
-        violations,
+        _bit_violations(lhs.bits, rhs_bits),
         watch.elapsed_ms(),
     )
 
 
-def _bit_violations(lhs: int, rhs: int, collect_all: bool) -> list[Violation]:
+def _bit_violations(lhs: int, rhs: int) -> list[Violation]:
     """A Violation(n, lhs bit, rhs bit) for each n where the packed parity
-    series lhs and rhs differ, in increasing n (only the first unless
-    collect_all)."""
+    series lhs and rhs differ, in increasing n."""
     diff = format(lhs ^ rhs, "b")[::-1]
     violations = []
     n = diff.find("1")
     while n >= 0:
         violations.append(Violation(n, (lhs >> n) & 1, (rhs >> n) & 1))
-        if not collect_all:
-            break
         n = diff.find("1", n + 1)
     return violations
 
 
 def _parity_sum_violations(p: PartitionTable, ks: list[int],
-                           target: SquareProgression, order: int,
-                           collect_all: bool) -> list[Violation]:
+                           target: SquareProgression, order: int) -> list[Violation]:
     """Points n <= order where the parity of sum_{k in ks} p(n-k) is not
     the truth of target at n.
 
@@ -156,113 +150,85 @@ def _parity_sum_violations(p: PartitionTable, ks: list[int],
     for k in ks:
         lhs ^= parity << k
     lhs &= (1 << (order + 1)) - 1
-    return _bit_violations(lhs, indicator_bits(target, order), collect_all)
+    return _bit_violations(lhs, indicator_bits(target, order))
 
 
-def check_corollary2(part: int, s: int, order: int | None = None,
-                     collect_all: bool = True,
+def check_corollary2(part: int, s: int, order: int,
                      p: PartitionTable | None = None):
     """Pointwise iff: the partition-sum parity is odd exactly when the
     associated progression value is a perfect square."""
     _validate_part_s(part, s)
-    if order is None:
-        order = DEFAULT_ORDER_PROVED
     watch = Stopwatch()
     if p is None:
         p = p_table(order)
     _require_table(p, None, order)
     ks = index_set(corollary2_progression(part, s), order)
-    violations = _parity_sum_violations(p, ks, theorem1_progression(part, s),
-                                        order, collect_all)
     return proved_report(
         f"corollary2.part{part}.s{s}",
         {"part": part, "s": s, "order": order},
-        violations,
+        _parity_sum_violations(p, ks, theorem1_progression(part, s), order),
         watch.elapsed_ms(),
     )
 
 
-def check_s_pair(a: int, b: int, order: int | None = None,
-                 collect_all: bool = True,
-                 p: PartitionTable | None = None):
+def check_s_pair(a: int, b: int, order: int, p: PartitionTable | None = None):
     """Empirical scan of: sum of p(n-k) over {a*k+1 square} is odd iff
     b*n+1 is a square.  Proved for some pairs, conjecturally sharp for the
-    S set; controls outside S are expected to fail and the first violating
-    n is recorded."""
+    S set; controls outside S are expected to fail, at every n recorded."""
     _require(a >= 1 and b >= 1, "a and b must be positive")
-    if order is None:
-        order = DEFAULT_ORDER_CONJECTURE
     watch = Stopwatch()
     if p is None:
         p = p_table(order)
     _require_table(p, None, order)
     ks = index_set(SquareProgression(a, 1), order)
-    violations = _parity_sum_violations(p, ks, SquareProgression(b, 1), order,
-                                        collect_all)
     return empirical_report(
         f"spair.a{a}.b{b}",
         {"a": a, "b": b, "order": order, "in_s_set": (a, b) in S_PAIRS},
-        violations,
+        _parity_sum_violations(p, ks, SquareProgression(b, 1), order),
         watch.elapsed_ms(),
     )
 
 
 def _compare_series(check_id: str, params: dict, lhs: TruncatedSeries,
-                    rhs: TruncatedSeries, watch: Stopwatch,
-                    collect_all: bool = True, details: dict | None = None):
-    violations = []
-    n = min(lhs.order, rhs.order)
-    for i in range(n + 1):
-        if lhs.coeffs[i] != rhs.coeffs[i]:
-            violations.append(Violation(i, lhs.coeffs[i], rhs.coeffs[i]))
-            if not collect_all:
-                break
-    return proved_report(check_id, params, violations, watch.elapsed_ms(), details)
+                    rhs: TruncatedSeries, watch: Stopwatch):
+    violations = [Violation(n, a, b)
+                  for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if a != b]
+    return proved_report(check_id, params, violations, watch.elapsed_ms())
 
 
-def check_rogers(s: int, order: int | None = None, collect_all: bool = True):
+def check_rogers(s: int, order: int):
     """Regime sum against its product side: regime III for s in {2, 4},
     regime IV for s in {1, 3}."""
-    if order is None:
-        order = DEFAULT_ORDER_IDENTITY
     watch = Stopwatch()
     if s in (2, 4):
         kind, lhs, rhs = "regime3", regime3_sum(s, order), regime3_product(s, order)
     else:
         kind, lhs, rhs = "regime4", regime4_sum(s, order), regime4_product(s, order)
     return _compare_series(f"rogers.{kind}.s{s}", {"s": s, "order": order},
-                           lhs, rhs, watch, collect_all)
+                           lhs, rhs, watch)
 
 
-def check_gauss(order: int | None = None, collect_all: bool = True):
+def check_gauss(order: int):
     """The Gauss theta identity: theta sum against (q;q)oo/(-q;q)oo."""
-    if order is None:
-        order = DEFAULT_ORDER_PROVED
     watch = Stopwatch()
     lhs, rhs = gauss_theta_sides(order)
-    return _compare_series("gauss.theta", {"order": order}, lhs, rhs, watch,
-                           collect_all)
+    return _compare_series("gauss.theta", {"order": order}, lhs, rhs, watch)
 
 
-def check_truncated_gauss(k: int, order: int | None = None,
-                          collect_all: bool = True):
+def check_truncated_gauss(k: int, order: int):
     """The truncated Gauss identity at truncation index k >= 1."""
     _require(k >= 1, "k must be >= 1")
-    if order is None:
-        order = DEFAULT_ORDER_IDENTITY
     watch = Stopwatch()
     lhs, rhs = truncated_gauss_lhs(k, order), truncated_gauss_rhs(k, order)
     return _compare_series(f"truncated_gauss.k{k}", {"k": k, "order": order},
-                           lhs, rhs, watch, collect_all)
+                           lhs, rhs, watch)
 
 
-def check_set_equivalence(s: int, statement: str, bound: int | None = None):
+def check_set_equivalence(s: int, statement: str, bound: int):
     """The exponent set behind theorem1 (the rho families) or corollary2
     (the decomposition families) against its square progression."""
     part = 1 if s in (2, 4) else 2
     _validate_part_s(part, s)
-    if bound is None:
-        bound = DEFAULT_BOUND_SET_EQUIVALENCE
     if statement == "theorem1":
         families, prog = _rho_families(part, s), theorem1_progression(part, s)
     elif statement == "corollary2":
@@ -274,14 +240,11 @@ def check_set_equivalence(s: int, statement: str, bound: int | None = None):
                                   f"set_equivalence.mod{prog.a}.s{s}")
 
 
-def _check_identity(part: int, s: int, k: int, order: int | None,
-                    collect_all: bool):
+def _check_identity(part: int, s: int, k: int, order: int):
     """Truncated-theta times the regime sum minus the bilateral series,
     against the explicit tail product."""
     _validate_part_s(part, s)
     _require(k >= 1, "k must be >= 1")
-    if order is None:
-        order = DEFAULT_ORDER_IDENTITY
     watch = Stopwatch()
     lhs = conjecture1_difference(part, s, k, order)
     rhs = truncated_gauss_rhs(k, order) * rho_series(part, s, order)
@@ -289,20 +252,18 @@ def _check_identity(part: int, s: int, k: int, order: int | None,
         rhs = -rhs
     return _compare_series(
         f"id{part}.s{s}.k{k}", {"s": s, "k": k, "order": order},
-        lhs, rhs, watch, collect_all,
+        lhs, rhs, watch,
     )
 
 
-def check_identity_id1(s: int, k: int, order: int | None = None,
-                       collect_all: bool = True):
+def check_identity_id1(s: int, k: int, order: int):
     """The truncated identity for the regime-III sum (s in {2, 4}, k >= 1)."""
-    return _check_identity(1, s, k, order, collect_all)
+    return _check_identity(1, s, k, order)
 
 
-def check_identity_id2(s: int, k: int, order: int | None = None,
-                       collect_all: bool = True):
+def check_identity_id2(s: int, k: int, order: int):
     """The truncated identity for the regime-IV sum (s in {1, 3}, k >= 1)."""
-    return _check_identity(2, s, k, order, collect_all)
+    return _check_identity(2, s, k, order)
 
 
 def conjecture1_difference(part: int, s: int, k: int, order: int) -> TruncatedSeries:
@@ -313,28 +274,18 @@ def conjecture1_difference(part: int, s: int, k: int, order: int) -> TruncatedSe
     return partial_theta(k, order) * regime - rho_series(part, s, order)
 
 
-def check_conjecture1(part: int, s: int, k: int, order: int | None = None,
-                      collect_all: bool = True):
+def check_conjecture1(part: int, s: int, k: int, order: int):
     """Difference series has coefficients >= 0 for even k, <= 0 for odd k."""
     _validate_part_s(part, s)
     _require(k >= 1, "k must be >= 1")
-    if order is None:
-        order = DEFAULT_ORDER_CONJECTURE
     watch = Stopwatch()
     diff = conjecture1_difference(part, s, k, order)
     want_sign = 1 if k % 2 == 0 else -1
-
-    violations = []
-    for n, c in enumerate(diff.coeffs):
-        if c * want_sign < 0:
-            violations.append(Violation(n, c, 0))
-            if not collect_all:
-                break
     return empirical_report(
         f"conjecture1.part{part}.s{s}.k{k}",
         {"part": part, "s": s, "k": k, "order": order,
          "expected_sign": "nonnegative" if want_sign == 1 else "nonpositive"},
-        violations,
+        [Violation(n, c, 0) for n, c in enumerate(diff.coeffs) if c * want_sign < 0],
         watch.elapsed_ms(),
     )
 
@@ -358,18 +309,17 @@ def _conjecture2_inner_coeffs(part: int, k: int, reading: str) -> list[int]:
     return [1] * k
 
 
-def check_conjecture2(part: int, s: int, k: int, order: int | None = None,
-                      collect_all: bool = True,
+def check_conjecture2(part: int, s: int, k: int, order: int,
                       tables: PartitionTable | None = None):
     """Both readings of the shifted-count inequality; returns two reports.
 
     For counts T (regime III or IV) and the bilateral coefficients rho:
     (-1)^k (T(n) + 2*sum_j coeff_j*T(n-2j^2) - rho(n)) >= 0 for n <= order.
+    The value is built on all n at once: (-1)^k (T - rho), then one slice
+    pass per j adding 2*(-1)^k*coeff_j*T shifted by 2j^2.
     """
     _validate_part_s(part, s)
     _require(k >= 1, "k must be >= 1")
-    if order is None:
-        order = DEFAULT_ORDER_CONJECTURE
     if tables is None:
         tables = count_restricted(_rule(s), order)
     _require_table(tables, _rule(s), order)
@@ -379,59 +329,39 @@ def check_conjecture2(part: int, s: int, k: int, order: int | None = None,
     reports = []
     for reading in (INNER_SIGN_ALTERNATING, INNER_SIGN_LITERAL):
         watch = Stopwatch()
-        inner = _conjecture2_inner_coeffs(part, k, reading)
-        violations = []
-        for n in range(order + 1):
-            acc = tables.values[n]
-            for j in range(1, k + 1):
-                shift = 2 * j * j
-                if shift > n:
-                    break
-                acc += 2 * inner[j - 1] * tables.values[n - shift]
-            value = outer * (acc - rho.coeffs[n])
-            if value < 0:
-                violations.append(Violation(n, value, 0))
-                if not collect_all:
-                    break
+        value = [outer * (t - r) for t, r in zip(tables.values, rho.coeffs)]
+        for j, coeff in enumerate(_conjecture2_inner_coeffs(part, k, reading), 1):
+            shift = 2 * j * j
+            value[shift:] = map(add, value[shift:],
+                                map(mul, tables.values, repeat(2 * outer * coeff)))
         reports.append(
             empirical_report(
                 f"conjecture2.part{part}.s{s}.k{k}.{reading}",
                 {"part": part, "s": s, "k": k, "order": order,
                  "inner_sign": reading},
-                violations,
+                [Violation(n, v, 0) for n, v in enumerate(value) if v < 0],
                 watch.elapsed_ms(),
             )
         )
     return reports
 
 
-def cross_validate(rule: PartResidueRule, order: int | None = None,
-                   collect_all: bool = True):
+def cross_validate(rule: PartResidueRule, order: int):
     """Three-route agreement: DP counts, generating-function coefficients,
     and the bilateral decomposition into p(n) values."""
-    if order is None:
-        order = DEFAULT_ORDER_CONJECTURE
     watch = Stopwatch()
     dp = count_restricted(rule, order)
     gf = r_gf(rule, order)
     dec = r_decomposed(rule, order, p_table(order))
-
-    violations = []
-    routes_bad = []
-    for n in range(order + 1):
-        a, b, c = dp.values[n], gf.coeffs[n], dec.coeffs[n]
-        if not (a == b == c):
-            violations.append(Violation(n, a, b if a != b else c))
-            routes_bad.append({"n": n, "dp": str(a), "gf": str(b),
-                               "decomposition": str(c)})
-            if not collect_all:
-                break
+    bad = [(n, a, b, c) for n, (a, b, c) in enumerate(zip(dp.values, gf.coeffs, dec.coeffs))
+           if not a == b == c]
     return proved_report(
         f"cross_validate.{rule.kind}.s{rule.s}",
         {"kind": rule.kind, "s": rule.s, "order": order},
-        violations,
+        [Violation(n, a, b if a != b else c) for n, a, b, c in bad],
         watch.elapsed_ms(),
-        {"routes": routes_bad} if routes_bad else None,
+        {"routes": [{"n": n, "dp": str(a), "gf": str(b), "decomposition": str(c)}
+                    for n, a, b, c in bad]} if bad else None,
     )
 
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
-from operator import add
 
 from .series import (
     P_TABLE_BLOCK,  # p_table's block length, re-exported
     TruncatedSeries,
     _divide_by_euler,
+    div_binomial_inplace,
     pochhammer_quotient,
     require_order,
 )
@@ -175,21 +174,14 @@ def count_restricted_bruteforce(rule: PartResidueRule, n: int) -> int:
 def count_restricted(rule: PartResidueRule, n_max: int) -> PartitionTable:
     """Restricted partition counts by unbounded-knapsack DP.
 
-    Admitting a part m sets values[i] += values[i - m] for i = m, m+1, ...:
-    each residue class mod m becomes its running sum.  For a part larger
-    than sqrt(n_max + 1) each length-m block instead adds the finished
-    block before it, which takes fewer steps.
+    Admitting a part m divides by (1 - q^m), i.e. values[i] += values[i - m]
+    for i = m, m+1, ...: one series.div_binomial_inplace pass per allowed
+    part.  The DP never reaches the division kernel behind r_gf and p_table.
     """
     values = [0] * (require_order(n_max, "n_max") + 1)
     values[0] = 1
-    size = n_max + 1
     for part in rule.allowed_parts(n_max):
-        if part * part <= size:
-            for r in range(part):
-                values[r::part] = accumulate(values[r::part])
-        else:
-            for i in range(part, size, part):
-                values[i:i + part] = map(add, values[i:i + part], values[i - part:i])
+        div_binomial_inplace(values, -1, part)
     return PartitionTable(n_max, tuple(values), rule)
 
 

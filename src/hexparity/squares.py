@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .report import Stopwatch, Violation, proved_report
-from .series import TruncatedSeries, require_order
+from .series import ParitySeries, TruncatedSeries, require_order
 from .theta import QuadraticExponentFamily
 
 
@@ -72,10 +72,7 @@ def indicator_series(p: SquareProgression, order: int) -> TruncatedSeries:
 
 def indicator_bits(p: SquareProgression, order: int) -> int:
     """The indicator packed as an int, for parity-path comparisons."""
-    bits = 0
-    for k in index_set(p, order):
-        bits |= 1 << k
-    return bits
+    return ParitySeries.from_bit_positions(order, index_set(p, order)).bits
 
 
 def exponent_values(f: QuadraticExponentFamily, bound: int) -> list[int]:

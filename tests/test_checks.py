@@ -31,6 +31,7 @@ from hexparity.partitions import (
     regime4_rule,
 )
 from hexparity.report import CheckReport, Violation
+from hexparity.series import TruncatedSeries
 from hexparity.squares import SquareProgression, index_set, is_square
 from hexparity.theta import regime3_sum, regime4_sum
 
@@ -127,7 +128,7 @@ def test_s_pair_controls_fail_early():
         assert report.violations[0].n < 200
 
 
-def parity_sum_violations_oracle(p, ks, target, order, collect_all):
+def parity_sum_violations_oracle(p, ks, target, order):
     """For each n, the parity of sum_{k in ks, k <= n} p(n-k) summed term
     by term from a list of p(n) mod 2."""
     parity = [v & 1 for v in p.values[: order + 1]]
@@ -141,8 +142,6 @@ def parity_sum_violations_oracle(p, ks, target, order, collect_all):
         want = 1 if target.holds(n) else 0
         if acc != want:
             violations.append(Violation(n, acc, want))
-            if not collect_all:
-                break
     return violations
 
 
@@ -162,14 +161,13 @@ def test_parity_sum_violations_match_double_loop():
         p = p_table(order)
         for index_prog, target in parity_scans():
             ks = index_set(index_prog, order)
-            for collect_all in (True, False):
-                got = _parity_sum_violations(p, ks, target, order, collect_all)
-                want = parity_sum_violations_oracle(p, ks, target, order, collect_all)
-                assert got == want, (index_prog, target, order, collect_all)
+            got = _parity_sum_violations(p, ks, target, order)
+            want = parity_sum_violations_oracle(p, ks, target, order)
+            assert got == want, (index_prog, target, order)
     p = p_table(1200)
     for a, b in S_PAIR_CONTROLS:
         ks = index_set(SquareProgression(a, 1), 1200)
-        assert parity_sum_violations_oracle(p, ks, SquareProgression(b, 1), 1200, True)
+        assert parity_sum_violations_oracle(p, ks, SquareProgression(b, 1), 1200)
 
 
 def test_parity_sum_violations_dense_tables():
@@ -181,10 +179,9 @@ def test_parity_sum_violations_dense_tables():
                                             for _ in range(order + 1)))
         for index_prog, target in parity_scans():
             ks = index_set(index_prog, order)
-            for collect_all in (True, False):
-                got = _parity_sum_violations(table, ks, target, order, collect_all)
-                want = parity_sum_violations_oracle(table, ks, target, order, collect_all)
-                assert got == want, (index_prog, target, order, collect_all)
+            got = _parity_sum_violations(table, ks, target, order)
+            want = parity_sum_violations_oracle(table, ks, target, order)
+            assert got == want, (index_prog, target, order)
 
 
 def test_conjecture1_small_scan():
@@ -283,6 +280,88 @@ def test_conjecture2_head_value():
     # n=0, even k: T(0) - rho(0) = 1 - 1 = 0, no violation possible
     reports = check_conjecture2(1, 4, 2, 0)
     assert all(r.status == "EMPIRICAL_PASS" for r in reports)
+
+
+def conjecture2_oracle(tables, part, s, k, reading, order):
+    """The violations of one reading, n by n and j by j from the table."""
+    if reading == "alternating_j":
+        inner = [(-1) ** j for j in range(1, k + 1)]
+    else:
+        inner = [(-1) ** k if part == 1 else 1] * k
+    outer = 1 if k % 2 == 0 else -1
+    rho = rho_series(part, s, order)
+    violations = []
+    for n in range(order + 1):
+        acc = tables.values[n]
+        for j in range(1, k + 1):
+            shift = 2 * j * j
+            if shift > n:
+                break
+            acc += 2 * inner[j - 1] * tables.values[n - shift]
+        value = outer * (acc - rho.coeffs[n])
+        if value < 0:
+            violations.append(Violation(n, value, 0))
+    return violations
+
+
+def test_conjecture2_slice_passes_match_double_loop():
+    # random tables of both signs violate at about half the points; the
+    # orders sit around the shifts 2j^2 = 2, 8, 18, 32, and tables longer
+    # than the order must be cut at it
+    rng = random.Random(31)
+    for order in (0, 1, 2, 7, 8, 9, 17, 18, 19, 32, 301):
+        for part, s in ((1, 2), (2, 1)):
+            rule = regime3_rule(s) if part == 1 else regime4_rule(s)
+            for extra in (0, 3):
+                n_max = order + extra
+                table = PartitionTable(n_max, tuple(rng.randint(-2**70, 2**70)
+                                                    for _ in range(n_max + 1)), rule)
+                for k in range(1, 7):
+                    reports = check_conjecture2(part, s, k, order, tables=table)
+                    for report in reports:
+                        want = conjecture2_oracle(table, part, s, k,
+                                                  report.params["inner_sign"], order)
+                        assert list(report.violations) == want, (order, part, k, extra)
+                        if order == 301:
+                            assert 100 < len(want) < 200, (part, k)
+
+
+def _corrupted(build, at):
+    """build with the coefficients at the given n moved by n + 1."""
+    def broken(*args):
+        coeffs = list(build(*args).coeffs)
+        for n in at:
+            coeffs[n] += n + 1
+        return TruncatedSeries(tuple(coeffs))
+    return broken
+
+
+def test_rogers_failure_reports_every_n(monkeypatch):
+    import hexparity.checks as checks
+
+    order, at = 40, (0, 17, 40)
+    lhs, rhs = regime3_sum(2, order), checks.regime3_product(2, order)
+    monkeypatch.setattr(checks, "regime3_product",
+                        _corrupted(checks.regime3_product, at))
+    report = checks.check_rogers(2, order)
+    assert report.status == "FAIL"
+    assert report.violations == tuple(
+        Violation(n, lhs.coeffs[n], rhs.coeffs[n] + n + 1) for n in at)
+
+
+def test_cross_validate_failure_reports_every_n(monkeypatch):
+    import hexparity.checks as checks
+
+    rule, order, at = regime4_rule(3), 40, (0, 23, 40)
+    counts = count_restricted(rule, order).values
+    monkeypatch.setattr(checks, "r_gf", _corrupted(checks.r_gf, at))
+    report = checks.cross_validate(rule, order)
+    assert report.status == "FAIL"
+    assert report.violations == tuple(
+        Violation(n, counts[n], counts[n] + n + 1) for n in at)
+    assert report.details["routes"] == [
+        {"n": n, "dp": str(counts[n]), "gf": str(counts[n] + n + 1),
+         "decomposition": str(counts[n])} for n in at]
 
 
 def test_cross_validate_all_rules():
