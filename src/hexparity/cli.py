@@ -115,16 +115,17 @@ EXPAND_TARGETS = {
 }
 
 
-def _expand_series(args, parser) -> list[tuple[int, int]]:
+def _expand_series(args) -> tuple[list[tuple[int, int]], dict]:
+    """The rows of an expand target and the params they were computed with."""
     target = args.target
     order = require_order(args.order if args.order is not None else 20)
     valid, coefficients = EXPAND_TARGETS[target]
-    if valid is not None:
-        if args.s is None:
-            parser.error(f"target {target!r} requires --s")
-        if args.s not in valid:
-            parser.error(f"target {target!r} requires --s in {sorted(valid)}")
-    return list(enumerate(coefficients(args.s, order)))
+    if valid is None and args.s is not None:
+        raise ValueError(f"{target} takes no --s")
+    if valid is not None and args.s not in valid:
+        raise ValueError(f"target {target!r} requires --s in {sorted(valid)}")
+    params = {"target": target, "s": args.s, "order": order}
+    return list(enumerate(coefficients(args.s, order))), params
 
 
 def _parse_k_range(text: str, parser) -> list[int]:
@@ -201,8 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     status = EXIT_PASS
     try:
         if args.command == "expand":
-            rows = _expand_series(args, parser)
-            params = {"target": args.target, "s": args.s, "order": args.order}
+            rows, params = _expand_series(args)
             _emit_table(rows, args, command, watch, params)
         else:
             name = args.check if args.command == "verify" else args.which

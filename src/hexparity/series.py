@@ -562,14 +562,6 @@ class ParitySeries:
             raise ValueError("bits extend beyond the truncation order")
 
     @staticmethod
-    def zero(order: int) -> "ParitySeries":
-        return ParitySeries(order, 0)
-
-    @staticmethod
-    def one(order: int) -> "ParitySeries":
-        return ParitySeries(order, 1)
-
-    @staticmethod
     def from_bit_positions(order: int, positions) -> "ParitySeries":
         bits = 0
         for n in positions:
@@ -623,11 +615,6 @@ class ParitySeries:
         return ParitySeries(self.order, (self.bits << m) & self._mask(self.order))
 
     @staticmethod
-    def times_binomial_bits(bits: int, m: int, top: int) -> int:
-        """bits * (1 + q^m) on a raw bit int, keeping bits 0..top."""
-        return (bits ^ (bits << m)) & ((1 << (top + 1)) - 1)
-
-    @staticmethod
     def spread_bits(bits: int) -> int:
         """Move bit i of a raw bit int to bit 2i: x(q) -> x(q^2).
 
@@ -637,59 +624,59 @@ class ParitySeries:
         return int(format(bits, "x").translate(_SPREAD_NIBBLES), 16)
 
     @staticmethod
-    def reciprocal_qq_bits(count: int, top: int) -> int:
-        """1/(q;q)_count mod 2 on a raw bit int, keeping bits 0..top, by
-        multiplications only.
+    def reciprocal_bits(exponents, top: int) -> int:
+        """1/prod_{m in exponents} (1 + q^m) mod 2 on a raw bit int, keeping
+        bits 0..top, by multiplications only; exponents may repeat.
 
-        Mod 2, (q;q)_count = O(q) * (q;q)_(count//2)(q^2), O being the
-        product of the (1 + q^o) over odd o <= count, and O(q)^2 = O(q^2)
-        (Frobenius), so
+        Mod 2, (1 + q^m)^2 = 1 + q^2m, so a repeated exponent carries to its
+        double, and the product runs over a set.  With O the product over
+        the odd exponents of that set and E(q^2) the product over the even
+        ones, O(q)^2 = O(q^2) (Frobenius) gives
 
-            1/(q;q)_count = O(q) * [(q;q)_(count//2) / (q;q)_count](q^2).
+            1/(O(q) E(q^2)) = O(q) * [1/(O E)](q^2).
 
-        The bracket is this function at precision top//2 times count//2
-        binomials.  Each level is count one-shift passes (none with an
-        exponent past its precision), and the precision halves at each
-        level: about 1.5*count*top shifted bits in all.
+        The bracket is this function at precision top//2 on the odd
+        exponents and the halved even ones, spread to q^2; then one shifted
+        XOR per odd exponent.  Only the exponents present are visited, and
+        the precision halves at each level.
         """
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        present = set()
+        for m in exponents:
+            if m < 1:
+                raise ValueError("cannot divide by a constant binomial factor")
+            while m <= top and m in present:
+                present.remove(m)
+                m <<= 1
+            if m <= top:
+                present.add(m)
         if require_order(top, "top") == 0:
             return 1
-        half = top // 2
-        bits = ParitySeries.reciprocal_qq_bits(count, half)
-        mask = (1 << (half + 1)) - 1
-        for m in range(1, min(count // 2, half) + 1):
-            bits = (bits ^ (bits << m)) & mask
-        bits = ParitySeries.spread_bits(bits)
+        odd = [m for m in present if m & 1]
+        halved = [m >> 1 for m in present if not m & 1]
+        bits = ParitySeries.spread_bits(ParitySeries.reciprocal_bits(odd + halved, top // 2))
         mask = (1 << (top + 1)) - 1
-        for m in range(1, min(count, top) + 1, 2):
+        for m in odd:
             bits = (bits ^ (bits << m)) & mask
-        return bits
-
-    @staticmethod
-    def div_binomial_bits(bits: int, m: int, top: int) -> int:
-        """bits / (1 + q^m) on a raw bit int, keeping bits 0..top.
-
-        1/(1 + q^m) = (1 + q^m)(1 + q^2m)(1 + q^4m)... mod 2, so the
-        quotient is log2(top/m) shifted XORs.
-        """
-        if m < 1:
-            raise ValueError("cannot divide by a constant binomial factor")
-        mask = (1 << (top + 1)) - 1
-        bits &= mask
-        while m <= top:
-            bits = (bits ^ (bits << m)) & mask
-            m <<= 1
         return bits
 
     def times_binomial(self, m: int) -> "ParitySeries":
         """Multiply by (1 + q^m); signs are invisible mod 2."""
-        return ParitySeries(self.order, self.times_binomial_bits(self.bits, m, self.order))
+        return self + self.shift(m)
 
     def div_binomial(self, m: int) -> "ParitySeries":
-        """Divide by (1 + q^m): multiply by the geometric series in q^m."""
-        return ParitySeries(self.order, self.div_binomial_bits(self.bits, m, self.order))
+        """Divide by (1 + q^m): multiply by the geometric series in q^m.
+
+        1/(1 + q^m) = (1 + q^m)(1 + q^2m)(1 + q^4m)... mod 2, so the
+        quotient is log2(order/m) shifted XORs.
+        """
+        if m < 1:
+            raise ValueError("cannot divide by a constant binomial factor")
+        mask = self._mask(self.order)
+        bits = self.bits
+        while m <= self.order:
+            bits = (bits ^ (bits << m)) & mask
+            m <<= 1
+        return ParitySeries(self.order, bits)
 
     def square(self) -> "ParitySeries":
         """Frobenius: squaring mod 2 doubles every exponent."""

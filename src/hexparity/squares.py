@@ -47,19 +47,13 @@ def index_set(p: SquareProgression, n_max: int) -> list[int]:
     """Sorted list of all k <= n_max with a*k + c a perfect square.
 
     Enumerates square roots r <= sqrt(a*n_max + c) instead of scanning all
-    k, so bounds around 10^6 stay cheap.
+    k, so bounds around 10^6 stay cheap.  k = (r^2 - c)/a rises strictly
+    with r, so the list comes out sorted and without repeats.
     """
     if n_max < 0:
         return []
-    found = set()
-    r_max = math.isqrt(p.a * n_max + p.c)
-    for r in range(r_max + 1):
-        num = r * r - p.c
-        if num < 0:
-            continue
-        if num % p.a == 0:
-            found.add(num // p.a)
-    return sorted(found)
+    return [(r * r - p.c) // p.a for r in range(math.isqrt(p.a * n_max + p.c) + 1)
+            if r * r >= p.c and (r * r - p.c) % p.a == 0]
 
 
 def indicator_series(p: SquareProgression, order: int) -> TruncatedSeries:

@@ -454,13 +454,21 @@ def _forward_sum(base: list[int], first: int, exponent, factors, order: int) -> 
     return TruncatedSeries(tuple(acc))
 
 
-def _backward_parity_sum(base: int, last: int, exponent, factors, order: int) -> ParitySeries:
-    """sum_{n=0..last} q^exponent(n) * base_n mod 2, exponent(0) being 0.
+def _backward_parity_sum(exponent, base_exponents, factors, order: int) -> ParitySeries:
+    """sum_{n>=0} q^exponent(n) * base_n mod 2 up to q^order, exponent
+    increasing from exponent(0) = 0.
 
-    base is base_last as a raw bit int (bits 0..order), and base_(n-1) is
-    base_n times the (1 + q^m) for m in factors(n): one shift per factor,
-    at full precision, so every base_n is exact up to q^order.
+    base_n is 1/prod (1 + q^m) over m in base_exponents(n).  The walk
+    starts at the last n, M, with exponent(M) <= order, whose base is
+    ParitySeries.reciprocal_bits; base_(n-1) is base_n times the (1 + q^m)
+    for m in factors(n): one shift per factor, at full precision, so every
+    base_n is exact up to q^order.
     """
+    require_order(order)
+    last = 0
+    while exponent(last + 1) <= order:
+        last += 1
+    base = ParitySeries.reciprocal_bits(base_exponents(last), order)
     mask = (1 << (order + 1)) - 1
     acc = 0
     for n in range(last, 0, -1):
@@ -470,33 +478,17 @@ def _backward_parity_sum(base: int, last: int, exponent, factors, order: int) ->
     return ParitySeries(order, (acc ^ base) & mask)
 
 
-def _last_index(exponent, order: int) -> int:
-    """The largest n with exponent(n) <= order, exponent increasing from
-    exponent(0) = 0."""
-    n = 0
-    while exponent(n + 1) <= order:
-        n += 1
-    return n
-
-
 def regime3_sum_parity(s: int, order: int) -> ParitySeries:
     """regime3_sum reduced mod 2, by multiplications only.
 
-    Mod 2 the base (-q;q)_n/(q;q)_(2n+1) is (q;q)_n/(q;q)_(2n+1), and since
-    (1 + q^2n) = (1 + q^n)^2, base_(n-1) = base_n (1 + q^n)(1 + q^(2n+1)).
-    So the summands are walked backward from the last one, n = M, whose
-    base is (q;q)_M times ParitySeries.reciprocal_qq_bits(2M+1).
+    Mod 2 the base (-q;q)_n/(q;q)_(2n+1) is (q;q)_n/(q;q)_(2n+1), which is
+    1/prod_{m=n+1..2n+1} (1 + q^m); and since (1 + q^2n) = (1 + q^n)^2,
+    base_(n-1) = base_n (1 + q^n)(1 + q^(2n+1)).
     """
     if s not in (2, 4):
         raise ValueError("s must be 2 or 4")
-    def exponent(n):
-        return n * (3 * n + s - 1) // 2
-    last = _last_index(exponent, require_order(order))
-    base = ParitySeries.reciprocal_qq_bits(2 * last + 1, order)
-    mask = (1 << (order + 1)) - 1
-    for m in range(1, last + 1):
-        base = (base ^ (base << m)) & mask
-    return _backward_parity_sum(base, last, exponent,
+    return _backward_parity_sum(lambda n: n * (3 * n + s - 1) // 2,
+                                lambda n: range(n + 1, 2 * n + 2),
                                 lambda n: (n, 2 * n + 1), order)
 
 
@@ -504,17 +496,12 @@ def regime4_sum_parity(s: int, order: int) -> ParitySeries:
     """regime4_sum reduced mod 2, by multiplications only.
 
     With d = (s-1)/2 the base is 1/(q;q)_(2n+d), so base_(n-1) =
-    base_n (1 + q^(2n-1+d))(1 + q^(2n+d)) mod 2, walked backward from
-    ParitySeries.reciprocal_qq_bits(2M+d) as in regime3_sum_parity.
+    base_n (1 + q^(2n-1+d))(1 + q^(2n+d)) mod 2.
     """
     if s not in (1, 3):
         raise ValueError("s must be 1 or 3")
     d = (s - 1) // 2
-    def exponent(n):
-        return n * (n + 1)
-    last = _last_index(exponent, require_order(order))
-    base = ParitySeries.reciprocal_qq_bits(2 * last + d, order)
-    return _backward_parity_sum(base, last, exponent,
+    return _backward_parity_sum(lambda n: n * (n + 1), lambda n: range(1, 2 * n + d + 1),
                                 lambda n: (2 * n - 1 + d, 2 * n + d), order)
 
 

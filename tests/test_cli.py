@@ -62,6 +62,14 @@ def test_expand_requires_s(capsys):
     assert "requires --s" in err
 
 
+def test_expand_records_the_order_used(capsys):
+    code, out, _ = run_cli(capsys, "expand", "G", "--format", "json")
+    assert code == 0
+    table = json.loads(out)["table"]
+    assert table["params"] == {"target": "G", "s": None, "order": 20}
+    assert [row["n"] for row in table["rows"]] == list(range(21))
+
+
 def test_json_output_round_trips(capsys):
     code, out, _ = run_cli(capsys, "verify", "cross-validate", "--s", "2",
                            "--order", "50", "--format", "json")
@@ -210,6 +218,10 @@ def test_negative_order_is_a_usage_error(capsys, argv):
     # --reading on a scan with no readings
     ("conjecture 1 --reading j --order 20", "1 takes no --reading"),
     ("conjecture s-pairs --reading literal", "s-pairs takes no --reading"),
+    # --s on an expand target that takes none
+    ("expand p --s 2", "p takes no --s"),
+    ("expand G --s 7", "G takes no --s"),
+    ("expand H --s 1 --order 5 --format json", "H takes no --s"),
 ])
 def test_flag_a_check_ignores_is_a_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())

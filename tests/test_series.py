@@ -458,23 +458,6 @@ def test_parity_binomial_ops_match_bigint():
             assert a.shift(m).reduce_mod2() == a.reduce_mod2().shift(m)
 
 
-def test_parity_bit_kernels_truncate():
-    # a pass kept to bits 0..top equals the full-length pass cut at top,
-    # whatever the input holds above top
-    rng = random.Random(37)
-    for _ in range(300):
-        order = rng.randint(0, 90)
-        top = rng.randint(0, order)
-        m = rng.randint(1, order + 2)
-        x = ParitySeries(order, rng.getrandbits(order + 1))
-        low = (1 << (top + 1)) - 1
-        assert ParitySeries.times_binomial_bits(x.bits, m, top) == \
-            x.times_binomial(m).bits & low
-        assert ParitySeries.div_binomial_bits(x.bits, m, top) == x.div_binomial(m).bits & low
-    with pytest.raises(ValueError):
-        ParitySeries.div_binomial_bits(1, 0, 5)
-
-
 def test_square_matches_set_bit_walk():
     # the spread kernel against the set-bit walk it replaced, on seeded
     # random bits of every density; orders just under twice the top set
@@ -508,25 +491,34 @@ def test_square_matches_set_bit_walk():
         assert ParitySeries.spread_bits(x.bits) == walk(ParitySeries(2 * x.order, x.bits)).bits
 
 
-def test_reciprocal_qq_bits_matches_exact_quotient():
-    # 1/(q;q)_K mod 2 against the exact quotient reduced mod 2, at
-    # precisions on both sides of K/2 and K (where the odd and the
-    # halved passes stop short) and at 2^j +- 1 (where the halving
-    # recursion changes depth)
-    for count in (0, 1, 2, 3, 7, 8, 33):
-        tops = {0, 1, 2, count // 2 - 1, count // 2 + 1, count - 1, count + 1}
-        tops |= {2**j + d for j in range(1, 11) for d in (-1, 1)}
-        for top in sorted(t for t in tops if t >= 0):
-            exact = pochhammer_quotient([], [QPochhammerSpec(1, 1, 1, count)], top)
-            assert ParitySeries.reciprocal_qq_bits(count, top) == exact.reduce_mod2().bits, \
-                (count, top)
+def test_reciprocal_bits_matches_exact_quotient():
+    # 1/prod (1 + q^m) mod 2 against the exact quotient by the (1 - q^m)
+    # reduced mod 2, on seeded multisets with repeats (so that carries run
+    # m -> 2m -> 4m, some of them past top), on {1..K} and on the
+    # regime-III windows {M+1..2M+1}, at tops 0, 1, 2 and 2^j +- 1 (where
+    # the halving recursion changes depth)
+    rng = random.Random(59)
+    exponent_lists = [list(range(1, k + 1)) for k in (0, 1, 2, 3, 7, 8, 33)]
+    exponent_lists += [list(range(m + 1, 2 * m + 2)) for m in (0, 1, 2, 5, 12, 19)]
+    exponent_lists += [[3, 3, 6, 12, 12, 24], [1, 1, 2, 2, 4, 4, 8, 8], [40] * 5]
+    for _ in range(40):
+        pool = rng.sample(range(1, 41), rng.randint(1, 6))
+        exponent_lists.append([rng.choice(pool) for _ in range(rng.randint(1, 25))])
+    tops = [0, 1, 2] + [2**j + d for j in range(1, 11) for d in (-1, 1)]
+    for exponents in exponent_lists:
+        denominators = [QPochhammerSpec(1, m, 1, 1) for m in exponents]
+        for top in tops:
+            exact = pochhammer_quotient([], denominators, top).reduce_mod2()
+            assert ParitySeries.reciprocal_bits(exponents, top) == exact.bits, (exponents, top)
     with pytest.raises(ValueError):
-        ParitySeries.reciprocal_qq_bits(-1, 5)
+        ParitySeries.reciprocal_bits([0], 5)
     with pytest.raises(ValueError):
-        ParitySeries.reciprocal_qq_bits(3, -1)
+        ParitySeries.reciprocal_bits([3], -1)
 
 
 def test_parity_series_validation():
     with pytest.raises(ValueError):
         ParitySeries(3, 1 << 5)
     assert ParitySeries.from_bit_positions(4, [0, 2, 9]).bit_list() == [1, 0, 1, 0, 0]
+    with pytest.raises(ValueError):
+        ParitySeries(5, 1).div_binomial(0)

@@ -61,6 +61,18 @@ def test_index_set_examples():
     assert index_set(SquareProgression(40, 9), 0) == [0]
 
 
+def test_index_set_matches_brute_force_scan():
+    # c = 0, c a square and c not a square; (3, 7) has r^2 - c divisible
+    # by a at r = 1, below sqrt(c)
+    for prog in (SquareProgression(20, 1), SquareProgression(40, 9), SquareProgression(15, 4),
+                 SquareProgression(7, 3), SquareProgression(5, 0), SquareProgression(6, 3),
+                 SquareProgression(11, 5), SquareProgression(3, 7)):
+        for n_max in range(301):
+            assert index_set(prog, n_max) == [k for k in range(n_max + 1) if prog.holds(k)], \
+                (prog, n_max)
+    assert index_set(SquareProgression(20, 1), -1) == []
+
+
 def test_index_set_matches_indicator():
     for prog in (SquareProgression(120, 1), SquareProgression(15, 4),
                  SquareProgression(6, 1)):

@@ -312,7 +312,7 @@ def test_regime_parity_paths_match_bigint():
     # n(3n+s-1)/2 (regime III) or n(n+1) (regime IV) lands on the order
     # exactly, and one below: these pin the bounds of each accumulation.
     # Orders 2^j - 1, 2^j and 2^j + 1 are where the halving recursion of
-    # ParitySeries.reciprocal_qq_bits changes depth
+    # ParitySeries.reciprocal_bits changes depth
     rng = random.Random(41)
     seeded = [0, 1, 400] + [rng.randint(0, 1500) for _ in range(27)]
     seeded += [2**j + d for j in range(1, 13) for d in (-1, 0, 1)]
@@ -333,12 +333,8 @@ def forward_parity_sum(regime: int, s: int, order: int) -> int:
     updated from n-1 to n by a multiplication and two divisions
     (regime III) or two divisions (regime IV) by binomials, kept to bits
     0..order-e(n)."""
-    times, div = ParitySeries.times_binomial_bits, ParitySeries.div_binomial_bits
-    if regime == 3:
-        base = div(1, 1, order)
-    else:
-        d = (s - 1) // 2
-        base = div(1, 1, order) if d else 1
+    d = (s - 1) // 2
+    base = 1 if regime == 4 and not d else ParitySeries(order, 1).div_binomial(1).bits
     acc = 0
     n = e = 0
     while True:
@@ -348,10 +344,12 @@ def forward_parity_sum(regime: int, s: int, order: int) -> int:
         if e > order:
             return acc
         top = order - e
+        x = ParitySeries(top, base & ((1 << (top + 1)) - 1))
         if regime == 3:
-            base = div(div(times(base, n, top), 2 * n, top), 2 * n + 1, top)
+            x = x.times_binomial(n).div_binomial(2 * n).div_binomial(2 * n + 1)
         else:
-            base = div(div(base, 2 * n - 1 + d, top), 2 * n + d, top)
+            x = x.div_binomial(2 * n - 1 + d).div_binomial(2 * n + d)
+        base = x.bits
 
 
 def test_regime_parity_sums_match_forward_division_walk():
