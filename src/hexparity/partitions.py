@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cache
 
 from .series import (
-    P_TABLE_BLOCK,  # p_table's block length, re-exported
     TruncatedSeries,
     _divide_by_euler,
     div_binomial_inplace,
@@ -116,8 +115,8 @@ def p_table(n_max: int) -> PartitionTable:
 
     The division runs the pentagonal-number recurrence
     p(n) = sum_{k>=1} (-1)^(k-1) * (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))
-    in blocks of P_TABLE_BLOCK (series._divide_by_euler, the kernel behind
-    every partition-type product).
+    as one pass per gap between pentagonal numbers (series._divide_by_euler,
+    the kernel behind every partition-type product).
     """
     values = [0] * (require_order(n_max, "n_max") + 1)
     values[0] = 1
@@ -176,7 +175,8 @@ def count_restricted(rule: PartResidueRule, n_max: int) -> PartitionTable:
 
     Admitting a part m divides by (1 - q^m), i.e. values[i] += values[i - m]
     for i = m, m+1, ...: one series.div_binomial_inplace pass per allowed
-    part.  The DP never reaches the division kernel behind r_gf and p_table.
+    part, which reads the values it has just finished.  The DP never reaches
+    the division kernel behind r_gf and p_table.
     """
     values = [0] * (require_order(n_max, "n_max") + 1)
     values[0] = 1

@@ -13,7 +13,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import islice, repeat
 from math import gcd
 from operator import add, and_, mul, neg, sub
 
@@ -42,9 +42,11 @@ def require_order(order: int, what: str = "order") -> int:
 #
 # Multiplying or dividing by a single binomial (1 + c*q^m) is a linear pass,
 # and every infinite product in this package factors into such binomials.
-# Each pass runs its per-coefficient work at C level, over list slices
-# (`map`, `accumulate`), so it takes at most about sqrt(len) interpreted
-# steps for c = +-1; the arithmetic stays exact Python ints.
+# Each pass runs its per-coefficient work at C level (`map` over slices or
+# iterators), on exact Python ints.  A division reads its own finished
+# output: it extends a list through `map`s whose lag operands are iterators
+# over that same list, and a list iterator yields the items appended after
+# it was made.
 # ---------------------------------------------------------------------------
 
 
@@ -63,34 +65,16 @@ def mul_binomial_inplace(coeffs: list[int], c: int, m: int) -> None:
 def div_binomial_inplace(coeffs: list[int], c: int, m: int) -> None:
     """Divide by (1 + c*q^m) in place; requires m >= 1.
 
-    Solves out[i] = coeffs[i] - c*out[i-m].  For c = +-1 and m*m <= len
-    each residue class mod m becomes its running sum (alternating for
-    c = 1: odd positions of the class are negated before and after);
-    otherwise each length-m block subtracts c times the finished block
-    before it.
+    Solves out[i] = coeffs[i] - c*out[i-m] in one pass: out starts as
+    coeffs[:m] and is extended from coeffs[m:] and an iterator over out
+    itself, which reads out[i-m] when out[i] is appended.
     """
     if m < 1:
         raise ValueError("cannot divide by a constant binomial factor")
-    n = len(coeffs)
-    if c in (1, -1) and m * m <= n:
-        for r in range(m):
-            run = coeffs[r::m]
-            if c == 1:
-                run[1::2] = map(neg, run[1::2])
-                run = list(accumulate(run))
-                run[1::2] = map(neg, run[1::2])
-                coeffs[r::m] = run
-            else:
-                coeffs[r::m] = accumulate(run)
-        return
-    for i in range(m, n, m):
-        prev = coeffs[i - m:i]
-        if c == -1:
-            coeffs[i:i + m] = map(add, coeffs[i:i + m], prev)
-        elif c == 1:
-            coeffs[i:i + m] = map(sub, coeffs[i:i + m], prev)
-        else:
-            coeffs[i:i + m] = map(sub, coeffs[i:i + m], map(mul, prev, repeat(c)))
+    out = coeffs[:m]
+    lag = iter(out) if c in (1, -1) else map(mul, iter(out), repeat(c))
+    out.extend(map(add if c == -1 else sub, islice(coeffs, m, None), lag))
+    coeffs[:] = out
 
 
 @dataclass(frozen=True)
@@ -383,48 +367,38 @@ def _expand_by_recurrence(lead: int, c: list[int]) -> list[int]:
     return acc
 
 
-# block length of the division by (q;q)oo: pentagonal terms at least this
-# long are added to a whole block with one slice pass
-P_TABLE_BLOCK = 128
-
-
 def _divide_run_by_euler(run: list[int]) -> None:
     """Divide run in place by (x;x)oo, x being the run's variable.
 
     Euler's pentagonal theorem (x;x)oo = sum_k (-1)^k x^(k(3k-1)/2) turns
     the division into out(n) = run(n) + sum_{k>=1} (-1)^(k-1) *
     (out(n - k(3k-1)/2) + out(n - k(3k+1)/2)); on run = [1, 0, ...] this is
-    the p(n) recurrence.  The n are taken in blocks of P_TABLE_BLOCK.  A
-    term with pentagonal number g >= P_TABLE_BLOCK reads only values before
-    the block, so it is added to the whole block with one slice pass; only
-    the terms with smaller g are summed per n.
+    the p(n) recurrence.  The term with generalized pentagonal number g
+    gets its lag, an iterator over out, at n = g, where it reads out(0) =
+    out(n - g); it then advances with out.  Between consecutive g the set of
+    lags is fixed, so each such segment of out is one pass: the lags of the
+    terms added (k odd) summed with run, minus the sum of those subtracted.
     """
     size = len(run)
-    # the generalized pentagonal numbers g, increasing, with the operation
-    # (add for k odd, sub for k even) that applies their term
+    # the generalized pentagonal numbers g, increasing, each with whether its
+    # term is added (k odd) or subtracted (k even)
     terms = []
     k = 1
     while k * (3 * k - 1) // 2 < size:
-        op = add if k % 2 == 1 else sub
-        terms += [(k * (3 * k - 1) // 2, op), (k * (3 * k + 1) // 2, op)]
+        terms += [(k * (3 * k - 1) // 2, k % 2), (k * (3 * k + 1) // 2, k % 2)]
         k += 1
-    near = [(g, op) for g, op in terms if g < P_TABLE_BLOCK]
-    far = [(g, op) for g, op in terms if g >= P_TABLE_BLOCK]
-    for lo in range(1, size, P_TABLE_BLOCK):
-        hi = min(lo + P_TABLE_BLOCK, size)
-        block = run[lo:hi]
-        for g, op in far:
-            if g >= hi:
-                break
-            start = max(lo, g)
-            block[start - lo:] = map(op, block[start - lo:], run[start - g:hi - g])
-        for n in range(lo, hi):
-            total = block[n - lo]
-            for g, op in near:
-                if g > n:
-                    break
-                total = op(total, run[n - g])
-            run[n] = total
+    out = run[:1]
+    src = islice(run, 1, None)
+    plus, minus = [], []
+    for (g, added), (stop, _) in zip(terms, terms[1:] + [(size, 0)]):
+        if g >= size:
+            break
+        (plus if added else minus).append(iter(out))
+        segment = map(sum, zip(islice(src, stop - g), *plus))
+        if minus:
+            segment = map(sub, segment, map(sum, zip(*minus)))
+        out.extend(segment)
+    run[:] = out
 
 
 def _divide_by_euler(coeffs: list[int], d: int, times: int) -> None:
@@ -489,8 +463,9 @@ def pochhammer_quotient(numerators, denominators, order: int) -> TruncatedSeries
       of _expand_by_recurrence, whose cost grows with the nonzero
       coefficients found, not with the number of factors;
     - net < 0 with a theta-type numerator (the partition-type products):
-      that numerator by the recurrence, then k blocked divisions by
-      (q^d;q^d)oo (_divide_by_euler), about order^1.5 additions each;
+      that numerator by the recurrence, then k divisions by (q^d;q^d)oo
+      (_divide_by_euler), each one pass over Euler's pentagonal series,
+      about order^1.5 additions;
     - otherwise (finite products, or a numerator with a denominator left):
       one binomial pass per factor through pochhammer_quotient_inplace,
       linear per factor.
@@ -625,8 +600,9 @@ class ParitySeries:
 
     @staticmethod
     def reciprocal_bits(exponents, top: int) -> int:
-        """1/prod_{m in exponents} (1 + q^m) mod 2 on a raw bit int, keeping
-        bits 0..top, by multiplications only; exponents may repeat.
+        """1/prod_{m in exponents} (1 + q^m) mod 2 up to q^top on a raw bit
+        int in top-down layout, the coefficient of q^j at bit top - j, by
+        multiplications only; exponents may repeat.
 
         Mod 2, (1 + q^m)^2 = 1 + q^2m, so a repeated exponent carries to its
         double, and the product runs over a set.  With O the product over
@@ -636,9 +612,11 @@ class ParitySeries:
             1/(O(q) E(q^2)) = O(q) * [1/(O E)](q^2).
 
         The bracket is this function at precision top//2 on the odd
-        exponents and the halved even ones, spread to q^2; then one shifted
-        XOR per odd exponent.  Only the exponents present are visited, and
-        the precision halves at each level.
+        exponents and the halved even ones, spread to q^2 (and moved up one
+        bit for odd top, so that q^0 sits at bit top); then one shifted XOR
+        per odd exponent, x ^ (x >> m), which drops the terms past q^top by
+        itself.  Only the exponents present are visited, and the precision
+        halves at each level.
         """
         present = set()
         for m in exponents:
@@ -654,9 +632,9 @@ class ParitySeries:
         odd = [m for m in present if m & 1]
         halved = [m >> 1 for m in present if not m & 1]
         bits = ParitySeries.spread_bits(ParitySeries.reciprocal_bits(odd + halved, top // 2))
-        mask = (1 << (top + 1)) - 1
+        bits <<= top & 1
         for m in odd:
-            bits = (bits ^ (bits << m)) & mask
+            bits ^= bits >> m
         return bits
 
     def times_binomial(self, m: int) -> "ParitySeries":

@@ -406,14 +406,15 @@ def rr_H(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
 def regime3_sum(s: int, order: int) -> TruncatedSeries:
     """sum_n (-q;q)_n q^(n(3n+s-1)/2) / (q;q)_(2n+1), s in {2, 4}.
 
-    _forward_sum walks the base (-q;q)_n/(q;q)_(2n+1) from 1/(1-q), one
-    binomial multiplication and two binomial divisions per n.
+    _forward_sum walks the base (-q;q)_n/(q;q)_(2n+1) from 1/(1-q), two
+    binomial divisions per n: base_n/base_(n-1) is
+    (1+q^n)/((1-q^2n)(1-q^(2n+1))) = 1/((1-q^n)(1-q^(2n+1))).
     """
     if s not in (2, 4):
         raise ValueError("s must be 2 or 4")
     return _forward_sum([1] * (require_order(order) + 1), 0,
                         lambda n: n * (3 * n + s - 1) // 2,
-                        lambda n: ([(1, n)], [(-1, 2 * n), (-1, 2 * n + 1)]), order)
+                        lambda n: ([], [(-1, n), (-1, 2 * n + 1)]), order)
 
 
 def regime4_sum(s: int, order: int) -> TruncatedSeries:
@@ -462,20 +463,22 @@ def _backward_parity_sum(exponent, base_exponents, factors, order: int) -> Parit
     starts at the last n, M, with exponent(M) <= order, whose base is
     ParitySeries.reciprocal_bits; base_(n-1) is base_n times the (1 + q^m)
     for m in factors(n): one shift per factor, at full precision, so every
-    base_n is exact up to q^order.
+    base_n is exact up to q^order.  Base and sum are kept top-down, the
+    coefficient of q^j at bit order - j, so a shift right drops exactly the
+    terms past q^order and no int grows beyond order + 1 bits; the sum is
+    read back by reversing its bit string once.
     """
     require_order(order)
     last = 0
     while exponent(last + 1) <= order:
         last += 1
     base = ParitySeries.reciprocal_bits(base_exponents(last), order)
-    mask = (1 << (order + 1)) - 1
     acc = 0
     for n in range(last, 0, -1):
-        acc ^= base << exponent(n)
+        acc ^= base >> exponent(n)
         for m in factors(n):
-            base = (base ^ (base << m)) & mask
-    return ParitySeries(order, (acc ^ base) & mask)
+            base ^= base >> m
+    return ParitySeries(order, int(format(acc ^ base, f"0{order + 1}b")[::-1], 2))
 
 
 def regime3_sum_parity(s: int, order: int) -> ParitySeries:

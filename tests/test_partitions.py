@@ -7,7 +7,6 @@ import pytest
 
 from hexparity.partitions import (
     ORACLE_BOUND,
-    P_TABLE_BLOCK,
     OracleBoundExceeded,
     TableTooSmall,
     count_restricted,
@@ -67,9 +66,11 @@ def p_recurrence_oracle(n_max: int) -> list[int]:
 
 
 def test_p_table_blocks_match_recurrence():
-    # orders around one, two and three blocks, and one far past them
-    b = P_TABLE_BLOCK
-    for n_max in (0, 1, b - 1, b, b + 1, 2 * b, 3 * b + 7, 2000):
+    # n_max = g - 1, g and g + 1 for the first generalized pentagonal
+    # numbers g and for those of k = 9 and 10, which lie around 128 (the
+    # division takes on the lag of term g at n = g), and one far past them
+    pentagonal = (1, 2, 5, 7, 12, 15, 117, 126, 145)
+    for n_max in sorted({0, 1, 2, 3, 2000} | {g + e for g in pentagonal for e in (-1, 0, 1)}):
         assert list(p_table(n_max).values) == p_recurrence_oracle(n_max), n_max
 
 
@@ -146,8 +147,8 @@ def test_dp_route_does_not_use_the_division_kernel(monkeypatch):
 
 
 def test_restricted_dp_matches_gf_at_every_order():
-    # every size from 1 to 151 passes the perfect squares at which a part
-    # switches from per-residue running sums to per-block passes
+    # every size from 1 to 151 passes the perfect squares, so that each
+    # part m meets sizes below, at and above m*m
     for rule in ALL_RULES:
         for n_max in range(151):
             table = count_restricted(rule, n_max)

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice, repeat
+from operator import add
 
 import pytest
 
 from hexparity.series import (
     INFINITE,
-    P_TABLE_BLOCK,
     DegenerateFactor,
     NonUnitConstantTerm,
     OrderExceeded,
@@ -290,13 +291,33 @@ def test_recurrence_matches_binomial_passes():
     assert len(seen) == 6, seen
 
 
+def test_list_iterator_yields_items_extend_appends():
+    # both divisions extend a list through maps whose lag operands are
+    # iterators over that same list, made before the extend (the Euler
+    # division keeps them across several extends); they rely on a list
+    # iterator yielding the items appended after it was made
+    out = [0, 1]
+    lag2, lag1 = iter(out), iter(out)
+    next(lag1)
+    out.extend(map(add, islice(lag2, 3), lag1))
+    assert out == [0, 1, 1, 2, 3]
+    out.extend(map(sum, zip(islice(repeat(0), 3), lag2, lag1)))
+    assert out == [0, 1, 1, 2, 3, 5, 8, 13]
+
+
+# the first generalized pentagonal numbers k(3k -+ 1)/2, and those of k = 9
+# and 10, which lie around 128
+PENTAGONAL = (1, 2, 5, 7, 12, 15, 117, 126, 145)
+
+
 def test_division_kernel_matches_binomial_passes():
     # the division by (q^d;q^d)oo^k against the binomial passes, on
     # [1, 0, ...] and on random start lists: spec lists in q^d for d = 1, 2
     # and 5 (pochhammer_quotient and times_quotient, whichever route they
-    # pick) and the division alone, at orders 0..3 and around one block
-    b = P_TABLE_BLOCK
-    orders = [0, 1, 2, 3, b - 1, b, b + 1]
+    # pick) and the division alone, at orders 0..3 and g - 1, g and g + 1
+    # for pentagonal numbers g, where the Euler division takes on a lag and
+    # starts a new segment; the division alone also at 300
+    orders = sorted({0, 1, 2, 3} | {g + e for g in PENTAGONAL for e in (-1, 0, 1)})
     named = [
         ([], [(1, 1, 1, None)]),  # 1/(q;q)oo
         ([(1, 1, 10, None), (1, 9, 10, None), (1, 10, 10, None),
@@ -346,7 +367,7 @@ def test_division_kernel_matches_binomial_passes():
                     "finite count", "passes"} | {f"order {n}" for n in orders[1:]}, seen
 
     # the division alone on random start lists, d and k from 1 to 3
-    for order in orders + [2 * b + 3, 300]:
+    for order in orders + [300]:
         for d in (1, 2, 5):
             for k in (1, 2, 3):
                 got = list(sparse_series(rng, order).coeffs)
@@ -430,11 +451,12 @@ def test_parity_commutes_with_inverse():
 def test_parity_binomial_ops_match_bigint():
     # Every branch of the binomial passes: m from 0 (a scale) past the list
     # length, with lengths around perfect squares so that m*m = len - 1, len
-    # and len + 1 all occur (the switch between per-residue running sums and
-    # per-block passes when dividing), c = +-1 and one |c| >= 2, and
-    # multi-limb coefficients of both signs.  Multiplication is checked
-    # against the schoolbook product with the binomial, division against the
-    # series inverse of the binomial, and both against the GF(2) mirror.
+    # and len + 1 all occur (m below, at and above sqrt(len), so the lag of
+    # a division wraps many times, once or not at all), c = +-1 and one
+    # |c| >= 2, and multi-limb coefficients of both signs.  Multiplication
+    # is checked against the schoolbook product with the binomial, division
+    # against the series inverse of the binomial, and both against the
+    # GF(2) mirror.
     rng = random.Random(31)
     for length in (1, 2, 3, 4, 5, 15, 16, 17, 48, 49, 50):
         order = length - 1
@@ -493,10 +515,11 @@ def test_square_matches_set_bit_walk():
 
 def test_reciprocal_bits_matches_exact_quotient():
     # 1/prod (1 + q^m) mod 2 against the exact quotient by the (1 - q^m)
-    # reduced mod 2, on seeded multisets with repeats (so that carries run
-    # m -> 2m -> 4m, some of them past top), on {1..K} and on the
-    # regime-III windows {M+1..2M+1}, at tops 0, 1, 2 and 2^j +- 1 (where
-    # the halving recursion changes depth)
+    # reduced mod 2 and read top-down (q^j at bit top - j), on seeded
+    # multisets with repeats (so that carries run m -> 2m -> 4m, some of
+    # them past top), on {1..K} and on the regime-III windows {M+1..2M+1},
+    # at tops 0, 1, 2 and 2^j +- 1 (where the halving recursion changes
+    # depth, and odd and even tops alternate)
     rng = random.Random(59)
     exponent_lists = [list(range(1, k + 1)) for k in (0, 1, 2, 3, 7, 8, 33)]
     exponent_lists += [list(range(m + 1, 2 * m + 2)) for m in (0, 1, 2, 5, 12, 19)]
@@ -509,7 +532,8 @@ def test_reciprocal_bits_matches_exact_quotient():
         denominators = [QPochhammerSpec(1, m, 1, 1) for m in exponents]
         for top in tops:
             exact = pochhammer_quotient([], denominators, top).reduce_mod2()
-            assert ParitySeries.reciprocal_bits(exponents, top) == exact.bits, (exponents, top)
+            top_down = int(format(exact.bits, f"0{top + 1}b")[::-1], 2)
+            assert ParitySeries.reciprocal_bits(exponents, top) == top_down, (exponents, top)
     with pytest.raises(ValueError):
         ParitySeries.reciprocal_bits([0], 5)
     with pytest.raises(ValueError):
