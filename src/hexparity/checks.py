@@ -128,6 +128,8 @@ def check_theorem1(part: int, s: int, order: int,
 def _bit_violations(lhs: int, rhs: int) -> list[Violation]:
     """A Violation(n, lhs bit, rhs bit) for each n where the packed parity
     series lhs and rhs differ, in increasing n."""
+    if lhs == rhs:
+        return []
     diff = format(lhs ^ rhs, "b")[::-1]
     violations = []
     n = diff.find("1")

@@ -16,7 +16,7 @@ from functools import cache
 from .series import (
     TruncatedSeries,
     _divide_by_euler,
-    div_binomial_inplace,
+    div_binomial,
     pochhammer_quotient,
     require_order,
 )
@@ -174,14 +174,21 @@ def count_restricted(rule: PartResidueRule, n_max: int) -> PartitionTable:
     """Restricted partition counts by unbounded-knapsack DP.
 
     Admitting a part m divides by (1 - q^m), i.e. values[i] += values[i - m]
-    for i = m, m+1, ...: one series.div_binomial_inplace pass per allowed
-    part, which reads the values it has just finished.  The DP never reaches
-    the division kernel behind r_gf and p_table.
+    for i = m, m+1, ...: one series.div_binomial pass, which reads the
+    values it has just finished.  A part m with 2m > n_max fits at most
+    once and never beside another such part, so admitting all of those to
+    [1, 0, ...] just sets values[m] = 1; the other parts follow largest
+    first, which keeps most values counted so far small.  The DP never
+    reaches the division kernel behind r_gf and p_table.
     """
     values = [0] * (require_order(n_max, "n_max") + 1)
     values[0] = 1
-    for part in rule.allowed_parts(n_max):
-        div_binomial_inplace(values, -1, part)
+    half = n_max // 2
+    for part in rule.allowed_parts(n_max)[::-1]:
+        if part > half:
+            values[part] = 1
+        else:
+            values = div_binomial(values, -1, part)
     return PartitionTable(n_max, tuple(values), rule)
 
 

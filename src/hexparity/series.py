@@ -38,32 +38,31 @@ def require_order(order: int, what: str = "order") -> int:
 
 
 # ---------------------------------------------------------------------------
-# in-place helpers on coefficient lists
+# binomial passes on coefficient lists
 #
 # Multiplying or dividing by a single binomial (1 + c*q^m) is a linear pass,
 # and every infinite product in this package factors into such binomials.
-# Each pass runs its per-coefficient work at C level (`map` over slices or
-# iterators), on exact Python ints.  A division reads its own finished
-# output: it extends a list through `map`s whose lag operands are iterators
-# over that same list, and a list iterator yields the items appended after
+# Each pass leaves its input as it is and returns the list it builds: the
+# first m coefficients copied, then one `extend` whose per-coefficient work
+# runs at C level (`map` over iterators), on exact Python ints.  A division
+# reads its own finished output: its lag operand is an iterator over the
+# list being extended, and a list iterator yields the items appended after
 # it was made.
 # ---------------------------------------------------------------------------
 
 
-def mul_binomial_inplace(coeffs: list[int], c: int, m: int) -> None:
-    """Multiply by (1 + c*q^m) in place."""
-    if m == 0:
-        coeffs[:] = map(mul, coeffs, repeat(1 + c))
-    elif c == 1:
-        coeffs[m:] = map(add, coeffs[m:], coeffs[:-m])
-    elif c == -1:
-        coeffs[m:] = map(sub, coeffs[m:], coeffs[:-m])
-    else:
-        coeffs[m:] = map(add, coeffs[m:], map(mul, coeffs[:-m], repeat(c)))
+def mul_binomial(coeffs: list[int], c: int, m: int) -> list[int]:
+    """coeffs times (1 + c*q^m), as a new list of the same length (for
+    m = 0, coeffs scaled by 1 + c)."""
+    out = coeffs[:m]
+    lag = coeffs if c in (1, -1) else map(mul, coeffs, repeat(c))
+    # map stops at the end of the islice, before reading the lag again
+    out.extend(map(sub if c == -1 else add, islice(coeffs, m, None), lag))
+    return out
 
 
-def div_binomial_inplace(coeffs: list[int], c: int, m: int) -> None:
-    """Divide by (1 + c*q^m) in place; requires m >= 1.
+def div_binomial(coeffs: list[int], c: int, m: int) -> list[int]:
+    """coeffs divided by (1 + c*q^m), as a new list; requires m >= 1.
 
     Solves out[i] = coeffs[i] - c*out[i-m] in one pass: out starts as
     coeffs[:m] and is extended from coeffs[m:] and an iterator over out
@@ -74,7 +73,7 @@ def div_binomial_inplace(coeffs: list[int], c: int, m: int) -> None:
     out = coeffs[:m]
     lag = iter(out) if c in (1, -1) else map(mul, iter(out), repeat(c))
     out.extend(map(add if c == -1 else sub, islice(coeffs, m, None), lag))
-    coeffs[:] = out
+    return out
 
 
 @dataclass(frozen=True)
@@ -168,14 +167,10 @@ class TruncatedSeries:
         return TruncatedSeries((0,) * min(m, n + 1) + self.coeffs[: max(n + 1 - m, 0)])
 
     def times_binomial(self, c: int, m: int) -> "TruncatedSeries":
-        out = list(self.coeffs)
-        mul_binomial_inplace(out, c, m)
-        return TruncatedSeries(tuple(out))
+        return TruncatedSeries(tuple(mul_binomial(list(self.coeffs), c, m)))
 
     def div_binomial(self, c: int, m: int) -> "TruncatedSeries":
-        out = list(self.coeffs)
-        div_binomial_inplace(out, c, m)
-        return TruncatedSeries(tuple(out))
+        return TruncatedSeries(tuple(div_binomial(list(self.coeffs), c, m)))
 
     def times_quotient(self, numerators, denominators) -> "TruncatedSeries":
         """self * prod(numerators) / prod(denominators), by the kernel
@@ -288,16 +283,19 @@ def pochhammer_quotient_inplace(coeffs: list[int], numerators, denominators=()) 
     """Multiply coeffs in place by prod(numerators) / prod(denominators).
 
     Every factor (1 - sign*q^e) is a single binomial pass over the list, so
-    the cost is linear per factor.  Denominator factors must have exponent
-    >= 1 so the quotient stays in Z[[q]].
+    the cost is linear per factor; the result is copied into coeffs once,
+    at the end.  Denominator factors must have exponent >= 1 so the
+    quotient stays in Z[[q]].
     """
     order = len(coeffs) - 1
+    out = coeffs
     for spec in numerators:
         for e in spec.factor_exponents(order):
-            mul_binomial_inplace(coeffs, -spec.sign, e)
+            out = mul_binomial(out, -spec.sign, e)
     for spec in denominators:
         for e in spec.factor_exponents(order):
-            div_binomial_inplace(coeffs, -spec.sign, e)
+            out = div_binomial(out, -spec.sign, e)
+    coeffs[:] = out
 
 
 def _binomial_exponents(numerators, denominators, order: int) -> tuple[int, list[int]]:
@@ -512,10 +510,14 @@ def product_of(specs, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-# hex digit -> the two hex digits of its bits spread to the even positions
-_SPREAD_NIBBLES = str.maketrans({
-    f"{v:x}": f"{sum((v >> i & 1) << 2 * i for i in range(4)):02x}" for v in range(16)
-})
+# nibble v -> its bits spread to the even positions, and its bits reversed
+_NIBBLE_SPREAD = [sum((v >> i & 1) << 2 * i for i in range(4)) for v in range(16)]
+_NIBBLE_REVERSE = [int(f"{v:04b}"[::-1], 2) for v in range(16)]
+# byte v -> the low byte, and the high byte, of v's bits spread to 2i
+_SPREAD_LOW = bytes(_NIBBLE_SPREAD * 16)
+_SPREAD_HIGH = bytes(_NIBBLE_SPREAD[v >> 4] for v in range(256))
+# byte v -> v with its 8 bits in reverse order
+_REVERSE_BYTE = bytes(_NIBBLE_REVERSE[v & 15] << 4 | _NIBBLE_REVERSE[v >> 4] for v in range(256))
 
 
 @dataclass(frozen=True)
@@ -538,11 +540,13 @@ class ParitySeries:
 
     @staticmethod
     def from_bit_positions(order: int, positions) -> "ParitySeries":
-        bits = 0
+        """The series with a 1 at each position in 0..order (others are
+        ignored), set byte by byte and read back as one int."""
+        buf = bytearray(order // 8 + 1)
         for n in positions:
             if 0 <= n <= order:
-                bits |= 1 << n
-        return ParitySeries(order, bits)
+                buf[n >> 3] |= 1 << (n & 7)
+        return ParitySeries(order, int.from_bytes(buf, "little"))
 
     def _mask(self, order: int) -> int:
         return (1 << (order + 1)) - 1
@@ -593,10 +597,28 @@ class ParitySeries:
     def spread_bits(bits: int) -> int:
         """Move bit i of a raw bit int to bit 2i: x(q) -> x(q^2).
 
-        Runs at C level: every hex digit of bits becomes the two hex digits
-        of its spread (_SPREAD_NIBBLES), and the string is read back.
+        Runs at C level: byte j of bits spreads to bytes 2j and 2j + 1 of
+        the result, which two `bytes.translate` tables fill through strided
+        slices of one bytearray.
         """
-        return int(format(bits, "x").translate(_SPREAD_NIBBLES), 16)
+        raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+        out = bytearray(2 * len(raw))
+        out[0::2] = raw.translate(_SPREAD_LOW)
+        out[1::2] = raw.translate(_SPREAD_HIGH)
+        return int.from_bytes(out, "little")
+
+    @staticmethod
+    def reverse_bits(bits: int, top: int) -> int:
+        """Bit j of a raw bit int, 0 <= j <= top, moved to bit top - j:
+        the switch between the normal layout and the top-down one.
+
+        Runs at C level: the bytes of bits, most significant first, each
+        reversed by a `bytes.translate` table and read least significant
+        first, reverse bits over a whole number of bytes; a shift drops the
+        padding bits below.
+        """
+        raw = bits.to_bytes(require_order(top, "top") // 8 + 1, "big")
+        return int.from_bytes(raw.translate(_REVERSE_BYTE), "little") >> (7 - top % 8)
 
     @staticmethod
     def reciprocal_bits(exponents, top: int) -> int:

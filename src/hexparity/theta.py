@@ -19,8 +19,8 @@ from .series import (
     ParitySeries,
     QPochhammerSpec,
     TruncatedSeries,
-    div_binomial_inplace,
-    mul_binomial_inplace,
+    div_binomial,
+    mul_binomial,
     pochhammer_quotient,
     require_order,
 )
@@ -447,9 +447,9 @@ def _forward_sum(base: list[int], first: int, exponent, factors, order: int) -> 
         if n > first:
             numerators, denominators = factors(n)
             for c, m in numerators:
-                mul_binomial_inplace(base, c, m)
+                base = mul_binomial(base, c, m)
             for c, m in denominators:
-                div_binomial_inplace(base, c, m)
+                base = div_binomial(base, c, m)
         acc[e:] = map(add, acc[e:], base)
         n += 1
     return TruncatedSeries(tuple(acc))
@@ -466,7 +466,7 @@ def _backward_parity_sum(exponent, base_exponents, factors, order: int) -> Parit
     base_n is exact up to q^order.  Base and sum are kept top-down, the
     coefficient of q^j at bit order - j, so a shift right drops exactly the
     terms past q^order and no int grows beyond order + 1 bits; the sum is
-    read back by reversing its bit string once.
+    read back by ParitySeries.reverse_bits once.
     """
     require_order(order)
     last = 0
@@ -478,7 +478,7 @@ def _backward_parity_sum(exponent, base_exponents, factors, order: int) -> Parit
         acc ^= base >> exponent(n)
         for m in factors(n):
             base ^= base >> m
-    return ParitySeries(order, int(format(acc ^ base, f"0{order + 1}b")[::-1], 2))
+    return ParitySeries(order, ParitySeries.reverse_bits(acc ^ base, order))
 
 
 def regime3_sum_parity(s: int, order: int) -> ParitySeries:

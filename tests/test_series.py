@@ -22,7 +22,9 @@ from hexparity.series import (
     _divide_by_euler,
     _expand_by_recurrence,
     _quotient_route,
+    div_binomial,
     monomial,
+    mul_binomial,
     pochhammer,
     pochhammer_quotient,
     pochhammer_quotient_inplace,
@@ -480,6 +482,36 @@ def test_parity_binomial_ops_match_bigint():
             assert a.shift(m).reduce_mod2() == a.reduce_mod2().shift(m)
 
 
+def test_binomial_passes_return_a_new_list():
+    # the passes leave their input as it is and return the list they
+    # build; on seeded multi-limb lists, for c = 1, -1 and two |c| >= 2,
+    # and m from 1 to past the list's end (m = 0 too for a multiplication,
+    # which is a scale), the product is the schoolbook one and the quotient
+    # times the binomial gives the input back
+    rng = random.Random(37)
+    for length in (1, 2, 5, 17, 40):
+        order = length - 1
+        for c in (1, -1, 3, -2):
+            for m in (0, 1, length - 1, length, length + 1):
+                coeffs = [rng.randint(-2**150, 2**150) for _ in range(length)]
+                before = list(coeffs)
+                binomial = [1] + [0] * order
+                if m <= order:
+                    binomial[m] += c
+                binomial = TruncatedSeries.of(binomial)
+                product = mul_binomial(coeffs, c, m)
+                assert coeffs == before and product is not coeffs
+                assert product == list((TruncatedSeries.of(coeffs) * binomial).coeffs)
+                if m == 0:
+                    with pytest.raises(ValueError):
+                        div_binomial(coeffs, c, m)
+                    continue
+                quotient = div_binomial(coeffs, c, m)
+                assert coeffs == before and quotient is not coeffs
+                assert len(quotient) == length
+                assert TruncatedSeries.of(quotient) * binomial == TruncatedSeries.of(coeffs)
+
+
 def test_square_matches_set_bit_walk():
     # the spread kernel against the set-bit walk it replaced, on seeded
     # random bits of every density; orders just under twice the top set
@@ -511,6 +543,49 @@ def test_square_matches_set_bit_walk():
     for x in cases:
         assert x.square() == walk(x), x
         assert ParitySeries.spread_bits(x.bits) == walk(ParitySeries(2 * x.order, x.bits)).bits
+
+
+def test_spread_bits_matches_per_bit_oracle():
+    # at bit widths 0, 1, 7, 8, 9 and 2^j +- 1, around the byte boundaries
+    # where the spread switches tables and bytes, with the top bit set,
+    # all bits set and seeded random bits
+    def oracle(bits: int) -> int:
+        return sum(1 << 2 * i for i in range(bits.bit_length()) if bits >> i & 1)
+
+    rng = random.Random(61)
+    widths = [0, 1, 7, 8, 9] + [2**j + d for j in range(1, 13) for d in (-1, 1)]
+    for width in widths:
+        cases = [(1 << width) - 1]
+        if width:
+            cases += [1 << (width - 1), rng.getrandbits(width) | 1 << (width - 1)]
+        for bits in cases:
+            assert bits.bit_length() == width
+            assert ParitySeries.spread_bits(bits) == oracle(bits), width
+
+
+def test_reverse_bits_matches_string_reversal():
+    # bit j to bit top - j at tops 0..70 and 2^j +- 1, on zero, all ones,
+    # seeded random bits and bits with q^top set (whose reversal has q^0)
+    rng = random.Random(67)
+    tops = list(range(71)) + [2**j + d for j in range(7, 15) for d in (-1, 1)]
+    for top in tops:
+        for bits in (0, (1 << top + 1) - 1, rng.getrandbits(top + 1),
+                     rng.getrandbits(top + 1) | 1 << top):
+            want = int(format(bits, f"0{top + 1}b")[::-1], 2)
+            assert ParitySeries.reverse_bits(bits, top) == want, (top, bits)
+            assert ParitySeries.reverse_bits(want, top) == bits
+    with pytest.raises(ValueError):
+        ParitySeries.reverse_bits(0, -1)
+
+
+def test_from_bit_positions_ignores_positions_outside_the_order():
+    # seeded positions from below 0 to past the order, repeats included,
+    # at orders around byte boundaries
+    rng = random.Random(71)
+    for order in (0, 1, 6, 7, 8, 9, 63, 64, 65, 300):
+        positions = [rng.randint(-10, order + 10) for _ in range(2 * order + 5)]
+        want = sum(1 << n for n in set(positions) if 0 <= n <= order)
+        assert ParitySeries.from_bit_positions(order, positions).bits == want, order
 
 
 def test_reciprocal_bits_matches_exact_quotient():
