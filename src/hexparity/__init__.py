@@ -29,10 +29,7 @@ from .series import (
     QPochhammerSpec,
     TruncatedSeries,
     monomial,
-    pochhammer,
     pochhammer_quotient,
-    product_of,
-    reduce_mod2,
 )
 from .squares import (
     SquareProgression,

@@ -279,23 +279,22 @@ class QPochhammerSpec:
             k += 1
 
 
-def pochhammer_quotient_inplace(coeffs: list[int], numerators, denominators=()) -> None:
-    """Multiply coeffs in place by prod(numerators) / prod(denominators).
+def _expand_by_passes(coeffs: list[int], numerators, denominators) -> list[int]:
+    """coeffs times prod(numerators) / prod(denominators), one binomial pass
+    per factor (1 - sign*q^e), linear per factor.
 
-    Every factor (1 - sign*q^e) is a single binomial pass over the list, so
-    the cost is linear per factor; the result is copied into coeffs once,
-    at the end.  Denominator factors must have exponent >= 1 so the
-    quotient stays in Z[[q]].
+    Returns the list the passes build and leaves coeffs as it is.
+    Denominator factors must have exponent >= 1 so the quotient stays in
+    Z[[q]].
     """
     order = len(coeffs) - 1
-    out = coeffs
     for spec in numerators:
         for e in spec.factor_exponents(order):
-            out = mul_binomial(out, -spec.sign, e)
+            coeffs = mul_binomial(coeffs, -spec.sign, e)
     for spec in denominators:
         for e in spec.factor_exponents(order):
-            out = div_binomial(out, -spec.sign, e)
-    coeffs[:] = out
+            coeffs = div_binomial(coeffs, -spec.sign, e)
+    return coeffs
 
 
 def _binomial_exponents(numerators, denominators, order: int) -> tuple[int, list[int]]:
@@ -418,7 +417,7 @@ def _divide_by_euler(coeffs: list[int], d: int, times: int) -> None:
 def _quotient_route(numerators, denominators, order: int):
     """(numerator, d, k) with prod(numerators) / prod(denominators) equal to
     numerator / (q^d;q^d)oo^k up to q^order, or None where the binomial
-    passes are the faster kernel.
+    passes (_expand_by_passes) are the faster kernel.
 
     Written as lead * prod (1 - q^m)^c[m] (_binomial_exponents):
 
@@ -435,6 +434,10 @@ def _quotient_route(numerators, denominators, order: int):
     - otherwise None.  A finite spec such as (q;q)_n makes the numerator
       dense ((q^(n+1);q)oo for 1/(q;q)_n), and a finite product is only a
       few passes.
+
+    The rule only picks the faster kernel.  It is known to pick the slower
+    one for 1/(-q;q)oo, whose net is positive but whose coefficients are all
+    nonzero and grow (its pole is at q = -1).
     """
     lead, c = _binomial_exponents(numerators, denominators, order)
     net = sum(c)
@@ -453,25 +456,10 @@ def _quotient_route(numerators, denominators, order: int):
 def pochhammer_quotient(numerators, denominators, order: int) -> TruncatedSeries:
     """Expand prod(numerators) / prod(denominators) up to q^order.
 
-    Equivalent to product_of(numerators) * product_of(denominators).inverse().
-    _quotient_route picks the kernel from the spec list alone:
-
-    - net exponent >= 0 (no pole at q = 1, as on the theta-type product
-      sides, whose coefficients are small and mostly zero): the recurrence
-      of _expand_by_recurrence, whose cost grows with the nonzero
-      coefficients found, not with the number of factors;
-    - net < 0 with a theta-type numerator (the partition-type products):
-      that numerator by the recurrence, then k divisions by (q^d;q^d)oo
-      (_divide_by_euler), each one pass over Euler's pentagonal series,
-      about order^1.5 additions;
-    - otherwise (finite products, or a numerator with a denominator left):
-      one binomial pass per factor through pochhammer_quotient_inplace,
-      linear per factor.
-
-    Every kernel is exact on every input; the rule only picks the faster
-    one.  It is known to pick the slower one for 1/(-q;q)oo, whose net is
-    positive but whose coefficients are all nonzero and grow (its pole is at
-    q = -1).
+    The one expansion entry point for q-Pochhammer products, with its method
+    form TruncatedSeries.times_quotient.  The kernel is picked from the spec
+    list alone by the rule of _quotient_route; every kernel is exact on
+    every input.
     """
     return _quotient_times(None, numerators, denominators, order)
 
@@ -485,24 +473,13 @@ def _quotient_times(start: TruncatedSeries | None, numerators, denominators,
     route = _quotient_route(numerators, denominators, order)
     if route is None:
         out = [1] + [0] * order if start is None else list(start.coeffs)
-        pochhammer_quotient_inplace(out, numerators, denominators)
-        return TruncatedSeries(tuple(out))
+        return TruncatedSeries(tuple(_expand_by_passes(out, numerators, denominators)))
     out, d, k = route
     if start is not None:
         out = list((start * TruncatedSeries(tuple(out))).coeffs)
     if k:
         _divide_by_euler(out, d, k)
     return TruncatedSeries(tuple(out))
-
-
-def pochhammer(spec: QPochhammerSpec, order: int) -> TruncatedSeries:
-    """Exact truncated expansion of a q-Pochhammer symbol."""
-    return pochhammer_quotient([spec], [], order)
-
-
-def product_of(specs, order: int) -> TruncatedSeries:
-    """Product of several q-Pochhammer symbols."""
-    return pochhammer_quotient(specs, [], order)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +677,3 @@ class ParitySeries:
 
     def __repr__(self) -> str:
         return f"ParitySeries(order={self.order}, weight={self.bits.bit_count()})"
-
-
-def reduce_mod2(a: TruncatedSeries) -> ParitySeries:
-    return a.reduce_mod2()

@@ -16,6 +16,7 @@ from fractions import Fraction
 from operator import add
 
 from .series import (
+    INFINITE,
     ParitySeries,
     QPochhammerSpec,
     TruncatedSeries,
@@ -24,6 +25,10 @@ from .series import (
     pochhammer_quotient,
     require_order,
 )
+
+
+EULER = QPochhammerSpec(1, 1, 1)  # (q;q)oo
+ODD_PARTS = QPochhammerSpec(1, 1, 2)  # (q;q^2)oo
 
 
 class NegativeExponent(ValueError):
@@ -287,17 +292,9 @@ def quintuple_sides(
 
 
 def gauss_theta_sides(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """1 + 2*sum (-1)^n q^(n^2) versus (q;q)oo / (-q;q)oo."""
-    out = [0] * (order + 1)
-    out[0] = 1
-    n = 1
-    while n * n <= order:
-        out[n * n] += -2 if n & 1 else 2
-        n += 1
-    lhs = TruncatedSeries(tuple(out))
-    rhs = pochhammer_quotient(
-        [QPochhammerSpec(1, 1, 1)], [QPochhammerSpec(-1, 1, 1)], order
-    )
+    """sum_n (-1)^n q^(n^2) over n in Z versus (q;q)oo / (-q;q)oo."""
+    lhs = bilateral_sum([QuadraticExponentFamily.make(1, 0, 0, s1=1)], order)
+    rhs = pochhammer_quotient([EULER], [QPochhammerSpec(-1, 1, 1)], order)
     return lhs, rhs
 
 
@@ -318,19 +315,13 @@ def partial_theta(k: int, order: int) -> TruncatedSeries:
 
 def even_gauss_factor(order: int) -> TruncatedSeries:
     """(-q^2;q^2)oo / (q^2;q^2)oo."""
-    return pochhammer_quotient(
-        [QPochhammerSpec(-1, 2, 2)], [QPochhammerSpec(1, 2, 2)], order
-    )
+    return pochhammer_quotient(*even_binomial_factors(INFINITE), order)
 
 
-def even_binomial_factors(k: int) -> tuple[list[QPochhammerSpec], list[QPochhammerSpec]]:
-    """(numerators, denominators) of (-q^2;q^2)_k / (q^2;q^2)_k."""
+def even_binomial_factors(k: int | None) -> tuple[list[QPochhammerSpec], list[QPochhammerSpec]]:
+    """(numerators, denominators) of (-q^2;q^2)_k / (q^2;q^2)_k; with
+    k = INFINITE, of the even Gauss factor (-q^2;q^2)oo / (q^2;q^2)oo."""
     return [QPochhammerSpec(-1, 2, 2, k)], [QPochhammerSpec(1, 2, 2, k)]
-
-
-def even_binomial_ratio(k: int, order: int) -> TruncatedSeries:
-    """(-q^2;q^2)_k / (q^2;q^2)_k."""
-    return pochhammer_quotient(*even_binomial_factors(k), order)
 
 
 def gauss_error_tail(k: int, order: int) -> TruncatedSeries:
@@ -366,8 +357,9 @@ def truncated_gauss_lhs(k: int, order: int) -> TruncatedSeries:
 
 
 def truncated_gauss_rhs(k: int, order: int) -> TruncatedSeries:
-    """2 * even_binomial_ratio(k) * gauss_error_tail(k), the ratio applied
-    to the tail as its 2k binomial passes."""
+    """2 * (-q^2;q^2)_k / (q^2;q^2)_k * gauss_error_tail(k), the ratio
+    (even_binomial_factors(k)) applied to the tail as its 2k binomial
+    passes."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return gauss_error_tail(k, order).times_quotient(*even_binomial_factors(k)).scale(2)
@@ -515,7 +507,7 @@ def regime3_product(s: int, order: int) -> TruncatedSeries:
     if s not in (2, 4):
         raise ValueError("s must be 2 or 4")
     half = _rogers_ramanujan_sum(0 if s == 2 else 1, (order + 1) // 2)
-    return half.stretch(2, order).times_quotient([], [QPochhammerSpec(1, 1, 2)])
+    return half.stretch(2, order).times_quotient([], [ODD_PARTS])
 
 
 def regime3_denominators(s: int) -> list[QPochhammerSpec]:
@@ -523,7 +515,7 @@ def regime3_denominators(s: int) -> list[QPochhammerSpec]:
     if s not in (2, 4):
         raise ValueError("s must be 2 or 4")
     return [
-        QPochhammerSpec(1, 1, 2),
+        ODD_PARTS,
         QPochhammerSpec(1, s, 10),
         QPochhammerSpec(1, 10 - s, 10),
     ]
@@ -548,7 +540,7 @@ def regime4_factors(
         QPochhammerSpec(1, 10 - 2 * s, 20),
         QPochhammerSpec(1, 10 + 2 * s, 20),
     ]
-    return numerators, [QPochhammerSpec(1, 1, 1)]
+    return numerators, [EULER]
 
 
 def regime4_product(s: int, order: int) -> TruncatedSeries:
@@ -568,10 +560,9 @@ def eq41_sides(s: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
                 * (q^2;q^2)oo / (-q^2;q^2)oo.
     """
     left = bilateral_sum(eq41_families(s), order)
+    gauss_numerators, gauss_denominators = even_binomial_factors(INFINITE)
     right = pochhammer_quotient(
-        [QPochhammerSpec(1, 2, 2)],
-        regime3_denominators(s) + [QPochhammerSpec(-1, 2, 2)],
-        order,
+        gauss_denominators, regime3_denominators(s) + gauss_numerators, order
     )
     return left, right
 
@@ -587,9 +578,8 @@ def eq42_sides(
     """
     left = bilateral_sum([eq42_family(s)], order)
     numerators, denominators = regime4_factors(s, first_decade_exponent)
+    gauss_numerators, gauss_denominators = even_binomial_factors(INFINITE)
     right = pochhammer_quotient(
-        numerators + [QPochhammerSpec(1, 2, 2)],
-        denominators + [QPochhammerSpec(-1, 2, 2)],
-        order,
+        numerators + gauss_denominators, denominators + gauss_numerators, order
     )
     return left, right

@@ -166,15 +166,24 @@ def test_restricted_dp_matches_gf_on_multi_limb_counts():
         assert table.values == r_gf(rule, 2000).coeffs, rule
 
 
-def test_gf_route_is_reciprocal_of_spec_product():
-    from hexparity.series import INFINITE, QPochhammerSpec, product_of
+def test_allowed_parts_match_the_predicate():
+    # the parts read off the residues mod 20 are those the predicate allows
+    for rule in ALL_RULES:
+        for limit in [*range(61), 2500, 10**4]:
+            want = [m for m in range(1, limit + 1) if rule.allows(m)]
+            assert rule.allowed_parts(limit) == want, (rule, limit)
 
-    product = product_of(
+
+def test_gf_route_is_reciprocal_of_spec_product():
+    from hexparity.series import INFINITE, QPochhammerSpec, pochhammer_quotient
+
+    product = pochhammer_quotient(
         [
             QPochhammerSpec(1, 1, 2, INFINITE),
             QPochhammerSpec(1, 2, 10, INFINITE),
             QPochhammerSpec(1, 8, 10, INFINITE),
         ],
+        [],
         40,
     )
     assert product.inverse() == r_gf(regime3_rule(2), 40)

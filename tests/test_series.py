@@ -20,15 +20,13 @@ from hexparity.series import (
     TruncatedSeries,
     _binomial_exponents,
     _divide_by_euler,
+    _expand_by_passes,
     _expand_by_recurrence,
     _quotient_route,
     div_binomial,
     monomial,
     mul_binomial,
-    pochhammer,
     pochhammer_quotient,
-    pochhammer_quotient_inplace,
-    product_of,
 )
 
 
@@ -140,7 +138,7 @@ def test_mul_matches_oracle():
 
 def test_inverse_of_partition_product():
     # 1/(q;q)oo starts 1, 1, 2, 3, 5, 7: the count of 5 is 7
-    inv = pochhammer(QPochhammerSpec(1, 1, 1, INFINITE), 6).inverse()
+    inv = pochhammer_quotient([QPochhammerSpec(1, 1, 1, INFINITE)], [], 6).inverse()
     assert inv.coefficient(5) == 7
 
 
@@ -162,14 +160,14 @@ def test_inverse_roundtrip_on_random_units():
 
 
 def test_pochhammer_pentagonal_pattern():
-    s = pochhammer(QPochhammerSpec(1, 1, 1, INFINITE), 7)
+    s = pochhammer_quotient([QPochhammerSpec(1, 1, 1, INFINITE)], [], 7)
     assert s.coeffs == (1, -1, -1, 0, 0, 1, 0, 1)
     assert list(s.coeffs) == poch_oracle(1, 1, 1, None, 7)
 
 
 def test_pochhammer_small_cases():
-    assert pochhammer(QPochhammerSpec(1, 2, 3, 0), 5) == TruncatedSeries.one(5)
-    assert pochhammer(QPochhammerSpec(-1, 1, 1, 1), 3).coeffs == (1, 1, 0, 0)
+    assert pochhammer_quotient([QPochhammerSpec(1, 2, 3, 0)], [], 5) == TruncatedSeries.one(5)
+    assert pochhammer_quotient([QPochhammerSpec(-1, 1, 1, 1)], [], 3).coeffs == (1, 1, 0, 0)
 
 
 def test_pochhammer_matches_oracle_randomized():
@@ -183,7 +181,7 @@ def test_pochhammer_matches_oracle_randomized():
             continue
         order = rng.randint(0, 30)
         spec = QPochhammerSpec(sign, offset, step, count)
-        assert list(pochhammer(spec, order).coeffs) == poch_oracle(
+        assert list(pochhammer_quotient([spec], [], order).coeffs) == poch_oracle(
             sign, offset, step, count, order
         )
 
@@ -191,9 +189,9 @@ def test_pochhammer_matches_oracle_randomized():
 def test_pochhammer_infinite_equals_finite_window():
     # factors beyond the order are provably irrelevant
     order = 24
-    inf = pochhammer(QPochhammerSpec(1, 2, 3, INFINITE), order)
+    inf = pochhammer_quotient([QPochhammerSpec(1, 2, 3, INFINITE)], [], order)
     needed = (order - 2) // 3 + 1
-    fin = pochhammer(QPochhammerSpec(1, 2, 3, needed), order)
+    fin = pochhammer_quotient([QPochhammerSpec(1, 2, 3, needed)], [], order)
     assert inf == fin
 
 
@@ -207,10 +205,10 @@ def test_degenerate_factor_rejected():
 
 
 def test_product_of_empty_and_square():
-    assert product_of([], 6) == TruncatedSeries.one(6)
+    assert pochhammer_quotient([], [], 6) == TruncatedSeries.one(6)
     spec = QPochhammerSpec(1, 1, 1, INFINITE)
-    square = product_of([spec, spec], 10)
-    single = list(pochhammer(spec, 10).coeffs)
+    square = pochhammer_quotient([spec, spec], [], 10)
+    single = list(pochhammer_quotient([spec], [], 10).coeffs)
     assert list(square.coeffs) == poly_mul_oracle(single, single, 10)
 
 
@@ -237,7 +235,7 @@ def test_pochhammer_quotient_matches_inverse():
     num = [QPochhammerSpec(-1, 1, 2, INFINITE)]
     den = [QPochhammerSpec(1, 1, 1, INFINITE), QPochhammerSpec(1, 3, 4, 2)]
     q = pochhammer_quotient(num, den, 20)
-    direct = product_of(num, 20) * product_of(den, 20).inverse()
+    direct = pochhammer_quotient(num, [], 20) * pochhammer_quotient(den, [], 20).inverse()
     assert q == direct
 
     # random spec lists against schoolbook products and the series inverse
@@ -275,7 +273,7 @@ def test_recurrence_matches_binomial_passes():
         lead, c = _binomial_exponents(numerators, denominators, order)
         got = _expand_by_recurrence(lead, c)
         want = [1] + [0] * order
-        pochhammer_quotient_inplace(want, numerators, denominators)
+        want = _expand_by_passes(want, numerators, denominators)
         assert got == want, (num, den, order)
         assert pochhammer_quotient(numerators, denominators, order).coeffs == tuple(want)
         if order <= 40:
@@ -343,11 +341,11 @@ def test_division_kernel_matches_binomial_passes():
         numerators = [QPochhammerSpec(*a) for a in num]
         denominators = [QPochhammerSpec(*a) for a in den]
         want = [1] + [0] * order
-        pochhammer_quotient_inplace(want, numerators, denominators)
+        want = _expand_by_passes(want, numerators, denominators)
         assert pochhammer_quotient(numerators, denominators, order).coeffs == tuple(want)
         start = sparse_series(rng, order)
         want_times = list(start.coeffs)
-        pochhammer_quotient_inplace(want_times, numerators, denominators)
+        want_times = _expand_by_passes(want_times, numerators, denominators)
         got_times = start.times_quotient(numerators, denominators)
         assert got_times.coeffs == tuple(want_times), (num, den, order)
         if any(a[3] not in (None, 0) for a in num + den):
@@ -374,7 +372,7 @@ def test_division_kernel_matches_binomial_passes():
             for k in (1, 2, 3):
                 got = list(sparse_series(rng, order).coeffs)
                 want = got[:]
-                pochhammer_quotient_inplace(want, [], [QPochhammerSpec(1, d, d)] * k)
+                want = _expand_by_passes(want, [], [QPochhammerSpec(1, d, d)] * k)
                 _divide_by_euler(got, d, k)
                 assert got == want, (order, d, k)
 
@@ -390,7 +388,7 @@ def test_both_kernels_share_the_error_contract():
     # order raise the same ValueError whichever kernel the net exponent
     # picks, as the binomial pass itself does
     with pytest.raises(ValueError) as passes:
-        pochhammer_quotient_inplace([1, 0, 0], [], [QPochhammerSpec(-1, 0, 1)])
+        _expand_by_passes([1, 0, 0], [], [QPochhammerSpec(-1, 0, 1)])
     for extra in ([], [QPochhammerSpec(1, 1, 1)] * 3):  # net >= 0, net < 0
         denominators = [QPochhammerSpec(-1, 0, 1)] + extra
         assert (sum(_binomial_exponents([], extra, 30)[1]) >= 0) == (not extra)
@@ -408,7 +406,7 @@ def test_both_kernels_share_the_error_contract():
 
 
 def test_coefficient_access():
-    inv = pochhammer(QPochhammerSpec(1, 1, 1, INFINITE), 10).inverse()
+    inv = pochhammer_quotient([QPochhammerSpec(1, 1, 1, INFINITE)], [], 10).inverse()
     assert inv.coefficient(5) == 7
     assert pochhammer_quotient([], [], 4).coefficient(0) == 1
     assert TruncatedSeries.zero(4).coefficient(3) == 0
@@ -510,6 +508,13 @@ def test_binomial_passes_return_a_new_list():
                 assert coeffs == before and quotient is not coeffs
                 assert len(quotient) == length
                 assert TruncatedSeries.of(quotient) * binomial == TruncatedSeries.of(coeffs)
+        # the passes kernel, which chains them, leaves its input as it is too
+        num, den = [(1, 1, 1, 3)], [(-1, 2, 3, None), (1, 1, 2, None)]
+        product = _expand_by_passes(coeffs, [QPochhammerSpec(*a) for a in num],
+                                    [QPochhammerSpec(*a) for a in den])
+        assert coeffs == before
+        assert TruncatedSeries.of(product) == (TruncatedSeries.of(coeffs) * schoolbook(num, order)
+                                               * schoolbook(den, order).inverse())
 
 
 def test_square_matches_set_bit_walk():

@@ -15,7 +15,6 @@ from hexparity.series import (
     QPochhammerSpec,
     TruncatedSeries,
     monomial,
-    pochhammer,
     pochhammer_quotient,
 )
 from hexparity.theta import (
@@ -26,7 +25,7 @@ from hexparity.theta import (
     bilateral_sum,
     eq41_sides,
     eq42_sides,
-    even_binomial_ratio,
+    even_binomial_factors,
     eq41_families,
     gauss_error_tail,
     gauss_theta_sides,
@@ -69,7 +68,7 @@ def test_bilateral_square_family():
 def test_bilateral_pentagonal_matches_pochhammer():
     fam = pentagonal_family()
     assert bilateral_sum([fam], 7).coeffs == (1, -1, -1, 0, 0, 1, 0, 1)
-    oracle = pochhammer(QPochhammerSpec(1, 1, 1, INFINITE), 60)
+    oracle = pochhammer_quotient([QPochhammerSpec(1, 1, 1, INFINITE)], [], 60)
     assert bilateral_sum([fam], 60) == oracle
 
 
@@ -228,8 +227,20 @@ def test_truncated_gauss_rhs_matches_schoolbook_product():
     rng = random.Random(59)
     for k, order in [(1, 0), (10, 1500)] + [(rng.randint(1, 10), rng.randint(0, 1500))
                                            for _ in range(5)]:
-        schoolbook = even_binomial_ratio(k, order).scale(2) * gauss_error_tail(k, order)
+        schoolbook = (pochhammer_quotient(*even_binomial_factors(k), order).scale(2)
+                      * gauss_error_tail(k, order))
         assert truncated_gauss_rhs(k, order) == schoolbook, (k, order)
+
+
+def test_even_binomial_factors_infinite_is_the_limit():
+    # the factors of (-q^2;q^2)_k / (q^2;q^2)_k are those of the even Gauss
+    # factor below q^(2k+2), so the two expand alike up to q^(2k+1) and
+    # differ from there
+    for k in (1, 2, 5):
+        for order in (0, 1, 2, 2 * k - 1, 2 * k, 2 * k + 1, 2 * k + 2):
+            finite = pochhammer_quotient(*even_binomial_factors(k), order)
+            infinite = pochhammer_quotient(*even_binomial_factors(INFINITE), order)
+            assert (finite == infinite) == (order <= 2 * k + 1), (k, order)
 
 
 def test_gauss_error_tail_leading_exponent():
@@ -442,4 +453,4 @@ def test_partial_theta_structure():
     assert p2.coefficient(0) == 1
     assert p2.coefficient(2) == -2
     assert p2.coefficient(8) == 2
-    assert even_binomial_ratio(0, 10) == TruncatedSeries.one(10)
+    assert pochhammer_quotient(*even_binomial_factors(0), 10) == TruncatedSeries.one(10)
