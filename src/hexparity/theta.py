@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
 
 from .series import (
     INFINITE,
@@ -328,23 +327,26 @@ def gauss_error_tail(k: int, order: int) -> TruncatedSeries:
     """sum_{n>k} q^(2n(k+1)) (-q^(2n+2);q^2)oo / ((1-q^(2n)) (q^(2n+2);q^2)oo).
 
     Every exponent is even, so the sum is built in x = q^2 to order
-    order // 2 by _forward_sum and stretched: consecutive terms differ by
-    a shift of k+1 in x, a multiplication by (1-x^(n-1)) and a division by
-    (1+x^n).  Still about order^2 / (4(k+1)) steps: each division by
-    (1+x^n) is dense.
+    order // 2 and stretched.  From the first summand n = k+1 on,
+    consecutive terms differ by a shift of k+1 in x, a multiplication by
+    (1-x^(n-1)) and a division by (1+x^n): _horner_sum folds them in at
+    one pass per factor per summand, and the first term's quotient
+    (-x^(k+2);x)oo / (x^(k+1);x)oo and its lead x^((k+1)^2) are applied
+    to the result once.  Still about order^2 / (4(k+1)) steps: each
+    division by (1+x^n) is dense.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     half = require_order(order) // 2
     first = k + 1
-    # (-x^(n+1);x)oo / (x^n;x)oo at n = first, to the precision its
-    # summand needs
-    base = pochhammer_quotient(
-        [QPochhammerSpec(-1, first + 1, 1)], [QPochhammerSpec(1, first, 1)],
-        max(half - first * (k + 1), 0),
-    )
-    return _forward_sum(list(base.coeffs), first, lambda n: n * (k + 1),
-                        lambda n: ([(-1, n - 1)], [(1, n)]), half).stretch(2, order)
+    lead = first * (k + 1)
+    if lead > half:
+        return TruncatedSeries.zero(order)
+    horner = _horner_sum(first, lambda n: n * (k + 1), lambda n: ([(-1, n - 1)], [(1, n)]),
+                         half - lead)
+    tail = horner.times_quotient([QPochhammerSpec(-1, first + 1, 1)],
+                                 [QPochhammerSpec(1, first, 1)])
+    return TruncatedSeries((0,) * lead + tail.coeffs).stretch(2, order)
 
 
 def truncated_gauss_lhs(k: int, order: int) -> TruncatedSeries:
@@ -371,9 +373,9 @@ def truncated_gauss_rhs(k: int, order: int) -> TruncatedSeries:
 
 
 def _rogers_ramanujan_sum(shift: int, order: int) -> TruncatedSeries:
-    """sum q^(n^2+shift*n)/(q;q)_n: G for shift 0, H for shift 1."""
-    return _forward_sum([1] + [0] * order, 0, lambda n: n * n + shift * n,
-                        lambda n: ([], [(-1, n)]), order)
+    """sum q^(n^2+shift*n)/(q;q)_n: G for shift 0, H for shift 1, by
+    _horner_sum with one division by (1-q^n) per summand."""
+    return _horner_sum(0, lambda n: n * n + shift * n, lambda n: ([], [(-1, n)]), order)
 
 
 def _rogers_ramanujan(shift: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -398,53 +400,63 @@ def rr_H(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
 def regime3_sum(s: int, order: int) -> TruncatedSeries:
     """sum_n (-q;q)_n q^(n(3n+s-1)/2) / (q;q)_(2n+1), s in {2, 4}.
 
-    _forward_sum walks the base (-q;q)_n/(q;q)_(2n+1) from 1/(1-q), two
-    binomial divisions per n: base_n/base_(n-1) is
-    (1+q^n)/((1-q^2n)(1-q^(2n+1))) = 1/((1-q^n)(1-q^(2n+1))).
+    The base (-q;q)_n/(q;q)_(2n+1) starts at 1/(1-q), and base_n/base_(n-1)
+    is (1+q^n)/((1-q^2n)(1-q^(2n+1))) = 1/((1-q^n)(1-q^(2n+1))): _horner_sum
+    folds the summands in at two binomial divisions each, and the result is
+    divided by (1-q) once.
     """
     if s not in (2, 4):
         raise ValueError("s must be 2 or 4")
-    return _forward_sum([1] * (require_order(order) + 1), 0,
-                        lambda n: n * (3 * n + s - 1) // 2,
-                        lambda n: ([], [(-1, n), (-1, 2 * n + 1)]), order)
+    return _horner_sum(0, lambda n: n * (3 * n + s - 1) // 2,
+                       lambda n: ([], [(-1, n), (-1, 2 * n + 1)]), order).div_binomial(-1, 1)
 
 
 def regime4_sum(s: int, order: int) -> TruncatedSeries:
     """sum_n q^(n(n+1)) / (q;q)_(2n+(s-1)/2), s in {1, 3}.
 
-    With d = (s-1)/2, _forward_sum walks the base 1/(q;q)_(2n+d) from
-    1/(q;q)_d (1 for d = 0, 1/(1-q) for d = 1), two binomial divisions
-    per n.
+    With d = (s-1)/2 the base 1/(q;q)_(2n+d) starts at 1/(q;q)_d, and
+    base_n/base_(n-1) is 1/((1-q^(2n-1+d))(1-q^(2n+d))): _horner_sum folds
+    the summands in at two binomial divisions each, and for d = 1 the
+    result is divided by (1-q) once.
     """
     if s not in (1, 3):
         raise ValueError("s must be 1 or 3")
     d = (s - 1) // 2
-    return _forward_sum([1] + [d] * require_order(order), 0, lambda n: n * (n + 1),
-                        lambda n: ([], [(-1, 2 * n - 1 + d), (-1, 2 * n + d)]), order)
+    v = _horner_sum(0, lambda n: n * (n + 1),
+                    lambda n: ([], [(-1, 2 * n - 1 + d), (-1, 2 * n + d)]), order)
+    return v.div_binomial(-1, 1) if d else v
 
 
-def _forward_sum(base: list[int], first: int, exponent, factors, order: int) -> TruncatedSeries:
-    """sum_{n>=first} q^exponent(n) * base_n up to q^order, exponent increasing.
+def _horner_sum(first: int, exponent, factors, order: int) -> TruncatedSeries:
+    """sum_{n>=first} q^(exponent(n)-exponent(first)) h_(first+1)...h_n up
+    to q^order, exponent strictly increasing.
 
-    base is base_first as a coefficient list (consumed), and base_n is
-    base_(n-1) times the (1 + c*q^m) for (c, m) in factors(n)[0], divided
-    by those in factors(n)[1].  Only the coefficients 0..order-exponent(n)
-    of base_n reach the sum, so the base is truncated there before each
-    update and each add.
+    h_n is the product of the (1 + c*q^m) for (c, m) in factors(n)[0],
+    divided by those in factors(n)[1]: the ratio base_n/base_(n-1) of
+    consecutive summands, so that sum_n q^exponent(n) base_n is
+    q^exponent(first) base_first times the result.  Horner's rule from the
+    last summand M with exponent(M)-exponent(first) <= order: V_M = 1 and
+    V_(n-1) = 1 + q^(exponent(n)-exponent(n-1)) h_n V_n, where V_n is needed
+    only to q^(order-exponent(n)+exponent(first)).  The shift and the "1 +"
+    are one list concatenation, so each summand costs one binomial pass per
+    factor.
     """
-    acc = [0] * (require_order(order) + 1)
-    n = first
-    while (e := exponent(n)) <= order:
-        del base[order - e + 1:]
-        if n > first:
-            numerators, denominators = factors(n)
-            for c, m in numerators:
-                base = mul_binomial(base, c, m)
-            for c, m in denominators:
-                base = div_binomial(base, c, m)
-        acc[e:] = map(add, acc[e:], base)
-        n += 1
-    return TruncatedSeries(tuple(acc))
+    top = require_order(order) + exponent(first)
+    last = first
+    while exponent(last + 1) <= top:
+        last += 1
+    e = exponent(last)
+    v = [1] + [0] * (top - e)
+    for n in range(last, first, -1):
+        numerators, denominators = factors(n)
+        for c, m in numerators:
+            v = mul_binomial(v, c, m)
+        for c, m in denominators:
+            v = div_binomial(v, c, m)
+        prev = exponent(n - 1)
+        v = [1] + [0] * (e - prev - 1) + v
+        e = prev
+    return TruncatedSeries(tuple(v))
 
 
 def _backward_parity_sum(exponent, base_exponents, factors, order: int) -> ParitySeries:

@@ -19,6 +19,7 @@ from hexparity.series import (
 )
 from hexparity.theta import (
     Monomial,
+    _horner_sum,
     monomial_pochhammer,
     NegativeExponent,
     QuadraticExponentFamily,
@@ -271,10 +272,60 @@ def test_gauss_error_tail_matches_per_term_oracle():
             assert gauss_error_tail(k, order) == oracle, (k, order)
 
 
+def horner_oracle(first: int, exponent, factors, order: int) -> TruncatedSeries:
+    """sum_{n>=first} q^(e(n)-e(first)) h_(first+1)...h_n term by term:
+    each summand kept at the full order, built by one times_binomial or
+    div_binomial per factor, shifted into place and added."""
+    out = TruncatedSeries.zero(order)
+    term = TruncatedSeries.one(order)
+    n = first
+    while exponent(n) - exponent(first) <= order:
+        if n > first:
+            numerators, denominators = factors(n)
+            for c, m in numerators:
+                term = term.times_binomial(c, m)
+            for c, m in denominators:
+                term = term.div_binomial(c, m)
+        out = out + term.shift(exponent(n) - exponent(first))
+        n += 1
+    return out
+
+
+def test_horner_sum_matches_term_by_term_oracle():
+    # random strictly increasing exponents with e(first) > 0 and random
+    # factor schedules: numerators and denominators, c = +-1 and one
+    # |c| = 2, exponents m from 1 to past the summand's length.  Orders
+    # 0..60, then e(n) - e(first) + (-1, 0, 1), where the start list is
+    # exactly [1] and the last summand changes, and one order below
+    # e(first), which a sum taken to the absolute order would cut short
+    rng = random.Random(71)
+    for trial in range(9):
+        first = (0, 1, 3)[trial % 3]
+        gaps = [rng.randint(1, 6) for _ in range(200)]
+        lead = rng.randint(1, 90)
+        exps = {first + i: lead + sum(gaps[:i]) for i in range(len(gaps))}
+        big = 2 * rng.randint(0, 8) + first + 1
+        schedule = {}
+        for n in range(first + 1, first + len(gaps)):
+            numerators = [(rng.choice((1, -1)), rng.randint(1, 30)) for _ in range(rng.randint(0, 2))]
+            denominators = [(rng.choice((1, -1)), rng.randint(1, 30)) for _ in range(rng.randint(0, 2))]
+            if n == big:
+                numerators.append((rng.choice((2, -2)), rng.randint(1, 5)))
+                denominators.append((rng.choice((2, -2)), rng.randint(1, 5)))
+            schedule[n] = (numerators, denominators)
+        exponent, factors = exps.__getitem__, schedule.__getitem__
+        edges = [exps[n] - lead + d for n in range(first, first + 8) for d in (-1, 0, 1)]
+        for order in sorted(set(range(61)) | {e for e in edges if e >= 0} | {lead - 1}):
+            got = _horner_sum(first, exponent, factors, order)
+            assert got == horner_oracle(first, exponent, factors, order), (trial, order)
+    with pytest.raises(ValueError):
+        _horner_sum(0, lambda n: n * n, lambda n: ([], [(-1, n)]), -1)
+
+
 def boundary_orders(exponent) -> list[int]:
     """Every order 0..69, then e(n) - 1, e(n) and e(n) + 1 for the first
-    six summands and 300: where _forward_sum's truncation and its last
-    summand change."""
+    six summands and 300: where _horner_sum's last summand changes and its
+    start list, of length order - e(last) + 1, is exactly [1]."""
     edges = {exponent(n) + d for n in range(6) for d in (-1, 0, 1)}
     return sorted(set(range(70)) | {e for e in edges if e >= 0} | {300})
 
