@@ -248,13 +248,18 @@ def _check_identity(part: int, s: int, k: int, order: int):
     _validate_part_s(part, s)
     _require(k >= 1, "k must be >= 1")
     watch = Stopwatch()
-    lhs = conjecture1_difference(part, s, k, order)
-    rhs = truncated_gauss_rhs(k, order) * rho_series(part, s, order)
-    if k % 2 == 1:
-        rhs = -rhs
+    return _identity_report(part, s, k, order, _regime_sum(part, s, order),
+                            rho_series(part, s, order), truncated_gauss_rhs(k, order), watch)
+
+
+def _identity_report(part: int, s: int, k: int, order: int, regime: TruncatedSeries,
+                     rho: TruncatedSeries, tail: TruncatedSeries, watch: Stopwatch):
+    """The truncated identity from its inputs: the regime sum, the rho
+    series and truncated_gauss_rhs(k, order)."""
+    rhs = tail * rho
     return _compare_series(
         f"id{part}.s{s}.k{k}", {"s": s, "k": k, "order": order},
-        lhs, rhs, watch,
+        _difference(k, order, regime, rho), -rhs if k % 2 == 1 else rhs, watch,
     )
 
 
@@ -272,8 +277,16 @@ def conjecture1_difference(part: int, s: int, k: int, order: int) -> TruncatedSe
     """partial_theta(k) * regime sum - bilateral series: the object whose
     coefficient signs the first conjecture predicts."""
     _validate_part_s(part, s)
-    regime = (regime3_sum if part == 1 else regime4_sum)(s, order)
-    return partial_theta(k, order) * regime - rho_series(part, s, order)
+    return _difference(k, order, _regime_sum(part, s, order), rho_series(part, s, order))
+
+
+def _regime_sum(part: int, s: int, order: int) -> TruncatedSeries:
+    return (regime3_sum if part == 1 else regime4_sum)(s, order)
+
+
+def _difference(k: int, order: int, regime: TruncatedSeries,
+                rho: TruncatedSeries) -> TruncatedSeries:
+    return partial_theta(k, order) * regime - rho
 
 
 def check_conjecture1(part: int, s: int, k: int, order: int):
@@ -281,7 +294,15 @@ def check_conjecture1(part: int, s: int, k: int, order: int):
     _validate_part_s(part, s)
     _require(k >= 1, "k must be >= 1")
     watch = Stopwatch()
-    diff = conjecture1_difference(part, s, k, order)
+    return _conjecture1_report(part, s, k, order, _regime_sum(part, s, order),
+                               rho_series(part, s, order), watch)
+
+
+def _conjecture1_report(part: int, s: int, k: int, order: int, regime: TruncatedSeries,
+                        rho: TruncatedSeries, watch: Stopwatch):
+    """The first conjecture's scan from its inputs: the regime sum and the
+    rho series."""
+    diff = _difference(k, order, regime, rho)
     want_sign = 1 if k % 2 == 0 else -1
     return empirical_report(
         f"conjecture1.part{part}.s{s}.k{k}",
@@ -430,6 +451,31 @@ def _run_with_p_table(check):
     return run
 
 
+def _regime_inputs(instances, order: int, part: int | None = None):
+    """(part, s, regime sum, rho series) for each instance, each series
+    built once; part is the instances' own when they carry one."""
+    for i in instances:
+        i_part, s = i.get("part", part), i["s"]
+        yield i_part, s, _regime_sum(i_part, s, order), rho_series(i_part, s, order)
+
+
+def _run_identity(part: int):
+    """run() for id1 (part 1) or id2 (part 2): truncated_gauss_rhs once per
+    k, the regime sum and the rho series once per instance."""
+    def run(instances, order, ks, options):
+        tails = {k: truncated_gauss_rhs(k, order) for k in ks}
+        return [_identity_report(part, s, k, order, regime, rho, tails[k], Stopwatch())
+                for _, s, regime, rho in _regime_inputs(instances, order, part) for k in ks]
+    return run
+
+
+def _run_conjecture1(instances, order, ks, options):
+    """run() for the first conjecture: the regime sum and the rho series
+    once per instance."""
+    return [_conjecture1_report(part, s, k, order, regime, rho, Stopwatch())
+            for part, s, regime, rho in _regime_inputs(instances, order) for k in ks]
+
+
 def _run_conjecture2(instances, order, ks, options):
     keep = READINGS[options.reading]
     reports = []
@@ -451,9 +497,9 @@ REGISTRY: dict[str, dict[str, RegisteredCheck]] = {
         "corollary2": RegisteredCheck(DEFAULT_ORDER_PROVED, PART_S,
                                       _run_with_p_table(check_corollary2)),
         "id1": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_VALUES[:2],
-                               _each(check_identity_id1), default_ks=(1, 2, 3, 4, 5)),
+                               _run_identity(1), default_ks=(1, 2, 3, 4, 5)),
         "id2": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_VALUES[2:],
-                               _each(check_identity_id2), default_ks=(1, 2, 3, 4, 5)),
+                               _run_identity(2), default_ks=(1, 2, 3, 4, 5)),
         "rogers": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_VALUES, _each(check_rogers)),
         "gauss": RegisteredCheck(DEFAULT_ORDER_PROVED, ({},), _each(check_gauss)),
         "truncated-gauss": RegisteredCheck(DEFAULT_ORDER_IDENTITY, ({},),
@@ -471,7 +517,7 @@ REGISTRY: dict[str, dict[str, RegisteredCheck]] = {
         ),
     },
     "conjecture": {
-        "1": RegisteredCheck(DEFAULT_ORDER_CONJECTURE, PART_S, _each(check_conjecture1),
+        "1": RegisteredCheck(DEFAULT_ORDER_CONJECTURE, PART_S, _run_conjecture1,
                              default_ks=(1, 2, 3, 4)),
         "2": RegisteredCheck(DEFAULT_ORDER_CONJECTURE, PART_S, _run_conjecture2,
                              default_ks=(1, 2, 3, 4), default_reading="both"),

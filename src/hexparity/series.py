@@ -12,7 +12,7 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice, repeat
 from math import gcd
 from operator import add, and_, mul, neg, sub
@@ -417,40 +417,59 @@ def _divide_by_euler(coeffs: list[int], d: int, times: int) -> None:
 def _quotient_route(numerators, denominators, order: int):
     """(numerator, d, k) with prod(numerators) / prod(denominators) equal to
     numerator / (q^d;q^d)oo^k up to q^order, or None where the binomial
-    passes (_expand_by_passes) are the faster kernel.
+    passes (_expand_by_passes) expand the whole quotient.
 
-    Written as lead * prod (1 - q^m)^c[m] (_binomial_exponents):
-
-    - net exponent sum(c) >= 0: the whole quotient is the numerator, with
-      k = 0, expanded by _expand_by_recurrence;
-    - net < 0 (a pole at q = 1; coefficients grow like partition numbers)
-      and every spec infinite: d is the gcd of the m with c[m] != 0, and k
-      the least count that, added to c at every multiple of d, makes the
-      net >= 0.  If every exponent of that numerator is then >= 0, it is a
-      product of binomials with no denominator left (the theta-type
-      numerators of the partition products: (q^2;q^2)oo for 1/(q;q^2)oo,
-      the quintuple product of the regime-IV product, (q^4;q^4)oo for
-      (-q^2;q^2)oo/(q^2;q^2)oo), and the recurrence expands it.
-    - otherwise None.  A finite spec such as (q;q)_n makes the numerator
-      dense ((q^(n+1);q)oo for 1/(q;q)_n), and a finite product is only a
-      few passes.
+    - Every spec finite: None, whatever the net exponent.  A finite product
+      is a few passes.
+    - Otherwise each infinite spec (a*q^o; q^t)oo with o > t is rewritten as
+      (a*q^o'; q^t)oo divided by the finite (a*q^o'; q^t)_j, where
+      o' = o - j*t lies in 1..t.  The infinite specs, written as
+      lead * prod (1 - q^m)^c[m] (_binomial_exponents), give the numerator:
+      - net exponent sum(c) >= 0: k = 0, and the numerator is that product,
+        expanded by _expand_by_recurrence;
+      - net < 0 (a pole at q = 1; coefficients grow like partition
+        numbers): d is the gcd of the m with c[m] != 0, and k the least
+        count that, added to c at every multiple of d, makes the net >= 0.
+        If every exponent is then >= 0, the numerator is a product of
+        binomials with no denominator left, a sparse theta-type series that
+        the recurrence expands: (q^2;q^2)oo for 1/(q;q^2)oo, the quintuple
+        product of the regime-IV product, (q^4;q^4)oo for
+        (-q^2;q^2)oo/(q^2;q^2)oo, (q^2;q^2)oo for (-q^(n+1);q)oo/(q^n;q)oo.
+        Otherwise None.
+      The finite specs, given and split off, are then applied to the
+      numerator by the passes, one per factor.  The rewriting is what keeps
+      the numerator sparse: unwritten, c of (-q^(n+1);q)oo/(q^n;q)oo is 0
+      below m = n, and the k added there leave the dense (q;q)_(n-1)^2 in
+      the numerator, which the recurrence then expands in O(order^2).
 
     The rule only picks the faster kernel.  It is known to pick the slower
     one for 1/(-q;q)oo, whose net is positive but whose coefficients are all
     nonzero and grow (its pole is at q = -1).
     """
-    lead, c = _binomial_exponents(numerators, denominators, order)
+    require_order(order)
+    infinite, finite = ([], []), ([], [])
+    for side, specs in enumerate((numerators, denominators)):
+        for spec in specs:
+            if spec.count is not None:
+                finite[side].append(spec)
+                continue
+            j = max(spec.offset - 1, 0) // spec.step
+            if j:
+                spec = replace(spec, offset=spec.offset - j * spec.step)
+                finite[1 - side].append(replace(spec, count=j))
+            infinite[side].append(spec)
+    if not any(infinite):
+        return None
+    lead, c = _binomial_exponents(*infinite, order)
     net = sum(c)
-    if net >= 0:
-        return _expand_by_recurrence(lead, c), 1, 0
-    if any(spec.count is not None for spec in (*numerators, *denominators)):
-        return None
-    d = gcd(*(m for m, cm in enumerate(c) if cm))
-    k = -(net // (order // d))  # ceil(-net / number of multiples of d)
-    c[d::d] = map(add, c[d::d], repeat(k))
-    if min(c) < 0:
-        return None
-    return _expand_by_recurrence(lead, c), d, k
+    d, k = 1, 0
+    if net < 0:
+        d = gcd(*(m for m, cm in enumerate(c) if cm))
+        k = -(net // (order // d))  # ceil(-net / number of multiples of d)
+        c[d::d] = map(add, c[d::d], repeat(k))
+        if min(c) < 0:
+            return None
+    return _expand_by_passes(_expand_by_recurrence(lead, c), *finite), d, k
 
 
 def pochhammer_quotient(numerators, denominators, order: int) -> TruncatedSeries:

@@ -330,10 +330,14 @@ def gauss_error_tail(k: int, order: int) -> TruncatedSeries:
     order // 2 and stretched.  From the first summand n = k+1 on,
     consecutive terms differ by a shift of k+1 in x, a multiplication by
     (1-x^(n-1)) and a division by (1+x^n): _horner_sum folds them in at
-    one pass per factor per summand, and the first term's quotient
-    (-x^(k+2);x)oo / (x^(k+1);x)oo and its lead x^((k+1)^2) are applied
-    to the result once.  Still about order^2 / (4(k+1)) steps: each
-    division by (1+x^n) is dense.
+    one pass per factor per summand, about order^2 / (4(k+1)) steps, since
+    each division by (1+x^n) is dense.  The first term's quotient
+    (-x^(k+2);x)oo / (x^(k+1);x)oo and its lead x^((k+1)^2) are applied to
+    the result once; times_quotient expands the quotient as
+    [(-x;x)oo / (x;x)oo] * (x;x)_k / (-x;x)_(k+1) (_quotient_route): the
+    sparse (x^2;x^2)oo, 2k+1 binomial passes, one multiply by the sum
+    (sparse, its coefficients +-1) and two divisions by (x;x)oo, which
+    together cost less than the sum.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

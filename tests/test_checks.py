@@ -4,6 +4,7 @@ moderate orders (the acceptance suite reruns them at contract scale)."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from hexparity.checks import (
     check_identity_id2,
     check_s_pair,
     check_theorem1,
+    check_truncated_gauss,
     conjecture1_difference,
     corollary2_progression,
     cross_validate,
@@ -33,7 +35,12 @@ from hexparity.partitions import (
 from hexparity.report import CheckReport, Violation
 from hexparity.series import TruncatedSeries
 from hexparity.squares import SquareProgression, index_set, is_square
-from hexparity.theta import regime3_sum, regime4_sum
+from hexparity.theta import (
+    regime3_sum,
+    regime4_sum,
+    truncated_gauss_lhs,
+    truncated_gauss_rhs,
+)
 
 ALL_INSTANCES = ((1, 2), (1, 4), (2, 1), (2, 3))
 S_PAIR_CONTROLS = ((7, 9), (10, 16), (14, 32))
@@ -362,6 +369,85 @@ def test_cross_validate_failure_reports_every_n(monkeypatch):
     assert report.details["routes"] == [
         {"n": n, "dp": str(counts[n]), "gf": str(counts[n] + n + 1),
          "decomposition": str(counts[n])} for n in at]
+
+
+def test_wrong_euler_division_fails_the_tail_checks(monkeypatch):
+    # the tail's quotient and the left side's even Gauss factor both go
+    # through the Euler division; a wrong division does not cancel between
+    # the sides, since the left side subtracts 1 outside the factor, and
+    # id1's left side does not use it at all
+    import hexparity.series as series
+
+    divide = series._divide_run_by_euler
+    calls = []
+
+    def flipped(run):
+        divide(run)
+        calls.append(len(run))
+        run[1] ^= 1  # flip one bit of one coefficient
+
+    monkeypatch.setattr(series, "_divide_run_by_euler", flipped)
+    order = 200
+    for k in (1, 2, 3):
+        for side in (truncated_gauss_lhs, truncated_gauss_rhs):
+            calls.clear()
+            side(k, order)
+            assert calls, (side.__name__, k)
+        assert check_truncated_gauss(k, order).status == "FAIL", k
+        for s in (2, 4):
+            assert check_identity_id1(s, k, order).status == "FAIL", (s, k)
+
+
+def _counting(monkeypatch, module, names):
+    """Wrap module.name for each name so that its calls are counted by
+    their positional arguments."""
+    counts = {name: Counter() for name in names}
+    for name in names:
+        function = getattr(module, name)
+
+        def counted(*args, function=function, name=name):
+            counts[name][args] += 1
+            return function(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("command, name", [("verify", "id1"), ("verify", "id2"),
+                                           ("conjecture", "1")])
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_shared_input_runs_match_per_instance_checks(monkeypatch, command, name, corrupt):
+    # the registry's run() builds truncated_gauss_rhs once per k and the
+    # regime sum and the rho series once per instance, and returns the
+    # reports the per-instance checks return, over every default (s, k);
+    # with the regime sums corrupted, the same FAILs and violations
+    import hexparity.checks as checks
+
+    if corrupt:
+        at = (0, 33, 90)
+        monkeypatch.setattr(checks, "regime3_sum", _corrupted(checks.regime3_sum, at))
+        monkeypatch.setattr(checks, "regime4_sum", _corrupted(checks.regime4_sum, at))
+    entry = checks.REGISTRY[command][name]
+    instances, ks, order = list(entry.instances), list(entry.default_ks), 90
+    if name == "1":
+        want = [check_conjecture1(i["part"], i["s"], k, order) for i in instances for k in ks]
+    else:
+        check = check_identity_id1 if name == "id1" else check_identity_id2
+        want = [check(i["s"], k, order) for i in instances for k in ks]
+    counts = _counting(monkeypatch, checks, ("truncated_gauss_rhs", "rho_series",
+                                             "regime3_sum", "regime4_sum"))
+    got = entry.run(instances, order, ks, checks.RunOptions())
+
+    def fields(r):
+        return r.check_id, r.status, r.params, r.violations
+
+    assert list(map(fields, got)) == list(map(fields, want))
+    assert corrupt == any(r.status in ("FAIL", "EMPIRICAL_COUNTEREXAMPLE") for r in got)
+    tails = {(k, order): 1 for k in ks} if name != "1" else {}
+    assert counts["truncated_gauss_rhs"] == tails
+    built = counts["regime3_sum"] + counts["regime4_sum"]
+    assert built == {(i["s"], order): 1 for i in instances}
+    assert sum(counts["rho_series"].values()) == len(instances)
 
 
 def test_cross_validate_all_rules():

@@ -349,7 +349,7 @@ def test_division_kernel_matches_binomial_passes():
         got_times = start.times_quotient(numerators, denominators)
         assert got_times.coeffs == tuple(want_times), (num, den, order)
         if any(a[3] not in (None, 0) for a in num + den):
-            seen.add("finite count")  # routed to the passes
+            seen.add("finite count")  # its finite specs go to the passes
         route = _quotient_route(numerators, denominators, order)
         if route is None:
             seen.add("passes")
@@ -375,6 +375,85 @@ def test_division_kernel_matches_binomial_passes():
                 want = _expand_by_passes(want, [], [QPochhammerSpec(1, d, d)] * k)
                 _divide_by_euler(got, d, k)
                 assert got == want, (order, d, k)
+
+
+def test_offsets_above_the_step_match_binomial_passes():
+    # infinite specs (sign*q^o; q^t)oo with o > t, which _quotient_route
+    # rewrites as (sign*q^o'; q^t)oo / (sign*q^o'; q^t)_j, o' in 1..t: o a
+    # multiple of t and not, both signs, t = 1..5, alone on either side,
+    # beside a partition-type denominator (net < 0), beside a finite spec,
+    # and in the tail's shape (-q^(o+t);q^t)oo / (q^o;q^t)oo; orders 0, 1,
+    # t, o - 1, o, o + 1 and one up to 200.  pochhammer_quotient and
+    # times_quotient against the binomial passes on the specs as given
+    rng = random.Random(67)
+    seen = set()
+    for t in range(1, 6):
+        for o in sorted({t + 1, 2 * t, 2 * t + 1, 3 * t, 4 * t - 1} - {t}):
+            for sign in (1, -1):
+                spec = (sign, o, t, None)
+                cases = [
+                    ([spec], []),
+                    ([], [spec]),
+                    ([spec], [(1, 1, 1, None)]),
+                    ([spec, (1, 1, 1, 3)], [(1, 1, 1, None)]),
+                    ([(-1, o + t, t, None)], [(1, o, t, None)]),
+                ]
+                for num, den in cases:
+                    numerators = [QPochhammerSpec(*a) for a in num]
+                    denominators = [QPochhammerSpec(*a) for a in den]
+                    for order in sorted({0, 1, t, o - 1, o, o + 1, rng.randint(2, 200)}):
+                        want = _expand_by_passes([1] + [0] * order, numerators, denominators)
+                        got = pochhammer_quotient(numerators, denominators, order)
+                        assert got.coeffs == tuple(want), (num, den, order)
+                        start = sparse_series(rng, order)
+                        want = _expand_by_passes(list(start.coeffs), numerators, denominators)
+                        got = start.times_quotient(numerators, denominators)
+                        assert got.coeffs == tuple(want), (num, den, order)
+                        route = _quotient_route(numerators, denominators, order)
+                        if route is None:
+                            seen.add("passes")
+                        else:
+                            seen.add("net < 0" if route[2] else "net >= 0")
+    assert seen == {"passes", "net < 0", "net >= 0"}, seen
+
+
+def test_tail_quotient_takes_the_sparse_numerator(monkeypatch):
+    # (-q^(n+1);q)oo / (q^n;q)oo is [(-q;q)oo / (q;q)oo] (q;q)_(n-1) /
+    # (-q;q)_n: the recurrence expands the sparse (q^2;q^2)oo, and two
+    # divisions by (q;q)oo follow
+    import hexparity.series as series
+
+    order = 400
+    expanded = []
+
+    def recurrence(lead, c):
+        expanded.append(_expand_by_recurrence(lead, c))
+        return expanded[-1]
+
+    monkeypatch.setattr(series, "_expand_by_recurrence", recurrence)
+    theta_numerator = _expand_by_passes([1] + [0] * order, [QPochhammerSpec(1, 2, 2)], [])
+    for n in (1, 2, 5, 10):
+        numerators = [QPochhammerSpec(-1, n + 1, 1)]
+        denominators = [QPochhammerSpec(1, n, 1)]
+        _, d, k = _quotient_route(numerators, denominators, order)
+        assert (d, k) == (1, 2)
+        assert expanded.pop() == theta_numerator
+
+
+def test_all_finite_lists_take_the_passes():
+    # a list of finite specs goes to the passes whatever its net exponent,
+    # the tail's (q;q)_k / (-q;q)_(k+1) (net k >= 0) included
+    for k in (1, 2, 5):
+        numerators = [QPochhammerSpec(1, 1, 1, k)]
+        denominators = [QPochhammerSpec(-1, 1, 1, k + 1)]
+        for order in (0, 1, k, 60):
+            assert sum(_binomial_exponents(numerators, denominators, order)[1]) >= 0
+            assert _quotient_route(numerators, denominators, order) is None
+            want = _expand_by_passes([1] + [0] * order, numerators, denominators)
+            assert pochhammer_quotient(numerators, denominators, order).coeffs == tuple(want)
+    assert _quotient_route([], [], 10) is None
+    assert _quotient_route([QPochhammerSpec(-1, 2, 2, 3)], [QPochhammerSpec(1, 2, 2, 3)],
+                           10) is None
 
 
 def test_recurrence_remainder_raises():

@@ -322,6 +322,33 @@ def test_horner_sum_matches_term_by_term_oracle():
         _horner_sum(0, lambda n: n * n, lambda n: ([], [(-1, n)]), -1)
 
 
+def test_gauss_tail_horner_sum_matches_closed_form(monkeypatch):
+    # the Horner result V of gauss_error_tail, in x = q^2 and taken to
+    # x^600, against V = (1 + x^(k+1)) sum_{j>=0} (-1)^j x^(j(j+2k+2)).
+    # That closed form is the truncated Gauss identity rearranged, so it
+    # serves only as an extra oracle for the sum, never in its place
+    import hexparity.theta as theta
+
+    top = 600
+    horner = []
+
+    def recording(*args):
+        horner.append(_horner_sum(*args))
+        return horner[-1]
+
+    monkeypatch.setattr(theta, "_horner_sum", recording)
+    for k in (1, 2, 3, 5):
+        gauss_error_tail(k, 2 * (top + (k + 1) ** 2))
+        closed = [0] * (top + 1)
+        j = 0
+        while j * (j + 2 * k + 2) <= top:
+            for e in (j * (j + 2 * k + 2), j * (j + 2 * k + 2) + k + 1):
+                if e <= top:
+                    closed[e] += (-1) ** j
+            j += 1
+        assert horner.pop().coeffs == tuple(closed), k
+
+
 def boundary_orders(exponent) -> list[int]:
     """Every order 0..69, then e(n) - 1, e(n) and e(n) + 1 for the first
     six summands and 300: where _horner_sum's last summand changes and its
