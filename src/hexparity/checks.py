@@ -9,6 +9,7 @@ EMPIRICAL_COUNTEREXAMPLE with every violation recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import repeat
 from operator import add, mul
 from typing import Callable
@@ -31,6 +32,7 @@ from .theta import (
     bilateral_sum,
     eq41_families,
     eq42_family,
+    even_gauss_factor,
     gauss_theta_sides,
     partial_theta,
     regime3_product,
@@ -81,9 +83,18 @@ def _validate_part_s(part: int, s: int) -> None:
         _require(s in (1, 3), "part 2 requires s in {1, 3}")
 
 
+def _part(s: int) -> int:
+    """The part s belongs to: 1 (regime III) for s in {2, 4}, 2 otherwise."""
+    return 1 if s in (2, 4) else 2
+
+
 def _rule(s: int) -> PartResidueRule:
     """The part rule of s: regime III for s in {2, 4}, regime IV otherwise."""
     return regime3_rule(s) if s in (2, 4) else regime4_rule(s)
+
+
+def _regime_sum(s: int, order: int) -> TruncatedSeries:
+    return (regime3_sum if s in (2, 4) else regime4_sum)(s, order)
 
 
 def _require_table(table: PartitionTable, rule: PartResidueRule | None,
@@ -114,7 +125,7 @@ def check_theorem1(part: int, s: int, order: int,
     if use_parity_fastpath:
         lhs = (regime3_sum_parity if part == 1 else regime4_sum_parity)(s, order)
     else:
-        lhs = (regime3_sum if part == 1 else regime4_sum)(s, order).reduce_mod2()
+        lhs = _regime_sum(s, order).reduce_mod2()
     rhs_bits = indicator_bits(theorem1_progression(part, s), order)
     return proved_report(
         f"theorem1.part{part}.s{s}",
@@ -217,11 +228,12 @@ def check_gauss(order: int):
     return _compare_series("gauss.theta", {"order": order}, lhs, rhs, watch)
 
 
-def check_truncated_gauss(k: int, order: int):
-    """The truncated Gauss identity at truncation index k >= 1."""
+def check_truncated_gauss(k: int, order: int, factor: TruncatedSeries | None = None):
+    """The truncated Gauss identity at truncation index k >= 1; factor, when
+    given, is even_gauss_factor(order)."""
     _require(k >= 1, "k must be >= 1")
     watch = Stopwatch()
-    lhs, rhs = truncated_gauss_lhs(k, order), truncated_gauss_rhs(k, order)
+    lhs, rhs = truncated_gauss_lhs(k, order, factor), truncated_gauss_rhs(k, order)
     return _compare_series(f"truncated_gauss.k{k}", {"k": k, "order": order},
                            lhs, rhs, watch)
 
@@ -229,7 +241,7 @@ def check_truncated_gauss(k: int, order: int):
 def check_set_equivalence(s: int, statement: str, bound: int):
     """The exponent set behind theorem1 (the rho families) or corollary2
     (the decomposition families) against its square progression."""
-    part = 1 if s in (2, 4) else 2
+    part = _part(s)
     _validate_part_s(part, s)
     if statement == "theorem1":
         families, prog = _rho_families(part, s), theorem1_progression(part, s)
@@ -242,24 +254,26 @@ def check_set_equivalence(s: int, statement: str, bound: int):
                                   f"set_equivalence.mod{prog.a}.s{s}")
 
 
-def _check_identity(part: int, s: int, k: int, order: int):
+def _check_identity(part: int, s: int, k: int, order: int,
+                    regime: TruncatedSeries | None = None,
+                    rho: TruncatedSeries | None = None,
+                    tail: TruncatedSeries | None = None):
     """Truncated-theta times the regime sum minus the bilateral series,
-    against the explicit tail product."""
+    against the explicit tail product.  regime, rho and tail, when given,
+    are the regime sum, rho_series(part, s, order) and
+    truncated_gauss_rhs(k, order)."""
     _validate_part_s(part, s)
     _require(k >= 1, "k must be >= 1")
     watch = Stopwatch()
-    return _identity_report(part, s, k, order, _regime_sum(part, s, order),
-                            rho_series(part, s, order), truncated_gauss_rhs(k, order), watch)
-
-
-def _identity_report(part: int, s: int, k: int, order: int, regime: TruncatedSeries,
-                     rho: TruncatedSeries, tail: TruncatedSeries, watch: Stopwatch):
-    """The truncated identity from its inputs: the regime sum, the rho
-    series and truncated_gauss_rhs(k, order)."""
+    if rho is None:
+        rho = rho_series(part, s, order)
+    if tail is None:
+        tail = truncated_gauss_rhs(k, order)
     rhs = tail * rho
     return _compare_series(
         f"id{part}.s{s}.k{k}", {"s": s, "k": k, "order": order},
-        _difference(k, order, regime, rho), -rhs if k % 2 == 1 else rhs, watch,
+        conjecture1_difference(part, s, k, order, regime, rho),
+        -rhs if k % 2 == 1 else rhs, watch,
     )
 
 
@@ -273,36 +287,28 @@ def check_identity_id2(s: int, k: int, order: int):
     return _check_identity(2, s, k, order)
 
 
-def conjecture1_difference(part: int, s: int, k: int, order: int) -> TruncatedSeries:
+def conjecture1_difference(part: int, s: int, k: int, order: int,
+                           regime: TruncatedSeries | None = None,
+                           rho: TruncatedSeries | None = None) -> TruncatedSeries:
     """partial_theta(k) * regime sum - bilateral series: the object whose
     coefficient signs the first conjecture predicts."""
     _validate_part_s(part, s)
-    return _difference(k, order, _regime_sum(part, s, order), rho_series(part, s, order))
-
-
-def _regime_sum(part: int, s: int, order: int) -> TruncatedSeries:
-    return (regime3_sum if part == 1 else regime4_sum)(s, order)
-
-
-def _difference(k: int, order: int, regime: TruncatedSeries,
-                rho: TruncatedSeries) -> TruncatedSeries:
+    if regime is None:
+        regime = _regime_sum(s, order)
+    if rho is None:
+        rho = rho_series(part, s, order)
     return partial_theta(k, order) * regime - rho
 
 
-def check_conjecture1(part: int, s: int, k: int, order: int):
-    """Difference series has coefficients >= 0 for even k, <= 0 for odd k."""
+def check_conjecture1(part: int, s: int, k: int, order: int,
+                      regime: TruncatedSeries | None = None,
+                      rho: TruncatedSeries | None = None):
+    """Difference series has coefficients >= 0 for even k, <= 0 for odd k;
+    regime and rho as in _check_identity."""
     _validate_part_s(part, s)
     _require(k >= 1, "k must be >= 1")
     watch = Stopwatch()
-    return _conjecture1_report(part, s, k, order, _regime_sum(part, s, order),
-                               rho_series(part, s, order), watch)
-
-
-def _conjecture1_report(part: int, s: int, k: int, order: int, regime: TruncatedSeries,
-                        rho: TruncatedSeries, watch: Stopwatch):
-    """The first conjecture's scan from its inputs: the regime sum and the
-    rho series."""
-    diff = _difference(k, order, regime, rho)
+    diff = conjecture1_difference(part, s, k, order, regime, rho)
     want_sign = 1 if k % 2 == 0 else -1
     return empirical_report(
         f"conjecture1.part{part}.s{s}.k{k}",
@@ -315,6 +321,14 @@ def _conjecture1_report(part: int, s: int, k: int, order: int, regime: Truncated
 
 INNER_SIGN_ALTERNATING = "alternating_j"
 INNER_SIGN_LITERAL = "literal"
+
+# conjecture-2 readings a scan can emit: "j" is the alternating (-1)^j
+# reading, "literal" the displayed one
+READINGS = {
+    "j": (INNER_SIGN_ALTERNATING,),
+    "literal": (INNER_SIGN_LITERAL,),
+    "both": (INNER_SIGN_ALTERNATING, INNER_SIGN_LITERAL),
+}
 
 
 def _conjecture2_inner_coeffs(part: int, k: int, reading: str) -> list[int]:
@@ -333,8 +347,12 @@ def _conjecture2_inner_coeffs(part: int, k: int, reading: str) -> list[int]:
 
 
 def check_conjecture2(part: int, s: int, k: int, order: int,
-                      tables: PartitionTable | None = None):
-    """Both readings of the shifted-count inequality; returns two reports.
+                      tables: PartitionTable | None = None,
+                      rho: TruncatedSeries | None = None,
+                      readings: tuple[str, ...] = READINGS["both"]):
+    """The shifted-count inequality under each of readings (both by
+    default); returns one report per reading.  tables and rho, when given,
+    are count_restricted(_rule(s), order) and rho_series(part, s, order).
 
     For counts T (regime III or IV) and the bilateral coefficients rho:
     (-1)^k (T(n) + 2*sum_j coeff_j*T(n-2j^2) - rho(n)) >= 0 for n <= order.
@@ -346,11 +364,12 @@ def check_conjecture2(part: int, s: int, k: int, order: int,
     if tables is None:
         tables = count_restricted(_rule(s), order)
     _require_table(tables, _rule(s), order)
-    rho = rho_series(part, s, order)
+    if rho is None:
+        rho = rho_series(part, s, order)
     outer = 1 if k % 2 == 0 else -1
 
     reports = []
-    for reading in (INNER_SIGN_ALTERNATING, INNER_SIGN_LITERAL):
+    for reading in readings:
         watch = Stopwatch()
         value = [outer * (t - r) for t, r in zip(tables.values, rho.coeffs)]
         for j, coeff in enumerate(_conjecture2_inner_coeffs(part, k, reading), 1):
@@ -392,15 +411,6 @@ def cross_validate(rule: PartResidueRule, order: int):
 # the registry behind the command line
 # ---------------------------------------------------------------------------
 
-# conjecture-2 readings a scan can emit: "j" is the alternating (-1)^j
-# reading, "literal" the displayed one
-READINGS = {
-    "j": (INNER_SIGN_ALTERNATING,),
-    "literal": (INNER_SIGN_LITERAL,),
-    "both": (INNER_SIGN_ALTERNATING, INNER_SIGN_LITERAL),
-}
-
-
 @dataclass(frozen=True)
 class RunOptions:
     fast_parity: bool = False
@@ -411,119 +421,73 @@ class RunOptions:
 class RegisteredCheck:
     """One check or scan as the command line runs it.
 
-    Each instance holds the arguments of one call; part and s select among
-    the instances by the keys they carry.  run(instances, order, ks,
-    options) returns the reports of the selected instances.  default_ks is
-    empty for checks that take no k; parity_order is the default order
-    under options.fast_parity, for checks with a GF(2) path;
+    run_check calls check(**instance, k=k, order=order, **inputs) for each
+    selected instance and k (no k where default_ks is empty) and collects
+    the report, or list of reports, it returns; part and s select among the
+    instances by the keys they carry.  shared declares the inputs the calls
+    share, each as (keyword, build, keys): inputs[keyword] is
+    build(*values, order) for the call's values of keys, built once per
+    values in each run_check call.  parity_order is the default order under
+    options.fast_parity, for checks with a GF(2) path (use_parity_fastpath);
     default_reading is the READINGS key run when options.reading is None,
-    for checks that take a reading.
+    for checks that take readings.
     """
 
     default_order: int
     instances: tuple[dict, ...]
-    run: Callable[[list[dict], int, list[int], RunOptions], list[CheckReport]]
+    check: Callable[..., CheckReport | list[CheckReport]]
+    shared: tuple[tuple[str, Callable, tuple[str, ...]], ...] = ()
     default_ks: tuple[int, ...] = ()
     parity_order: int | None = None
     default_reading: str | None = None
 
 
-def _each(check):
-    """run() calling check(**instance, k=k, order=order) for every selected
-    instance and k, or without k when the check takes none."""
-    def run(instances, order, ks, options):
-        if not ks:
-            return [check(**i, order=order) for i in instances]
-        return [check(**i, k=k, order=order) for i in instances for k in ks]
-    return run
-
-
-def _run_theorem1(instances, order, ks, options):
-    return [check_theorem1(**i, order=order, use_parity_fastpath=options.fast_parity)
-            for i in instances]
-
-
-def _run_with_p_table(check):
-    """run() sharing one p(n) table among the selected instances."""
-    def run(instances, order, ks, options):
-        p = p_table(order)
-        return [check(**i, order=order, p=p) for i in instances]
-    return run
-
-
-def _regime_inputs(instances, order: int, part: int | None = None):
-    """(part, s, regime sum, rho series) for each instance, each series
-    built once; part is the instances' own when they carry one."""
-    for i in instances:
-        i_part, s = i.get("part", part), i["s"]
-        yield i_part, s, _regime_sum(i_part, s, order), rho_series(i_part, s, order)
-
-
-def _run_identity(part: int):
-    """run() for id1 (part 1) or id2 (part 2): truncated_gauss_rhs once per
-    k, the regime sum and the rho series once per instance."""
-    def run(instances, order, ks, options):
-        tails = {k: truncated_gauss_rhs(k, order) for k in ks}
-        return [_identity_report(part, s, k, order, regime, rho, tails[k], Stopwatch())
-                for _, s, regime, rho in _regime_inputs(instances, order, part) for k in ks]
-    return run
-
-
-def _run_conjecture1(instances, order, ks, options):
-    """run() for the first conjecture: the regime sum and the rho series
-    once per instance."""
-    return [_conjecture1_report(part, s, k, order, regime, rho, Stopwatch())
-            for part, s, regime, rho in _regime_inputs(instances, order) for k in ks]
-
-
-def _run_conjecture2(instances, order, ks, options):
-    keep = READINGS[options.reading]
-    reports = []
-    for i in instances:
-        table = count_restricted(_rule(i["s"]), order)
-        for k in ks:
-            reports += [r for r in check_conjecture2(**i, k=k, order=order, tables=table)
-                        if r.params["inner_sign"] in keep]
-    return reports
-
+# the shared inputs; each builder looks its functions up when it is called
+P_TABLE = ("p", lambda order: p_table(order), ())
+REGIME = ("regime", _regime_sum, ("s",))
+RHO = ("rho", lambda s, order: rho_series(_part(s), s, order), ("s",))
+TAIL = ("tail", lambda k, order: truncated_gauss_rhs(k, order), ("k",))
 
 PART_S = tuple({"part": part, "s": s} for part, s in ((1, 2), (1, 4), (2, 1), (2, 3)))
 S_VALUES = tuple({"s": s} for s in (2, 4, 1, 3))
 
 REGISTRY: dict[str, dict[str, RegisteredCheck]] = {
     "verify": {
-        "theorem1": RegisteredCheck(DEFAULT_ORDER_PROVED, PART_S, _run_theorem1,
+        "theorem1": RegisteredCheck(DEFAULT_ORDER_PROVED, PART_S, check_theorem1,
                                     parity_order=DEFAULT_ORDER_PARITY),
-        "corollary2": RegisteredCheck(DEFAULT_ORDER_PROVED, PART_S,
-                                      _run_with_p_table(check_corollary2)),
+        "corollary2": RegisteredCheck(DEFAULT_ORDER_PROVED, PART_S, check_corollary2,
+                                      (P_TABLE,)),
         "id1": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_VALUES[:2],
-                               _run_identity(1), default_ks=(1, 2, 3, 4, 5)),
+                               partial(_check_identity, 1), (REGIME, RHO, TAIL),
+                               default_ks=(1, 2, 3, 4, 5)),
         "id2": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_VALUES[2:],
-                               _run_identity(2), default_ks=(1, 2, 3, 4, 5)),
-        "rogers": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_VALUES, _each(check_rogers)),
-        "gauss": RegisteredCheck(DEFAULT_ORDER_PROVED, ({},), _each(check_gauss)),
-        "truncated-gauss": RegisteredCheck(DEFAULT_ORDER_IDENTITY, ({},),
-                                           _each(check_truncated_gauss),
-                                           default_ks=tuple(range(1, 11))),
+                               partial(_check_identity, 2), (REGIME, RHO, TAIL),
+                               default_ks=(1, 2, 3, 4, 5)),
+        "rogers": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_VALUES, check_rogers),
+        "gauss": RegisteredCheck(DEFAULT_ORDER_PROVED, ({},), check_gauss),
+        "truncated-gauss": RegisteredCheck(
+            DEFAULT_ORDER_IDENTITY, ({},), check_truncated_gauss,
+            (("factor", lambda order: even_gauss_factor(order), ()),),
+            default_ks=tuple(range(1, 11))),
         "set-equivalence": RegisteredCheck(
             DEFAULT_BOUND_SET_EQUIVALENCE,
             tuple({"s": i["s"], "statement": statement} for i in S_VALUES
                   for statement in ("theorem1", "corollary2")),
-            _each(lambda s, statement, order: check_set_equivalence(s, statement, order)),
+            lambda s, statement, order: check_set_equivalence(s, statement, order),
         ),
-        "cross-validate": RegisteredCheck(
-            DEFAULT_ORDER_CONJECTURE, S_VALUES,
-            _each(lambda s, order: cross_validate(_rule(s), order)),
-        ),
+        "cross-validate": RegisteredCheck(DEFAULT_ORDER_CONJECTURE, S_VALUES,
+                                          lambda s, order: cross_validate(_rule(s), order)),
     },
     "conjecture": {
-        "1": RegisteredCheck(DEFAULT_ORDER_CONJECTURE, PART_S, _run_conjecture1,
-                             default_ks=(1, 2, 3, 4)),
-        "2": RegisteredCheck(DEFAULT_ORDER_CONJECTURE, PART_S, _run_conjecture2,
-                             default_ks=(1, 2, 3, 4), default_reading="both"),
+        "1": RegisteredCheck(DEFAULT_ORDER_CONJECTURE, PART_S, check_conjecture1,
+                             (REGIME, RHO), default_ks=(1, 2, 3, 4)),
+        "2": RegisteredCheck(
+            DEFAULT_ORDER_CONJECTURE, PART_S, check_conjecture2,
+            (("tables", lambda s, order: count_restricted(_rule(s), order), ("s",)), RHO),
+            default_ks=(1, 2, 3, 4), default_reading="both"),
         "s-pairs": RegisteredCheck(DEFAULT_ORDER_CONJECTURE,
                                    tuple({"a": a, "b": b} for a, b in S_PAIRS),
-                                   _run_with_p_table(check_s_pair)),
+                                   check_s_pair, (P_TABLE,)),
     },
 }
 
@@ -543,15 +507,16 @@ def run_check(command: str, name: str, order: int | None = None,
     the conjecture under its consistent reading.
     """
     entry = REGISTRY[command][name]
+    label = f"{command} {name}"
     flags = {"part": part, "s": s}
     for key, value in flags.items():
         _require(value is None or any(key in i for i in entry.instances),
-                 f"{name} takes no --{key}")
-    _require(not ks or bool(entry.default_ks), f"{name} takes no --k")
+                 f"{label} takes no --{key}")
+    _require(not ks or bool(entry.default_ks), f"{label} takes no --k")
     _require(not options.fast_parity or entry.parity_order is not None,
-             f"{name} has no --fast-parity path")
+             f"{label} has no --fast-parity path")
     _require(options.reading is None or entry.default_reading is not None,
-             f"{name} takes no --reading")
+             f"{label} takes no --reading")
     if options.reading is None:
         options = replace(options, reading=entry.default_reading)
     if order is None:
@@ -563,8 +528,23 @@ def run_check(command: str, name: str, order: int | None = None,
     selected = [i for i in entry.instances
                 if all(i[key] == value for key, value in flags.items()
                        if value is not None and key in i)]
-    _require(bool(selected), f"no {name} instance matches the given --part/--s")
-    reports = entry.run(selected, order, ks, options)
+    _require(bool(selected), f"{label} has no instance with the given --part/--s")
+    extra = {"order": order}
+    if entry.parity_order is not None:
+        extra["use_parity_fastpath"] = options.fast_parity
+    if entry.default_reading is not None:
+        extra["readings"] = READINGS[options.reading]
+    built, reports = {}, []
+    for i in selected:
+        for k in ks or [None]:
+            args = dict(i, **extra) if k is None else dict(i, k=k, **extra)
+            for keyword, build, keys in entry.shared:
+                values = tuple(args[key] for key in keys)
+                if (keyword, values) not in built:
+                    built[keyword, values] = build(*values, order)
+                args[keyword] = built[keyword, values]
+            result = entry.check(**args)
+            reports += result if isinstance(result, list) else [result]
     gating = [r for r in reports if not (options.reading == "both" and
                                          r.params.get("inner_sign") == INNER_SIGN_LITERAL)]
     return reports, gating

@@ -121,9 +121,9 @@ def _expand_series(args) -> tuple[list[tuple[int, int]], dict]:
     order = require_order(args.order if args.order is not None else 20)
     valid, coefficients = EXPAND_TARGETS[target]
     if valid is None and args.s is not None:
-        raise ValueError(f"{target} takes no --s")
+        raise ValueError(f"expand {target} takes no --s")
     if valid is not None and args.s not in valid:
-        raise ValueError(f"target {target!r} requires --s in {sorted(valid)}")
+        raise ValueError(f"expand {target} requires --s in {sorted(valid)}")
     params = {"target": target, "s": args.s, "order": order}
     return list(enumerate(coefficients(args.s, order))), params
 

@@ -353,11 +353,15 @@ def gauss_error_tail(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries((0,) * lead + tail.coeffs).stretch(2, order)
 
 
-def truncated_gauss_lhs(k: int, order: int) -> TruncatedSeries:
-    """(-1)^k * (even_gauss_factor * partial_theta(k) - 1)."""
+def truncated_gauss_lhs(k: int, order: int,
+                        factor: TruncatedSeries | None = None) -> TruncatedSeries:
+    """(-1)^k * (even_gauss_factor * partial_theta(k) - 1); factor, when
+    given, is even_gauss_factor(order)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    prod = even_gauss_factor(order) * partial_theta(k, order)
+    if factor is None:
+        factor = even_gauss_factor(order)
+    prod = factor * partial_theta(k, order)
     shifted = prod - TruncatedSeries.one(order)
     return shifted if k % 2 == 0 else -shifted
 

@@ -413,41 +413,84 @@ def _counting(monkeypatch, module, names):
     return counts
 
 
-@pytest.mark.parametrize("command, name", [("verify", "id1"), ("verify", "id2"),
-                                           ("conjecture", "1")])
+def _per_instance_reports(command, name, order, reading):
+    """The reports of every default instance and k of a registered check,
+    one per-instance call each, sharing no input."""
+    import hexparity.checks as checks
+
+    entry = checks.REGISTRY[command][name]
+    ks = entry.default_ks or (None,)
+    if name == "2":
+        return [r for i in entry.instances for k in ks
+                for r in check_conjecture2(i["part"], i["s"], k, order)
+                if r.params["inner_sign"] in checks.READINGS[reading]]
+    check = {"id1": check_identity_id1, "id2": check_identity_id2, "1": check_conjecture1,
+             "corollary2": check_corollary2, "s-pairs": check_s_pair,
+             "truncated-gauss": check_truncated_gauss}[name]
+    return [check(*i.values(), *([k] if k else []), order)
+            for i in entry.instances for k in ks]
+
+
+# the functions building each check's shared inputs, with the calls
+# run_check makes to each at order 90; a count n stands for n calls, one
+# per instance's s
+SHARED_BUILDS = {
+    "id1": {"truncated_gauss_rhs": {(k, 90): 1 for k in range(1, 6)},
+            "regime3_sum": {(s, 90): 1 for s in (2, 4)}, "rho_series": 2},
+    "id2": {"truncated_gauss_rhs": {(k, 90): 1 for k in range(1, 6)},
+            "regime4_sum": {(s, 90): 1 for s in (1, 3)}, "rho_series": 2},
+    "1": {"regime3_sum": {(s, 90): 1 for s in (2, 4)},
+          "regime4_sum": {(s, 90): 1 for s in (1, 3)}, "rho_series": 4},
+    "2": {"count_restricted": 4, "rho_series": 4},
+    "corollary2": {"p_table": {(90,): 1}},
+    "s-pairs": {"p_table": {(90,): 1}},
+    "truncated-gauss": {"even_gauss_factor": {(90,): 1}},
+}
+
+
+@pytest.mark.parametrize("command, name", [
+    ("verify", "id1"), ("verify", "id2"), ("conjecture", "1"), ("conjecture", "2"),
+    ("verify", "corollary2"), ("conjecture", "s-pairs"), ("verify", "truncated-gauss")])
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_shared_input_runs_match_per_instance_checks(monkeypatch, command, name, corrupt):
-    # the registry's run() builds truncated_gauss_rhs once per k and the
-    # regime sum and the rho series once per instance, and returns the
-    # reports the per-instance checks return, over every default (s, k);
-    # with the regime sums corrupted, the same FAILs and violations
+    # run_check builds each shared input once per run (the regime sums and
+    # rho series once per s, truncated_gauss_rhs once per k, the tables and
+    # the even Gauss factor once) and returns the reports the per-instance
+    # checks return, over every default instance and k and, for conjecture
+    # 2, under each reading; with the regime sums corrupted, the same FAILs
+    # and violations
     import hexparity.checks as checks
+    import hexparity.theta as theta
 
     if corrupt:
         at = (0, 33, 90)
         monkeypatch.setattr(checks, "regime3_sum", _corrupted(checks.regime3_sum, at))
         monkeypatch.setattr(checks, "regime4_sum", _corrupted(checks.regime4_sum, at))
-    entry = checks.REGISTRY[command][name]
-    instances, ks, order = list(entry.instances), list(entry.default_ks), 90
-    if name == "1":
-        want = [check_conjecture1(i["part"], i["s"], k, order) for i in instances for k in ks]
-    else:
-        check = check_identity_id1 if name == "id1" else check_identity_id2
-        want = [check(i["s"], k, order) for i in instances for k in ks]
-    counts = _counting(monkeypatch, checks, ("truncated_gauss_rhs", "rho_series",
-                                             "regime3_sum", "regime4_sum"))
-    got = entry.run(instances, order, ks, checks.RunOptions())
+    order, builds = 90, SHARED_BUILDS[name]
+    readings = ("j", "literal", "both") if name == "2" else (None,)
+    wants = [_per_instance_reports(command, name, order, r or "both") for r in readings]
+    counts = _counting(monkeypatch, checks, builds)
+    # run_check builds the even Gauss factor; the left side builds none
+    in_theta = _counting(monkeypatch, theta, ("even_gauss_factor",))
 
     def fields(r):
         return r.check_id, r.status, r.params, r.violations
 
-    assert list(map(fields, got)) == list(map(fields, want))
-    assert corrupt == any(r.status in ("FAIL", "EMPIRICAL_COUNTEREXAMPLE") for r in got)
-    tails = {(k, order): 1 for k in ks} if name != "1" else {}
-    assert counts["truncated_gauss_rhs"] == tails
-    built = counts["regime3_sum"] + counts["regime4_sum"]
-    assert built == {(i["s"], order): 1 for i in instances}
-    assert sum(counts["rho_series"].values()) == len(instances)
+    for reading, want in zip(readings, wants):
+        for counter in counts.values():
+            counter.clear()
+        got, _ = checks.run_check(command, name, order,
+                                  options=checks.RunOptions(reading=reading))
+        assert list(map(fields, got)) == list(map(fields, want))
+        for function, calls in builds.items():
+            if isinstance(calls, int):
+                assert sorted(counts[function].values()) == [1] * calls, function
+            else:
+                assert counts[function] == calls, function
+    identity = name in ("id1", "id2", "1")
+    assert (corrupt and identity) == any(r.status in ("FAIL", "EMPIRICAL_COUNTEREXAMPLE")
+                                         for r in got if r.params.get("inner_sign") != "literal")
+    assert not in_theta["even_gauss_factor"]
 
 
 def test_cross_validate_all_rules():

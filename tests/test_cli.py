@@ -218,6 +218,8 @@ def test_negative_order_is_a_usage_error(capsys, argv):
     # --reading on a scan with no readings
     ("conjecture 1 --reading j --order 20", "1 takes no --reading"),
     ("conjecture s-pairs --reading literal", "s-pairs takes no --reading"),
+    # --part and --s that each fit an instance but select none together
+    ("conjecture 1 --part 2 --s 2", "1 has no instance with the given --part/--s"),
     # --s on an expand target that takes none
     ("expand p --s 2", "p takes no --s"),
     ("expand G --s 7", "G takes no --s"),
@@ -227,7 +229,8 @@ def test_flag_a_check_ignores_is_a_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == cli.EXIT_USAGE == 2
     assert out == ""
-    assert err == f"error: {message}\n"
+    # each message names the command, then the check or target
+    assert err == f"error: {argv.split()[0]} {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
