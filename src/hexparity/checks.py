@@ -37,10 +37,10 @@ from .theta import (
     partial_theta,
     regime3_product,
     regime3_sum,
-    regime3_sum_parity,
     regime4_product,
     regime4_sum,
-    regime4_sum_parity,
+    regime_sum,
+    regime_sum_parity,
     truncated_gauss_lhs,
     truncated_gauss_rhs,
 )
@@ -93,10 +93,6 @@ def _rule(s: int) -> PartResidueRule:
     return regime3_rule(s) if s in (2, 4) else regime4_rule(s)
 
 
-def _regime_sum(s: int, order: int) -> TruncatedSeries:
-    return (regime3_sum if s in (2, 4) else regime4_sum)(s, order)
-
-
 def _require_table(table: PartitionTable, rule: PartResidueRule | None,
                    order: int) -> None:
     """A supplied table must count what the check needs, up to its order."""
@@ -122,10 +118,8 @@ def check_theorem1(part: int, s: int, order: int,
     """Regime sum reduced mod 2 versus the square-progression indicator."""
     _validate_part_s(part, s)
     watch = Stopwatch()
-    if use_parity_fastpath:
-        lhs = (regime3_sum_parity if part == 1 else regime4_sum_parity)(s, order)
-    else:
-        lhs = _regime_sum(s, order).reduce_mod2()
+    lhs = (regime_sum_parity(s, order) if use_parity_fastpath
+           else regime_sum(s, order).reduce_mod2())
     rhs_bits = indicator_bits(theorem1_progression(part, s), order)
     return proved_report(
         f"theorem1.part{part}.s{s}",
@@ -294,7 +288,7 @@ def conjecture1_difference(part: int, s: int, k: int, order: int,
     coefficient signs the first conjecture predicts."""
     _validate_part_s(part, s)
     if regime is None:
-        regime = _regime_sum(s, order)
+        regime = regime_sum(s, order)
     if rho is None:
         rho = rho_series(part, s, order)
     return partial_theta(k, order) * regime - rho
@@ -444,7 +438,7 @@ class RegisteredCheck:
 
 # the shared inputs; each builder looks its functions up when it is called
 P_TABLE = ("p", lambda order: p_table(order), ())
-REGIME = ("regime", _regime_sum, ("s",))
+REGIME = ("regime", lambda s, order: regime_sum(s, order), ("s",))
 RHO = ("rho", lambda s, order: rho_series(_part(s), s, order), ("s",))
 TAIL = ("tail", lambda k, order: truncated_gauss_rhs(k, order), ("k",))
 

@@ -126,13 +126,6 @@ def bilateral_sum(families, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def pentagonal_family() -> QuadraticExponentFamily:
-    """e(k) = k(3k-1)/2 with sign (-1)^k: the expansion of (q;q)oo."""
-    return QuadraticExponentFamily.make(
-        Fraction(3, 2), Fraction(-1, 2), 0, s2=0, s1=1
-    )
-
-
 def eq41_families(s: int) -> list[QuadraticExponentFamily]:
     """The two families k(15k+3s-5)/2 and (3k-s/2)(5k-3+s/2)/2, both with
     sign (-1)^(k((s-1)k-1)/2), for s in {2, 4}."""
@@ -405,34 +398,66 @@ def rr_H(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     return _rogers_ramanujan(1, order)
 
 
-def regime3_sum(s: int, order: int) -> TruncatedSeries:
-    """sum_n (-q;q)_n q^(n(3n+s-1)/2) / (q;q)_(2n+1), s in {2, 4}.
+def _regime_terms(s: int):
+    """(exponent, factors, start) of the regime sum for s: for s in {2, 4}
+    the regime-III sum_n (-q;q)_n q^(n(3n+s-1)/2) / (q;q)_(2n+1), for
+    s in {1, 3} the regime-IV sum_n q^(n(n+1)) / (q;q)_(2n+d), d = (s-1)/2.
 
-    The base (-q;q)_n/(q;q)_(2n+1) starts at 1/(1-q), and base_n/base_(n-1)
-    is (1+q^n)/((1-q^2n)(1-q^(2n+1))) = 1/((1-q^n)(1-q^(2n+1))): _horner_sum
-    folds the summands in at two binomial divisions each, and the result is
-    divided by (1-q) once.
+    The summand is q^exponent(n) base_n.  base_0 is 1/prod (1 - q^m) over
+    m in start, and factors(n), in the shape _horner_sum reads, gives
+    base_n/base_(n-1) with denominators only: regime III starts at
+    1/(1-q), with ratio (1+q^n)/((1-q^2n)(1-q^(2n+1))) =
+    1/((1-q^n)(1-q^(2n+1))); regime IV starts at 1/(q;q)_d, with ratio
+    1/((1-q^(2n-1+d))(1-q^(2n+d))).
     """
+    if s in (2, 4):
+        return (lambda n: n * (3 * n + s - 1) // 2,
+                lambda n: ([], [(-1, n), (-1, 2 * n + 1)]), [1])
+    if s in (1, 3):
+        d = (s - 1) // 2
+        return (lambda n: n * (n + 1),
+                lambda n: ([], [(-1, 2 * n - 1 + d), (-1, 2 * n + d)]), [1] * d)
+    raise ValueError("s must be 1, 2, 3 or 4")
+
+
+def regime_sum(s: int, order: int) -> TruncatedSeries:
+    """The regime sum of _regime_terms(s): _horner_sum folds the summands
+    in at two binomial divisions each, and the result is divided by
+    (1-q^m) once per m in start."""
+    exponent, factors, start = _regime_terms(s)
+    v = _horner_sum(0, exponent, factors, order)
+    for m in start:
+        v = v.div_binomial(-1, m)
+    return v
+
+
+def regime_sum_parity(s: int, order: int) -> ParitySeries:
+    """regime_sum(s, order) reduced mod 2, by _backward_parity_sum over the
+    same terms: multiplications only."""
+    return _backward_parity_sum(*_regime_terms(s), order)
+
+
+def regime3_sum(s: int, order: int) -> TruncatedSeries:
+    """sum_n (-q;q)_n q^(n(3n+s-1)/2) / (q;q)_(2n+1), s in {2, 4}."""
     if s not in (2, 4):
         raise ValueError("s must be 2 or 4")
-    return _horner_sum(0, lambda n: n * (3 * n + s - 1) // 2,
-                       lambda n: ([], [(-1, n), (-1, 2 * n + 1)]), order).div_binomial(-1, 1)
+    return regime_sum(s, order)
 
 
 def regime4_sum(s: int, order: int) -> TruncatedSeries:
-    """sum_n q^(n(n+1)) / (q;q)_(2n+(s-1)/2), s in {1, 3}.
-
-    With d = (s-1)/2 the base 1/(q;q)_(2n+d) starts at 1/(q;q)_d, and
-    base_n/base_(n-1) is 1/((1-q^(2n-1+d))(1-q^(2n+d))): _horner_sum folds
-    the summands in at two binomial divisions each, and for d = 1 the
-    result is divided by (1-q) once.
-    """
+    """sum_n q^(n(n+1)) / (q;q)_(2n+(s-1)/2), s in {1, 3}."""
     if s not in (1, 3):
         raise ValueError("s must be 1 or 3")
-    d = (s - 1) // 2
-    v = _horner_sum(0, lambda n: n * (n + 1),
-                    lambda n: ([], [(-1, 2 * n - 1 + d), (-1, 2 * n + d)]), order)
-    return v.div_binomial(-1, 1) if d else v
+    return regime_sum(s, order)
+
+
+def _last_index(exponent, first: int, top: int) -> int:
+    """The last n >= first with exponent(n) <= top, exponent strictly
+    increasing."""
+    last = first
+    while exponent(last + 1) <= top:
+        last += 1
+    return last
 
 
 def _horner_sum(first: int, exponent, factors, order: int) -> TruncatedSeries:
@@ -450,9 +475,7 @@ def _horner_sum(first: int, exponent, factors, order: int) -> TruncatedSeries:
     factor.
     """
     top = require_order(order) + exponent(first)
-    last = first
-    while exponent(last + 1) <= top:
-        last += 1
+    last = _last_index(exponent, first, top)
     e = exponent(last)
     v = [1] + [0] * (top - e)
     for n in range(last, first, -1):
@@ -467,57 +490,31 @@ def _horner_sum(first: int, exponent, factors, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(v))
 
 
-def _backward_parity_sum(exponent, base_exponents, factors, order: int) -> ParitySeries:
+def _backward_parity_sum(exponent, factors, start, order: int) -> ParitySeries:
     """sum_{n>=0} q^exponent(n) * base_n mod 2 up to q^order, exponent
-    increasing from exponent(0) = 0.
+    increasing from exponent(0) = 0, base_0 = 1/prod (1 - q^m) over m in
+    start and base_n/base_(n-1) = 1/prod (1 + c*q^m) over (c, m) in
+    factors(n)[1]; factors(n)[0], the numerators, must be empty.
 
-    base_n is 1/prod (1 + q^m) over m in base_exponents(n).  The walk
-    starts at the last n, M, with exponent(M) <= order, whose base is
-    ParitySeries.reciprocal_bits; base_(n-1) is base_n times the (1 + q^m)
-    for m in factors(n): one shift per factor, at full precision, so every
-    base_n is exact up to q^order.  Base and sum are kept top-down, the
+    Mod 2 every sign vanishes.  The walk starts at the last n, M, with
+    exponent(M) <= order, whose base is ParitySeries.reciprocal_bits over
+    start and the denominators of factors(1..M) (repeats carry, since
+    (1 + q^m)^2 = 1 + q^2m); base_(n-1) is base_n times the (1 + q^m) of
+    factors(n): one shift per factor, at full precision, so every base_n
+    is exact up to q^order.  Base and sum are kept top-down, the
     coefficient of q^j at bit order - j, so a shift right drops exactly the
     terms past q^order and no int grows beyond order + 1 bits; the sum is
     read back by ParitySeries.reverse_bits once.
     """
-    require_order(order)
-    last = 0
-    while exponent(last + 1) <= order:
-        last += 1
-    base = ParitySeries.reciprocal_bits(base_exponents(last), order)
+    last = _last_index(exponent, 0, require_order(order))
+    base = ParitySeries.reciprocal_bits(
+        [*start, *(m for n in range(1, last + 1) for _, m in factors(n)[1])], order)
     acc = 0
     for n in range(last, 0, -1):
         acc ^= base >> exponent(n)
-        for m in factors(n):
+        for _, m in factors(n)[1]:
             base ^= base >> m
     return ParitySeries(order, ParitySeries.reverse_bits(acc ^ base, order))
-
-
-def regime3_sum_parity(s: int, order: int) -> ParitySeries:
-    """regime3_sum reduced mod 2, by multiplications only.
-
-    Mod 2 the base (-q;q)_n/(q;q)_(2n+1) is (q;q)_n/(q;q)_(2n+1), which is
-    1/prod_{m=n+1..2n+1} (1 + q^m); and since (1 + q^2n) = (1 + q^n)^2,
-    base_(n-1) = base_n (1 + q^n)(1 + q^(2n+1)).
-    """
-    if s not in (2, 4):
-        raise ValueError("s must be 2 or 4")
-    return _backward_parity_sum(lambda n: n * (3 * n + s - 1) // 2,
-                                lambda n: range(n + 1, 2 * n + 2),
-                                lambda n: (n, 2 * n + 1), order)
-
-
-def regime4_sum_parity(s: int, order: int) -> ParitySeries:
-    """regime4_sum reduced mod 2, by multiplications only.
-
-    With d = (s-1)/2 the base is 1/(q;q)_(2n+d), so base_(n-1) =
-    base_n (1 + q^(2n-1+d))(1 + q^(2n+d)) mod 2.
-    """
-    if s not in (1, 3):
-        raise ValueError("s must be 1 or 3")
-    d = (s - 1) // 2
-    return _backward_parity_sum(lambda n: n * (n + 1), lambda n: range(1, 2 * n + d + 1),
-                                lambda n: (2 * n - 1 + d, 2 * n + d), order)
 
 
 def regime3_product(s: int, order: int) -> TruncatedSeries:

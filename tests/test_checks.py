@@ -38,6 +38,8 @@ from hexparity.squares import SquareProgression, index_set, is_square
 from hexparity.theta import (
     regime3_sum,
     regime4_sum,
+    regime_sum,
+    regime_sum_parity,
     truncated_gauss_lhs,
     truncated_gauss_rhs,
 )
@@ -74,6 +76,14 @@ def test_theorem1_parameter_validation():
         check_theorem1(2, 2, 10)
     with pytest.raises(ValueError):
         check_theorem1(3, 2, 10)
+    for s in (0, 5):
+        for regime in (regime_sum, regime_sum_parity):
+            with pytest.raises(ValueError):
+                regime(s, 10)
+    with pytest.raises(ValueError):
+        regime3_sum(1, 10)
+    with pytest.raises(ValueError):
+        regime4_sum(2, 10)
 
 
 def test_corollary2_small_cases_by_hand():
@@ -436,11 +446,10 @@ def _per_instance_reports(command, name, order, reading):
 # per instance's s
 SHARED_BUILDS = {
     "id1": {"truncated_gauss_rhs": {(k, 90): 1 for k in range(1, 6)},
-            "regime3_sum": {(s, 90): 1 for s in (2, 4)}, "rho_series": 2},
+            "regime_sum": {(s, 90): 1 for s in (2, 4)}, "rho_series": 2},
     "id2": {"truncated_gauss_rhs": {(k, 90): 1 for k in range(1, 6)},
-            "regime4_sum": {(s, 90): 1 for s in (1, 3)}, "rho_series": 2},
-    "1": {"regime3_sum": {(s, 90): 1 for s in (2, 4)},
-          "regime4_sum": {(s, 90): 1 for s in (1, 3)}, "rho_series": 4},
+            "regime_sum": {(s, 90): 1 for s in (1, 3)}, "rho_series": 2},
+    "1": {"regime_sum": {(s, 90): 1 for s in (2, 4, 1, 3)}, "rho_series": 4},
     "2": {"count_restricted": 4, "rho_series": 4},
     "corollary2": {"p_table": {(90,): 1}},
     "s-pairs": {"p_table": {(90,): 1}},
@@ -464,8 +473,7 @@ def test_shared_input_runs_match_per_instance_checks(monkeypatch, command, name,
 
     if corrupt:
         at = (0, 33, 90)
-        monkeypatch.setattr(checks, "regime3_sum", _corrupted(checks.regime3_sum, at))
-        monkeypatch.setattr(checks, "regime4_sum", _corrupted(checks.regime4_sum, at))
+        monkeypatch.setattr(checks, "regime_sum", _corrupted(checks.regime_sum, at))
     order, builds = 90, SHARED_BUILDS[name]
     readings = ("j", "literal", "both") if name == "2" else (None,)
     wants = [_per_instance_reports(command, name, order, r or "both") for r in readings]

@@ -32,14 +32,13 @@ from hexparity.theta import (
     gauss_theta_sides,
     jtp_sides,
     partial_theta,
-    pentagonal_family,
     quintuple_sides,
     regime3_product,
     regime3_sum,
-    regime3_sum_parity,
     regime4_product,
     regime4_sum,
-    regime4_sum_parity,
+    regime_sum,
+    regime_sum_parity,
     rr_G,
     rr_H,
     eq42_family,
@@ -64,6 +63,13 @@ def restricted_count(n_max: int, allows) -> list[int]:
 def test_bilateral_square_family():
     fam = QuadraticExponentFamily.make(1, 0, 0)
     assert bilateral_sum([fam], 5).coeffs == (1, 2, 0, 0, 2, 0)
+
+
+def pentagonal_family() -> QuadraticExponentFamily:
+    """e(k) = k(3k-1)/2 with sign (-1)^k: the expansion of (q;q)oo."""
+    return QuadraticExponentFamily.make(
+        Fraction(3, 2), Fraction(-1, 2), 0, s2=0, s1=1
+    )
 
 
 def test_bilateral_pentagonal_matches_pochhammer():
@@ -408,12 +414,12 @@ def test_regime_parity_paths_match_bigint():
     for s in (2, 4):
         edges = [n * (3 * n + s - 1) // 2 + d for n in (1, 2, 5, 12, 31) for d in (0, -1)]
         for order in seeded + edges:
-            assert regime3_sum_parity(s, order) == regime3_sum(s, order).reduce_mod2(), \
+            assert regime_sum_parity(s, order) == regime3_sum(s, order).reduce_mod2(), \
                 (s, order)
     for s in (1, 3):
         edges = [n * (n + 1) + d for n in (1, 2, 7, 20, 38) for d in (0, -1)]
         for order in seeded + edges:
-            assert regime4_sum_parity(s, order) == regime4_sum(s, order).reduce_mod2(), \
+            assert regime_sum_parity(s, order) == regime4_sum(s, order).reduce_mod2(), \
                 (s, order)
 
 
@@ -445,11 +451,10 @@ def test_regime_parity_sums_match_forward_division_walk():
     # the backward multiply-only walk against the forward walk that
     # divides, at orders where the bigint sums are too slow to compare
     rng = random.Random(53)
-    for regime, svals, parity in ((3, (2, 4), regime3_sum_parity),
-                                  (4, (1, 3), regime4_sum_parity)):
+    for regime, svals in ((3, (2, 4)), (4, (1, 3))):
         s = rng.choice(svals)
         for order in (20_000, 100_000):
-            assert parity(s, order).bits == forward_parity_sum(regime, s, order), \
+            assert regime_sum_parity(s, order).bits == forward_parity_sum(regime, s, order), \
                 (regime, s, order)
 
 
@@ -484,15 +489,46 @@ def test_regime_sums_match_per_summand_oracle():
         for s in svals:
             if regime == 3:
                 exponents = [n * (3 * n + s - 1) // 2 for n in (1, 2, 5, 12, 24)]
-                exact, parity = regime3_sum, regime3_sum_parity
             else:
                 exponents = [n * (n + 1) for n in (1, 2, 7, 20, 29)]
-                exact, parity = regime4_sum, regime4_sum_parity
             edges = [e + d for e in exponents for d in (-1, 0, 1)]
             for order in seeded + edges:
                 oracle = regime_sum_oracle(regime, s, order)
-                assert exact(s, order) == oracle, (regime, s, order)
-                assert parity(s, order) == oracle.reduce_mod2(), (regime, s, order)
+                assert regime_sum(s, order) == oracle, (regime, s, order)
+                assert regime_sum_parity(s, order) == oracle.reduce_mod2(), (regime, s, order)
+
+
+def test_regime_terms_slip_moves_both_paths_off_the_oracles(monkeypatch):
+    # one denominator of one term ratio off by one: the exact and the
+    # parity sums read the same schedule, so both must leave the
+    # per-summand oracle and the forward walk, neither of which reads it,
+    # while still agreeing with each other
+    import hexparity.theta as theta
+
+    terms = theta._regime_terms
+
+    def slipped(s):
+        exponent, factors, start = terms(s)
+
+        def factors_with_slip(n):
+            numerators, denominators = factors(n)
+            if n == 3:
+                (c, m), *rest = denominators
+                denominators = [(c, m + 1), *rest]
+            return numerators, denominators
+
+        return exponent, factors_with_slip, start
+
+    monkeypatch.setattr(theta, "_regime_terms", slipped)
+    order = 200
+    for regime, s in ((3, 2), (3, 4), (4, 1), (4, 3)):
+        oracle, forward = regime_sum_oracle(regime, s, order), forward_parity_sum(regime, s, order)
+        exact, parity = regime_sum(s, order), regime_sum_parity(s, order)
+        assert exact != oracle, (regime, s)
+        assert exact.reduce_mod2().bits != forward, (regime, s)
+        assert parity != oracle.reduce_mod2(), (regime, s)
+        assert parity.bits != forward, (regime, s)
+        assert exact.reduce_mod2() == parity, (regime, s)
 
 
 def test_eq41_sides_agree():
@@ -523,7 +559,7 @@ def test_eq41_bilateral_mod2_is_exponent_indicator():
         assert sorted(hits) == index_set(
             SquareProgression(120, (3 * s - 5) ** 2), 10_000
         )
-        assert series.reduce_mod2().nonzero_positions() == sorted(hits)
+        assert series.reduce_mod2().bits == sum(1 << n for n in hits)
 
 
 def test_partial_theta_structure():
