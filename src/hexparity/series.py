@@ -12,9 +12,10 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 from itertools import islice, repeat
-from math import gcd
+from math import gcd, isqrt
 from operator import add, and_, mul, neg, sub
 
 
@@ -321,41 +322,170 @@ def _binomial_exponents(numerators, denominators, order: int) -> tuple[int, list
     return lead, c
 
 
+# positions read back from the packed pending sums at a time
+_WINDOW = 128
+
+
+def _divisor_sums(c: list[int]) -> list[int]:
+    """g with g[k] = -sum_{d|k} d*c[d] for k = 1..len(c)-1, and g[0] = 0.
+
+    Hyperbola split: with N = len(c) - 1 and r = isqrt(N), every pair
+    d*e = k <= N has d <= r or else e <= N//(r+1).  The first kind is one
+    strided pass per d <= r; the second, one strided pass per multiplier e,
+    adding -d*c[d] for d = r+1 .. N//e to the positions e*d.  That is about
+    2*sqrt(N) passes, whatever the number of nonzero c[d].
+    """
+    order = len(c) - 1
+    h = list(map(mul, c, range(0, -order - 1, -1)))  # h[d] = -d*c[d]
+    g = [0] * (order + 1)
+    r = isqrt(order)
+    for d in range(1, r + 1):
+        if h[d]:
+            g[d::d] = map(add, g[d::d], repeat(h[d]))
+    for e in range(1, order // (r + 1) + 1):
+        g[e * (r + 1)::e] = map(add, g[e * (r + 1)::e], h[r + 1:order // e + 1])
+    return g
+
+
+def _repeated_slot(value: int, width: int, count: int) -> int:
+    """The int whose count width-byte slots all hold value (0 <= value <
+    2^(8*width))."""
+    return int.from_bytes(value.to_bytes(width, "little") * count, "little")
+
+
+# slot widths in bytes that struct reads and writes whole, little-endian
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _pack(values: list[int], width: int) -> int:
+    """values, each |v| < 2^(8*width - 1), as one int: slot i (bytes
+    width*i .. width*(i+1) - 1) holds values[i] + 2^(8*width - 1)."""
+    biased = list(map(add, values, repeat(1 << 8 * width - 1)))
+    if width in _STRUCT_CODES:
+        raw = struct.pack(f"<{len(biased)}{_STRUCT_CODES[width]}", *biased)
+    else:
+        raw = b"".join(map(int.to_bytes, biased, repeat(width), repeat("little")))
+    return int.from_bytes(raw, "little")
+
+
+def _unpack(packed: int, width: int, count: int) -> list[int]:
+    """The values in the first count slots of a biased packed int (_pack)."""
+    size = width * count
+    raw = (packed & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    if width in _STRUCT_CODES:
+        slots = struct.unpack(f"<{count}{_STRUCT_CODES[width]}", raw)
+    else:
+        slots = [int.from_bytes(raw[i:i + width], "little") for i in range(0, size, width)]
+    return list(map(sub, slots, repeat(1 << 8 * width - 1)))
+
+
+def _widen(packed: int, width: int, wider: int, count: int) -> int:
+    """A biased packed int of count slots re-encoded at a wider slot width:
+    each slot's bytes go to the low bytes of its wider slot (one strided copy
+    per byte), and the bias is raised by the difference, which no slot
+    carries out of."""
+    raw = packed.to_bytes(width * count, "little")
+    out = bytearray(wider * count)
+    for i in range(width):
+        out[i::wider] = raw[i::width]
+    raise_bias = (1 << 8 * wider - 1) - (1 << 8 * width - 1)
+    return int.from_bytes(out, "little") + _repeated_slot(raise_bias, wider, count)
+
+
+def _slot_width(bound: int, width: int) -> int:
+    """The slot width in bytes for pending sums up to |bound|, grown from
+    width: doubling up to 8 bytes, so that struct reads a window whole, then
+    by at least a quarter, so that a bound that keeps rising re-encodes the
+    slots O(log) times, while every push, whose cost is proportional to the
+    width, pays for at most a quarter more than it needs."""
+    need = bound.bit_length() // 8 + 1
+    while width < need:
+        width = 2 * width if width < 8 else max(need, width + (width + 3) // 4)
+    return width
+
+
 def _expand_by_recurrence(lead: int, c: list[int]) -> list[int]:
     """Coefficients of lead * prod_{m>=1} (1 - q^m)^c[m] up to q^(len(c)-1).
 
     The logarithmic derivative gives n*f(n) = sum_{k=1..n} g(k)*f(n-k) with
-    g(k) = -sum_{d|k} d*c[d] (Euler's n*p(n) = sum sigma(k)*p(n-k) is the
-    case c = -1).  Each nonzero f(j), once known, adds f(j)*g(k) to the
-    pending sums of every later n = j + k in one slice pass, so the cost is
-    sum over the nonzero f(j) of (order - j) multiply-adds; zeros cost
-    nothing.  n*f(n) must divide exactly: a remainder means the input is not
-    a product in Z[[q]] and raises ArithmeticError.
+    g(k) = -sum_{d|k} d*c[d] (_divisor_sums; Euler's n*p(n) = sum
+    sigma(k)*p(n-k) is the case c = -1).  Each nonzero f(j), once known,
+    adds f(j)*g(k) to the pending sum of every later n = j + k; zeros cost
+    nothing.
+
+    The pending sums are kept packed (Kronecker substitution): one exact
+    int whose slot i, B = 8*width bits wide, holds the pending sum of
+    position s + i plus the bias 2^(B-1), s being the first position of the
+    current window.  A push of f(j) is one shifted big-int multiply-add of
+    the packed g, cut to the positions a later window reads.  The slots are
+    read back _WINDOW positions at a time; pushes made inside a window are
+    also applied to that window's list, one short list pass each.  Every
+    pending sum is bounded by max|g| times the sum of |f(j)| pushed so far;
+    before a push that would take this bound past a slot, the slots are
+    re-encoded (_widen) at the width _slot_width gives.  No value is ever
+    rounded.
+
+    n*f(n) must divide exactly: a remainder means the input is not a
+    product in Z[[q]] and raises ArithmeticError.  So does a c[m] that is
+    not an int, which no slot can hold.
     """
+    if set(map(type, c)) - {int}:
+        raise ArithmeticError("the exponents c[m] must be ints")
     order = len(c) - 1
-    g = [0] * (order + 1)
-    for m in range(1, order + 1):
-        if c[m]:
-            g[m::m] = map(sub, g[m::m], repeat(m * c[m]))
-    acc = [0] * (order + 1)  # acc[n] = n*f(n) once every f(j < n) is in
-    acc[0] = lead
-    for n in range(order + 1):
-        t = acc[n]
-        if not t:
-            continue
-        if n:
-            t, r = divmod(t, n)
-            if r:
-                raise ArithmeticError(f"{n} does not divide {acc[n]} at q^{n}")
-            acc[n] = t
-        rest = g[1:order + 1 - n]
-        if t == 1:
-            acc[n + 1:] = map(add, acc[n + 1:], rest)
-        elif t == -1:
-            acc[n + 1:] = map(sub, acc[n + 1:], rest)
-        else:
-            acc[n + 1:] = map(add, acc[n + 1:], map(mul, rest, repeat(t)))
-    return acc
+    g = _divisor_sums(c)
+    gmax = max(map(abs, g))
+    # pushes from window s reach at most position order + _WINDOW - 1
+    slots = order + _WINDOW
+    width, bound = _slot_width(gmax, 1), 0
+    packed = _repeated_slot(1 << 8 * width - 1, width, slots)
+    packed_g, zeros_g = _pack(g, width), _repeated_slot(1 << 8 * width - 1, width, order + 1)
+    out = []
+    for s in range(0, order + 1, _WINDOW):
+        window = _unpack(packed, width, min(_WINDOW, order + 1 - s))
+        if s == 0:
+            window[0] = lead
+        later = s + _WINDOW <= order  # whether a later window reads pushes
+        head = None
+        for i, t in enumerate(window):
+            if not t:
+                continue
+            n = s + i
+            if n:
+                t, r = divmod(t, n)
+                if r:
+                    raise ArithmeticError(f"{n} does not divide {window[i]} at q^{n}")
+                window[i] = t
+            rest = g[1:len(window) - i]
+            if t == 1:
+                window[i + 1:] = map(add, window[i + 1:], rest)
+            elif t == -1:
+                window[i + 1:] = map(sub, window[i + 1:], rest)
+            else:
+                window[i + 1:] = map(add, window[i + 1:], map(mul, rest, repeat(t)))
+            if not later:
+                continue
+            bound += gmax * abs(t)
+            if bound.bit_length() >= 8 * width:
+                wider = _slot_width(bound, width)
+                packed = _widen(packed, width, wider, slots - s)
+                packed_g = _widen(packed_g, width, wider, order + 1)
+                zeros_g = _repeated_slot(1 << 8 * wider - 1, wider, order + 1)
+                width, head = wider, None
+            if head is None:
+                # g(0..order - s), exact: pushes from this window then stop
+                # below position order + _WINDOW
+                cut = (1 << 8 * width * (order + 1 - s)) - 1
+                head = (packed_g & cut) - (zeros_g & cut)
+            push = head << 8 * width * i
+            if t == 1:
+                packed += push
+            elif t == -1:
+                packed -= push
+            else:
+                packed += t * push
+        out += window
+        packed >>= 8 * width * _WINDOW
+    return out
 
 
 def _divide_run_by_euler(run: list[int]) -> None:
@@ -438,11 +568,11 @@ def _quotient_route(numerators, denominators, order: int):
 
     The rule only picks the faster kernel.  It is known to pick the slower
     one for 1/(-q;q)oo, whose net is positive but whose coefficients are all
-    nonzero and grow (its pole is at q = -1), and for the literal q^2
-    reading of eq42_sides (theta.regime4_factors with
-    first_decade_exponent=2): its net is >= 0 with (q;q)oo left in the
-    denominator, so the recurrence runs on a dense series, 0.4 s against
-    0.01 s for the q^s reading at order 3000.
+    nonzero and grow (its pole is at q = -1): 93 ms at order 3000.  So it
+    does for the literal q^2 reading of eq42_sides (theta.regime4_factors
+    with first_decade_exponent=2): its net is >= 0 with (q;q)oo left in the
+    denominator, so the recurrence runs on a dense series, 45-48 ms against
+    3-4 ms for the q^s reading at order 3000 (best of 3, 2-vCPU VM).
     """
     require_order(order)
     infinite, finite = ([], []), ([], [])

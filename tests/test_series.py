@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import add
+from operator import add, mul, sub
 
 import pytest
 
@@ -20,9 +20,13 @@ from hexparity.series import (
     TruncatedSeries,
     _binomial_exponents,
     _divide_by_euler,
+    _divisor_sums,
     _expand_by_passes,
     _expand_by_recurrence,
+    _pack,
     _quotient_route,
+    _unpack,
+    _widen,
     div_binomial,
     monomial,
     mul_binomial,
@@ -289,6 +293,144 @@ def test_recurrence_matches_binomial_passes():
         if net < 0 and max(map(abs, got)).bit_length() > 64:
             seen.add("multi-limb, net < 0")
     assert len(seen) == 6, seen
+
+
+def _list_recurrence(lead: int, c: list[int]) -> list[int]:
+    """The logarithmic-derivative recurrence with its pending sums in a
+    list: each nonzero f(n) adds f(n)*g(k) to every later pending sum in one
+    slice pass, and g is built by one strided pass per m.  The reference for
+    the packed kernel."""
+    order = len(c) - 1
+    g = [0] * (order + 1)
+    for m in range(1, order + 1):
+        if c[m]:
+            g[m::m] = map(sub, g[m::m], repeat(m * c[m]))
+    acc = [0] * (order + 1)  # acc[n] = n*f(n) once every f(j < n) is in
+    acc[0] = lead
+    for n in range(order + 1):
+        t = acc[n]
+        if not t:
+            continue
+        if n:
+            t, r = divmod(t, n)
+            if r:
+                raise ArithmeticError(f"{n} does not divide {acc[n]} at q^{n}")
+            acc[n] = t
+        rest = g[1:order + 1 - n]
+        if t == 1:
+            acc[n + 1:] = map(add, acc[n + 1:], rest)
+        elif t == -1:
+            acc[n + 1:] = map(sub, acc[n + 1:], rest)
+        else:
+            acc[n + 1:] = map(add, acc[n + 1:], map(mul, rest, repeat(t)))
+    return acc
+
+
+# orders around the window of 128 positions read back at a time
+WINDOW_ORDERS = (0, 1, 127, 128, 129, 257)
+
+
+def packed_recurrence_cases(rng: random.Random):
+    """(numerators, denominators, order) for the recurrence: named products
+    at the window orders, then random spec lists at random orders <= 600."""
+    named = [
+        ([(1, 1, 1, None)], [(-1, 1, 1, None)]),  # Gauss: f and g of both signs
+        ([(-1, 0, 2, 4), (1, 1, 1, None)], []),  # lead = 2
+        ([(-1, 0, 1, 3), (-1, 0, 5, 2), (1, 2, 2, None)], []),  # lead = 2^5
+        ([], [(-1, 1, 1, None)] * 6),  # dense, multi-limb
+        ([(1, 1, 10, None), (1, 9, 10, None), (1, 10, 10, None),
+          (1, 8, 20, None), (1, 12, 20, None)], []),  # quintuple numerator
+    ]
+    for num, den in named:
+        for order in WINDOW_ORDERS:
+            yield num, den, order
+    for _ in range(30):
+        yield random_specs(rng, 0), random_specs(rng, 1), rng.randint(0, 600)
+
+
+def test_packed_recurrence_matches_list_oracle(monkeypatch):
+    # the packed kernel against the list push and the binomial passes, at
+    # the window edges and at random orders; the pending sums take both
+    # signs, the lead is a power of 2, and 1/(-q;q)oo^6 is dense and
+    # multi-limb, so the slots widen past 8 bytes
+    import hexparity.series as series
+
+    widths = []
+
+    def spy(packed, width, wider, count):
+        widths.append(wider)
+        return _widen(packed, width, wider, count)
+
+    monkeypatch.setattr(series, "_widen", spy)
+    rng = random.Random(71)
+    seen = set()
+    for num, den, order in packed_recurrence_cases(rng):
+        numerators = [QPochhammerSpec(*a) for a in num]
+        denominators = [QPochhammerSpec(*a) for a in den]
+        lead, c = _binomial_exponents(numerators, denominators, order)
+        widths.clear()
+        got = _expand_by_recurrence(lead, c)
+        assert got == _list_recurrence(lead, c), (num, den, order)
+        assert got == _expand_by_passes([1] + [0] * order, numerators, denominators)
+        if min(got) < 0 and order >= 128:
+            seen.add("negative, packed")
+        if lead > 2:
+            seen.add("lead 2^k")
+        if widths:
+            seen.add("widened")
+        if max(widths, default=0) > 8:
+            seen.add("wide slots")
+    assert seen == {"negative, packed", "lead 2^k", "widened", "wide slots"}, seen
+
+
+def test_packed_recurrence_survives_every_regrow(monkeypatch):
+    # the width rule cut to the smallest width that holds the bound, so that
+    # nearly every rise of the bound re-encodes the slots, most of them at
+    # widths struct cannot read whole
+    import hexparity.series as series
+
+    widths = set()
+
+    def spy(packed, width, wider, count):
+        widths.add(wider)
+        return _widen(packed, width, wider, count)
+
+    monkeypatch.setattr(series, "_slot_width", lambda bound, width: bound.bit_length() // 8 + 1)
+    monkeypatch.setattr(series, "_widen", spy)
+    rng = random.Random(73)
+    for num, den, order in packed_recurrence_cases(rng):
+        numerators = [QPochhammerSpec(*a) for a in num]
+        denominators = [QPochhammerSpec(*a) for a in den]
+        lead, c = _binomial_exponents(numerators, denominators, order)
+        assert _expand_by_recurrence(lead, c) == _list_recurrence(lead, c), (num, den, order)
+    assert widths - {1, 2, 4, 8} and max(widths) > 8, widths
+
+
+def test_packed_slots_round_trip():
+    # values at the edges of each slot width, packed, read back, and widened
+    # to every larger width up to 12 bytes, struct widths and others alike
+    rng = random.Random(83)
+    for width in range(1, 13):
+        half = 1 << 8 * width - 1
+        values = [-half, half - 1, 0, 1, -1] + [rng.randint(-half, half - 1) for _ in range(40)]
+        packed = _pack(values, width)
+        assert _unpack(packed, width, len(values)) == values, width
+        assert _unpack(packed, width, 3) == values[:3], width
+        for wider in range(width + 1, 13):
+            assert _widen(packed, width, wider, len(values)) == _pack(values, wider)
+
+
+def test_divisor_sums_match_per_m_loop():
+    # the hyperbola split against one strided pass per m, on random c with
+    # zeros, at every order up to 64 and around 1000 and 1024
+    rng = random.Random(79)
+    for order in list(range(65)) + [999, 1000, 1024]:
+        c = [0] + [rng.choice([0, 0, 1, -1, 2, rng.randint(-9, 9)]) for _ in range(order)]
+        want = [0] * (order + 1)
+        for m in range(1, order + 1):
+            for k in range(m, order + 1, m):
+                want[k] -= m * c[m]
+        assert _divisor_sums(c) == want, order
 
 
 def test_list_iterator_yields_items_extend_appends():
