@@ -18,7 +18,6 @@ from .partitions import (
     PartResidueRule,
     PartitionTable,
     count_restricted,
-    decomposition_families,
     p_table,
     r_decomposed,
     r_gf,
@@ -30,8 +29,7 @@ from .series import TruncatedSeries, require_order
 from .squares import SquareProgression, index_set, indicator_bits, verify_set_equivalence
 from .theta import (
     bilateral_sum,
-    eq41_families,
-    eq42_family,
+    decomposition_families,
     even_gauss_factor,
     gauss_theta_sides,
     partial_theta,
@@ -41,6 +39,7 @@ from .theta import (
     regime4_sum,
     regime_sum,
     regime_sum_parity,
+    rho_families,
     truncated_gauss_lhs,
     truncated_gauss_rhs,
 )
@@ -101,16 +100,12 @@ def _require_table(table: PartitionTable, rule: PartResidueRule | None,
     _require(table.n_max >= order, "table shorter than requested order")
 
 
-def _rho_families(part: int, s: int):
-    return eq41_families(s) if part == 1 else [eq42_family(s)]
-
-
 def rho_series(part: int, s: int, order: int) -> TruncatedSeries:
     """Coefficients of the bilateral theta series subtracted in the
     identities; operational definition of the conjectures' correction term.
     """
     _validate_part_s(part, s)
-    return bilateral_sum(_rho_families(part, s), order)
+    return bilateral_sum(rho_families(s), order)
 
 
 def check_theorem1(part: int, s: int, order: int,
@@ -238,10 +233,9 @@ def check_set_equivalence(s: int, statement: str, bound: int):
     part = _part(s)
     _validate_part_s(part, s)
     if statement == "theorem1":
-        families, prog = _rho_families(part, s), theorem1_progression(part, s)
+        families, prog = rho_families(s), theorem1_progression(part, s)
     elif statement == "corollary2":
-        families = decomposition_families(_rule(s))
-        prog = corollary2_progression(part, s)
+        families, prog = decomposition_families(s), corollary2_progression(part, s)
     else:
         raise ValueError(f"unknown statement {statement!r}")
     return verify_set_equivalence(families, prog, bound,

@@ -20,21 +20,19 @@ import sys
 
 from . import (
     __version__,
+    bilateral_sum,
     count_restricted,
-    eq41_sides,
-    eq42_sides,
     indicator_series,
     p_table,
     regime3_rule,
     regime3_sum,
     regime4_rule,
     regime4_sum,
-    rr_G,
-    rr_H,
 )
 from .checks import READINGS, REGISTRY, RunOptions, run_check, theorem1_progression
 from .report import Stopwatch
 from .series import require_order
+from .theta import rho_families, rogers_ramanujan_sum
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -104,12 +102,12 @@ EXPAND_TARGETS = {
     "p": (None, lambda s, n: p_table(n).values),
     "R": ({2, 4}, lambda s, n: count_restricted(regime3_rule(s), n).values),
     "Rstar": ({1, 3}, lambda s, n: count_restricted(regime4_rule(s), n).values),
-    "G": (None, lambda s, n: rr_G(n)[0].coeffs),
-    "H": (None, lambda s, n: rr_H(n)[0].coeffs),
+    "G": (None, lambda s, n: rogers_ramanujan_sum(0, n).coeffs),
+    "H": (None, lambda s, n: rogers_ramanujan_sum(1, n).coeffs),
     "regime3": ({2, 4}, lambda s, n: regime3_sum(s, n).coeffs),
     "regime4": ({1, 3}, lambda s, n: regime4_sum(s, n).coeffs),
-    "eq41": ({2, 4}, lambda s, n: eq41_sides(s, n)[0].coeffs),
-    "eq42": ({1, 3}, lambda s, n: eq42_sides(s, n)[0].coeffs),
+    "eq41": ({2, 4}, lambda s, n: bilateral_sum(rho_families(s), n).coeffs),
+    "eq42": ({1, 3}, lambda s, n: bilateral_sum(rho_families(s), n).coeffs),
     "indicator": ({1, 2, 3, 4}, lambda s, n: indicator_series(
         theorem1_progression(1 if s in (2, 4) else 2, s), n).coeffs),
 }

@@ -20,13 +20,7 @@ from .series import (
     pochhammer_quotient,
     require_order,
 )
-from .theta import (
-    bilateral_sum,
-    r_decomposition_family,
-    regime3_denominators,
-    regime4_product,
-    rstar_families,
-)
+from .theta import bilateral_sum, decomposition_families, r_factors
 
 REGIME_III = "regime3"
 REGIME_IV = "regime4"
@@ -196,24 +190,9 @@ def count_restricted(rule: PartResidueRule, n_max: int) -> PartitionTable:
 
 
 def r_gf(rule: PartResidueRule, order: int) -> TruncatedSeries:
-    """Generating-function route for the restricted counts.
-
-    Regime III: 1 / ((q;q^2)oo (q^s, q^(10-s); q^10)oo).
-    Regime IV:  (q^s, q^(10-s), q^10; q^10)oo (q^(10-2s), q^(10+2s); q^20)oo
-                / (q;q)oo.
-    """
-    if rule.kind == REGIME_III:
-        return pochhammer_quotient([], regime3_denominators(rule.s), order)
-    return regime4_product(rule.s, order)
-
-
-def decomposition_families(rule: PartResidueRule):
-    """The theta families whose series times sum p(n) q^n generates the
-    restricted counts: k(5k+1-s) with sign (-1)^k for regime III, the two
-    R*_s families for regime IV."""
-    if rule.kind == REGIME_III:
-        return [r_decomposition_family(rule.s)]
-    return rstar_families(rule.s)
+    """Generating-function route for the restricted counts: the product
+    theta.r_factors(rule.s)."""
+    return pochhammer_quotient(*r_factors(rule.s), order)
 
 
 def r_decomposed(rule: PartResidueRule, order: int, p: PartitionTable) -> TruncatedSeries:
@@ -223,7 +202,7 @@ def r_decomposed(rule: PartResidueRule, order: int, p: PartitionTable) -> Trunca
         raise ValueError(f"decomposition needs a p(n) table, got counts for {p.rule}")
     if p.n_max < order:
         raise TableTooSmall(f"table stops at {p.n_max}, need {order}")
-    theta = bilateral_sum(decomposition_families(rule), order)
+    theta = bilateral_sum(decomposition_families(rule.s), order)
     return theta * TruncatedSeries(p.values[: order + 1])
 
 

@@ -569,10 +569,11 @@ def _quotient_route(numerators, denominators, order: int):
     The rule only picks the faster kernel.  It is known to pick the slower
     one for 1/(-q;q)oo, whose net is positive but whose coefficients are all
     nonzero and grow (its pole is at q = -1): 93 ms at order 3000.  So it
-    does for the literal q^2 reading of eq42_sides (theta.regime4_factors
-    with first_decade_exponent=2): its net is >= 0 with (q;q)oo left in the
-    denominator, so the recurrence runs on a dense series, 45-48 ms against
-    3-4 ms for the q^s reading at order 3000 (best of 3, 2-vCPU VM).
+    does for the literal q^2 reading of eq42_sides (first_decade_exponent=2
+    in place of the first numerator of theta.r_factors): its net is >= 0
+    with (q;q)oo left in the denominator, so the recurrence runs on a dense
+    series, 45-48 ms against 3-4 ms for the q^s reading at order 3000 (best
+    of 3, 2-vCPU VM).
     """
     require_order(order)
     infinite, finite = ([], []), ([], [])

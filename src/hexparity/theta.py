@@ -11,7 +11,7 @@ per monomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import (
@@ -48,62 +48,49 @@ class Monomial:
 
 @dataclass(frozen=True)
 class QuadraticExponentFamily:
-    """Exponent e(k) = a2*k^2 + a1*k + a0 with sign base * (-1)^t(k).
+    """Exponent e(k) = (a2*k^2 + a1*k + a0)/den with sign
+    base_sign * (-1)^t(k), t(k) = (s2*k^2 + s1*k)/den, all fields ints.
 
-    The coefficients are exact rationals; e(k) and the sign quadratic
-    t(k) = s2*k^2 + s1*k must evaluate to integers at every contributing k
-    (checked, so transcription slips in the constants surface immediately).
-    a2 > 0 guarantees that truncation windows are finite.  Both quadratics
-    are also held as integer numerators over one common denominator, so a
-    k is evaluated in int arithmetic.
+    Construction checks a2 > 0 and den > 0 (finite truncation windows),
+    base_sign in {+1, -1}, and that e and t are integers on all of Z, which
+    for a quadratic holds exactly when it holds at k = 0, 1, 2.  make builds
+    a family from rational coefficients.
     """
 
-    a2: Fraction
-    a1: Fraction
-    a0: Fraction
-    s2: Fraction = Fraction(0)
-    s1: Fraction = Fraction(0)
+    a2: int
+    a1: int
+    a0: int
+    s2: int = 0
+    s1: int = 0
     base_sign: int = 1
-    # (a2, a1, a0, denominator) and (s2, s1, denominator) as ints
-    _e: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
-    _t: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    den: int = 1
 
     def __post_init__(self) -> None:
-        e_den = math.lcm(self.a2.denominator, self.a1.denominator, self.a0.denominator)
-        t_den = math.lcm(self.s2.denominator, self.s1.denominator)
-        object.__setattr__(self, "_e", (int(self.a2 * e_den), int(self.a1 * e_den),
-                                        int(self.a0 * e_den), e_den))
-        object.__setattr__(self, "_t", (int(self.s2 * t_den), int(self.s1 * t_den), t_den))
+        if self.a2 <= 0 or self.den <= 0:
+            raise ValueError("a2 and den must be positive")
+        if self.base_sign not in (1, -1):
+            raise ValueError("base_sign must be +1 or -1")
+        for k in (0, 1, 2):
+            if ((self.a2 * k + self.a1) * k + self.a0) % self.den or \
+                    (self.s2 * k + self.s1) * k % self.den:
+                raise ValueError(f"e({k}) or t({k}) is not an integer")
 
     @staticmethod
     def make(a2, a1, a0, s2=0, s1=0, base_sign: int = 1) -> "QuadraticExponentFamily":
-        f = QuadraticExponentFamily(
-            Fraction(a2), Fraction(a1), Fraction(a0),
-            Fraction(s2), Fraction(s1), base_sign,
-        )
-        if f.a2 <= 0:
-            raise ValueError("leading coefficient must be positive")
-        if f.base_sign not in (1, -1):
-            raise ValueError("base_sign must be +1 or -1")
-        return f
+        coeffs = [Fraction(c) for c in (a2, a1, a0, s2, s1)]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return QuadraticExponentFamily(*(int(c * den) for c in coeffs), base_sign, den)
 
     def exponent(self, k: int) -> int:
-        a2, a1, a0, den = self._e
-        v = (a2 * k + a1) * k + a0
-        if v % den:
-            raise ValueError(f"exponent {Fraction(v, den)} at k={k} is not an integer")
-        return v // den
+        return ((self.a2 * k + self.a1) * k + self.a0) // self.den
 
     def sign(self, k: int) -> int:
-        s2, s1, den = self._t
-        t = (s2 * k + s1) * k
-        if t % den:
-            raise ValueError(f"sign exponent {Fraction(t, den)} at k={k} is not an integer")
-        return -self.base_sign if t // den & 1 else self.base_sign
+        t = (self.s2 * k + self.s1) * k // self.den
+        return -self.base_sign if t & 1 else self.base_sign
 
     def indices_within(self, bound: int):
         """All k in Z with e(k) <= bound, scanning outward from the vertex."""
-        pivot = math.ceil(-self.a1 / (2 * self.a2))
+        pivot = -(self.a1 // (2 * self.a2))  # ceil(-a1 / (2*a2))
         k = pivot
         while self.exponent(k) <= bound:
             yield k
@@ -126,50 +113,57 @@ def bilateral_sum(families, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
+def _require_s(s: int, allowed: tuple[int, ...]) -> None:
+    if s not in allowed:
+        *rest, last = allowed
+        raise ValueError(f"s must be {', '.join(map(str, rest))} or {last}")
+
+
 def eq41_families(s: int) -> list[QuadraticExponentFamily]:
     """The two families k(15k+3s-5)/2 and (3k-s/2)(5k-3+s/2)/2, both with
-    sign (-1)^(k((s-1)k-1)/2), for s in {2, 4}."""
-    if s not in (2, 4):
-        raise ValueError("s must be 2 or 4")
-    sgn2, sgn1 = Fraction(s - 1, 2), Fraction(-1, 2)
+    sign (-1)^(k((s-1)k-1)/2), for s in {2, 4}; the second expands to
+    (15k^2-(9+s)k+2)/2, since (6s-s^2)/4 = 2 at both s."""
+    _require_s(s, (2, 4))
     return [
-        QuadraticExponentFamily.make(
-            Fraction(15, 2), Fraction(3 * s - 5, 2), 0, s2=sgn2, s1=sgn1
-        ),
-        QuadraticExponentFamily.make(
-            Fraction(15, 2),
-            Fraction(-(9 + s), 2),
-            Fraction(6 * s - s * s, 8),
-            s2=sgn2,
-            s1=sgn1,
-        ),
+        QuadraticExponentFamily(15, 3 * s - 5, 0, s2=s - 1, s1=-1, den=2),
+        QuadraticExponentFamily(15, -(9 + s), 2, s2=s - 1, s1=-1, den=2),
     ]
 
 
 def eq42_family(s: int) -> QuadraticExponentFamily:
     """e(k) = k(5k-s)/2 with sign (-1)^(k(k+s)/2), for s in {1, 3}."""
-    if s not in (1, 3):
-        raise ValueError("s must be 1 or 3")
-    return QuadraticExponentFamily.make(
-        Fraction(5, 2), Fraction(-s, 2), 0, s2=Fraction(1, 2), s1=Fraction(s, 2)
-    )
+    _require_s(s, (1, 3))
+    return QuadraticExponentFamily(5, -s, 0, s2=1, s1=s, den=2)
 
 
 def rstar_families(s: int) -> list[QuadraticExponentFamily]:
     """15k^2-(5-3s)k with sign +1 and 15k^2+(5+3s)k+s with sign -1."""
-    if s not in (1, 3):
-        raise ValueError("s must be 1 or 3")
+    _require_s(s, (1, 3))
     return [
-        QuadraticExponentFamily.make(15, -(5 - 3 * s), 0),
-        QuadraticExponentFamily.make(15, 5 + 3 * s, s, base_sign=-1),
+        QuadraticExponentFamily(15, -(5 - 3 * s), 0),
+        QuadraticExponentFamily(15, 5 + 3 * s, s, base_sign=-1),
     ]
 
 
 def r_decomposition_family(s: int) -> QuadraticExponentFamily:
     """e(k) = k(5k+1-s) with sign (-1)^k, for s in {2, 4}."""
-    if s not in (2, 4):
-        raise ValueError("s must be 2 or 4")
-    return QuadraticExponentFamily.make(5, 1 - s, 0, s2=0, s1=1)
+    _require_s(s, (2, 4))
+    return QuadraticExponentFamily(5, 1 - s, 0, s1=1)
+
+
+def rho_families(s: int) -> list[QuadraticExponentFamily]:
+    """The families of the bilateral series rho: eq41_families(s) for
+    s in {2, 4}, eq42_family(s) for s in {1, 3}."""
+    _require_s(s, (1, 2, 3, 4))
+    return eq41_families(s) if s in (2, 4) else [eq42_family(s)]
+
+
+def decomposition_families(s: int) -> list[QuadraticExponentFamily]:
+    """The families whose theta series times sum p(n) q^n generates R_s
+    (s in {2, 4}: r_decomposition_family) or R*_s (s in {1, 3}:
+    rstar_families)."""
+    _require_s(s, (1, 2, 3, 4))
+    return [r_decomposition_family(s)] if s in (2, 4) else rstar_families(s)
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +205,7 @@ def jtp_sides(
     bq = 1 if q_sign == -1 else 0
     # (-z)^n q^(n(n-1)/2) becomes sign (-1)^((1+bz)n + bq*n(n-1)/2) at
     # exponent a*n + m*n(n-1)/2
-    family = QuadraticExponentFamily.make(
-        Fraction(m, 2),
-        a - Fraction(m, 2),
-        0,
-        s2=Fraction(bq, 2),
-        s1=(1 + bz) - Fraction(bq, 2),
-    )
+    family = QuadraticExponentFamily(m, 2 * a - m, 0, s2=bq, s1=2 + 2 * bz - bq, den=2)
     sum_side = bilateral_sum([family], order)
     prod_side = pochhammer_quotient(
         monomial_pochhammer(z, qm)
@@ -237,22 +225,10 @@ def quintuple_sum_families(z: Monomial, q: Monomial) -> list[QuadraticExponentFa
     a, m = z.exp, q.exp
     return [
         # +z^(3n) q^(n(3n-1)/2)
-        QuadraticExponentFamily.make(
-            Fraction(3 * m, 2),
-            3 * a - Fraction(m, 2),
-            0,
-            s2=Fraction(3 * bq, 2),
-            s1=3 * bz - Fraction(bq, 2),
-        ),
+        QuadraticExponentFamily(3 * m, 6 * a - m, 0, s2=3 * bq, s1=6 * bz - bq, den=2),
         # -z^(3n+1) q^(n(3n+1)/2)
-        QuadraticExponentFamily.make(
-            Fraction(3 * m, 2),
-            3 * a + Fraction(m, 2),
-            a,
-            s2=Fraction(3 * bq, 2),
-            s1=3 * bz + Fraction(bq, 2),
-            base_sign=-z.sign,
-        ),
+        QuadraticExponentFamily(3 * m, 6 * a + m, 2 * a, s2=3 * bq, s1=6 * bz + bq,
+                                base_sign=-z.sign, den=2),
     ]
 
 
@@ -285,7 +261,7 @@ def quintuple_sides(
 
 def gauss_theta_sides(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """sum_n (-1)^n q^(n^2) over n in Z versus (q;q)oo / (-q;q)oo."""
-    lhs = bilateral_sum([QuadraticExponentFamily.make(1, 0, 0, s1=1)], order)
+    lhs = bilateral_sum([QuadraticExponentFamily(1, 0, 0, s1=1)], order)
     rhs = pochhammer_quotient([EULER], [QPochhammerSpec(-1, 1, 1)], order)
     return lhs, rhs
 
@@ -373,17 +349,17 @@ def truncated_gauss_rhs(k: int, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _rogers_ramanujan_sum(shift: int, order: int) -> TruncatedSeries:
+def rogers_ramanujan_sum(shift: int, order: int) -> TruncatedSeries:
     """sum q^(n^2+shift*n)/(q;q)_n: G for shift 0, H for shift 1, by
     _horner_sum with one division by (1-q^n) per summand."""
     return _horner_sum(0, lambda n: n * n + shift * n, lambda n: ([], [(-1, n)]), order)
 
 
 def _rogers_ramanujan(shift: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """The sum form of _rogers_ramanujan_sum and the product form
+    """The sum form of rogers_ramanujan_sum and the product form
     1/(q^a, q^(5-a); q^5)oo with a = 1+shift."""
     a = 1 + shift
-    return _rogers_ramanujan_sum(shift, order), pochhammer_quotient(
+    return rogers_ramanujan_sum(shift, order), pochhammer_quotient(
         [], [QPochhammerSpec(1, a, 5), QPochhammerSpec(1, 5 - a, 5)], order
     )
 
@@ -410,14 +386,13 @@ def _regime_terms(s: int):
     1/((1-q^n)(1-q^(2n+1))); regime IV starts at 1/(q;q)_d, with ratio
     1/((1-q^(2n-1+d))(1-q^(2n+d))).
     """
+    _require_s(s, (1, 2, 3, 4))
     if s in (2, 4):
         return (lambda n: n * (3 * n + s - 1) // 2,
                 lambda n: ([], [(-1, n), (-1, 2 * n + 1)]), [1])
-    if s in (1, 3):
-        d = (s - 1) // 2
-        return (lambda n: n * (n + 1),
-                lambda n: ([], [(-1, 2 * n - 1 + d), (-1, 2 * n + d)]), [1] * d)
-    raise ValueError("s must be 1, 2, 3 or 4")
+    d = (s - 1) // 2
+    return (lambda n: n * (n + 1),
+            lambda n: ([], [(-1, 2 * n - 1 + d), (-1, 2 * n + d)]), [1] * d)
 
 
 def regime_sum(s: int, order: int) -> TruncatedSeries:
@@ -439,15 +414,13 @@ def regime_sum_parity(s: int, order: int) -> ParitySeries:
 
 def regime3_sum(s: int, order: int) -> TruncatedSeries:
     """sum_n (-q;q)_n q^(n(3n+s-1)/2) / (q;q)_(2n+1), s in {2, 4}."""
-    if s not in (2, 4):
-        raise ValueError("s must be 2 or 4")
+    _require_s(s, (2, 4))
     return regime_sum(s, order)
 
 
 def regime4_sum(s: int, order: int) -> TruncatedSeries:
     """sum_n q^(n(n+1)) / (q;q)_(2n+(s-1)/2), s in {1, 3}."""
-    if s not in (1, 3):
-        raise ValueError("s must be 1 or 3")
+    _require_s(s, (1, 3))
     return regime_sum(s, order)
 
 
@@ -521,48 +494,31 @@ def regime3_product(s: int, order: int) -> TruncatedSeries:
     """G(q^2)/(q;q^2)oo for s=2, H(q^2)/(q;q^2)oo for s=4, with G and H
     taken from their summation forms so the comparison against
     regime3_sum is a genuinely independent route."""
-    if s not in (2, 4):
-        raise ValueError("s must be 2 or 4")
-    half = _rogers_ramanujan_sum(0 if s == 2 else 1, (order + 1) // 2)
+    _require_s(s, (2, 4))
+    half = rogers_ramanujan_sum(0 if s == 2 else 1, (order + 1) // 2)
     return half.stretch(2, order).times_quotient([], [ODD_PARTS])
 
 
-def regime3_denominators(s: int) -> list[QPochhammerSpec]:
-    """(q;q^2)oo (q^s, q^(10-s); q^10)oo, whose reciprocal generates R_s."""
-    if s not in (2, 4):
-        raise ValueError("s must be 2 or 4")
+def r_factors(s: int) -> tuple[list[QPochhammerSpec], list[QPochhammerSpec]]:
+    """(numerators, denominators) of the product generating R_s, s in {2, 4}:
+    1/((q;q^2)oo (q^s, q^(10-s); q^10)oo), or R*_s, s in {1, 3}:
+    (q^s, q^(10-s), q^10; q^10)oo (q^(10-2s), q^(10+2s); q^20)oo / (q;q)oo."""
+    _require_s(s, (1, 2, 3, 4))
+    if s in (2, 4):
+        return [], [ODD_PARTS, QPochhammerSpec(1, s, 10), QPochhammerSpec(1, 10 - s, 10)]
     return [
-        ODD_PARTS,
         QPochhammerSpec(1, s, 10),
-        QPochhammerSpec(1, 10 - s, 10),
-    ]
-
-
-def regime4_factors(
-    s: int, first_decade_exponent: int | None = None
-) -> tuple[list[QPochhammerSpec], list[QPochhammerSpec]]:
-    """(numerators, denominators) of the product that generates R*_s:
-    (q^s, q^(10-s), q^10; q^10)oo (q^(10-2s), q^(10+2s); q^20)oo / (q;q)oo.
-
-    first_decade_exponent replaces the leading q^s, for eq42_sides' literal
-    reading.
-    """
-    if s not in (1, 3):
-        raise ValueError("s must be 1 or 3")
-    first = s if first_decade_exponent is None else first_decade_exponent
-    numerators = [
-        QPochhammerSpec(1, first, 10),
         QPochhammerSpec(1, 10 - s, 10),
         QPochhammerSpec(1, 10, 10),
         QPochhammerSpec(1, 10 - 2 * s, 20),
         QPochhammerSpec(1, 10 + 2 * s, 20),
-    ]
-    return numerators, [EULER]
+    ], [EULER]
 
 
 def regime4_product(s: int, order: int) -> TruncatedSeries:
-    """(q^s, q^(10-s), q^10; q^10)oo (q^(10-2s), q^(10+2s); q^20)oo/(q;q)oo."""
-    return pochhammer_quotient(*regime4_factors(s), order)
+    """The product generating R*_s, s in {1, 3} (r_factors)."""
+    _require_s(s, (1, 3))
+    return pochhammer_quotient(*r_factors(s), order)
 
 
 # ---------------------------------------------------------------------------
@@ -570,33 +526,33 @@ def regime4_product(s: int, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def eq41_sides(s: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Bilateral side versus product side for s in {2, 4}.
-
-    Right side: 1/((q;q^2)oo (q^s, q^(10-s); q^10)oo)
-                * (q^2;q^2)oo / (-q^2;q^2)oo.
-    """
-    left = bilateral_sum(eq41_families(s), order)
+def _rho_sides(s: int, order: int, numerators, denominators):
+    """bilateral_sum(rho_families(s)) versus the product numerators /
+    denominators times (q^2;q^2)oo / (-q^2;q^2)oo."""
     gauss_numerators, gauss_denominators = even_binomial_factors(INFINITE)
-    right = pochhammer_quotient(
-        gauss_denominators, regime3_denominators(s) + gauss_numerators, order
-    )
-    return left, right
+    return bilateral_sum(rho_families(s), order), pochhammer_quotient(
+        numerators + gauss_denominators, denominators + gauss_numerators, order)
+
+
+def eq41_sides(s: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """Bilateral side versus R_s's product times (q^2;q^2)oo / (-q^2;q^2)oo,
+    for s in {2, 4}."""
+    _require_s(s, (2, 4))
+    return _rho_sides(s, order, *r_factors(s))
 
 
 def eq42_sides(
     s: int, order: int, first_decade_exponent: int | None = None
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Bilateral side versus product side for s in {1, 3}.
+    """Bilateral side versus R*_s's product times (q^2;q^2)oo / (-q^2;q^2)oo,
+    for s in {1, 3}.
 
     The first mod-10 product factor defaults to q^s, which is the reading
     that makes the identity hold; passing first_decade_exponent=2 selects
     the alternative literal reading so callers can report its failure.
     """
-    left = bilateral_sum([eq42_family(s)], order)
-    numerators, denominators = regime4_factors(s, first_decade_exponent)
-    gauss_numerators, gauss_denominators = even_binomial_factors(INFINITE)
-    right = pochhammer_quotient(
-        numerators + gauss_denominators, denominators + gauss_numerators, order
-    )
-    return left, right
+    _require_s(s, (1, 3))
+    numerators, denominators = r_factors(s)
+    if first_decade_exponent is not None:
+        numerators[0] = QPochhammerSpec(1, first_decade_exponent, 10)
+    return _rho_sides(s, order, numerators, denominators)

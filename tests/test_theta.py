@@ -17,6 +17,7 @@ from hexparity.series import (
     monomial,
     pochhammer_quotient,
 )
+import hexparity.theta as theta
 from hexparity.theta import (
     Monomial,
     _horner_sum,
@@ -24,6 +25,7 @@ from hexparity.theta import (
     NegativeExponent,
     QuadraticExponentFamily,
     bilateral_sum,
+    decomposition_families,
     eq41_sides,
     eq42_sides,
     even_binomial_factors,
@@ -33,12 +35,15 @@ from hexparity.theta import (
     jtp_sides,
     partial_theta,
     quintuple_sides,
+    quintuple_sum_families,
+    r_factors,
     regime3_product,
     regime3_sum,
     regime4_product,
     regime4_sum,
     regime_sum,
     regime_sum_parity,
+    rho_families,
     rr_G,
     rr_H,
     eq42_family,
@@ -90,9 +95,115 @@ def test_bilateral_order_independence_and_hits():
 
 
 def test_family_integrality_guard():
-    bad = QuadraticExponentFamily.make(Fraction(1, 2), 0, 0)
     with pytest.raises(ValueError):
-        bad.exponent(1)
+        QuadraticExponentFamily.make(Fraction(1, 2), 0, 0)
+
+
+def test_family_construction_contract():
+    # a2 <= 0 used to construct, and indices_within then never stopped;
+    # base_sign 5 used to scale every coefficient of bilateral_sum by 5
+    for bad in ((-1, 0, 0), (0, 1, 0), (1, 0, 0, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1, -1)):
+        with pytest.raises(ValueError):
+            QuadraticExponentFamily(*bad)
+    with pytest.raises(ValueError):
+        QuadraticExponentFamily(1, 0, 0, base_sign=5)
+    for a2 in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            QuadraticExponentFamily.make(a2, 0, 0)
+    with pytest.raises(ValueError):
+        QuadraticExponentFamily.make(1, 0, 0, base_sign=5)
+    with pytest.raises(ValueError):
+        QuadraticExponentFamily(2, 0, 0, s1=1, den=2)  # e = k^2, t = k/2
+    with pytest.raises(ValueError):
+        QuadraticExponentFamily.make(1, 0, Fraction(1, 3))
+    # the check at k = 0, 1, 2 accepts exactly the integer-valued
+    # quadratics, as an exhaustive scan over k in -30..30 finds them
+    rng = random.Random(7)
+    accepted = 0
+    for _ in range(2000):
+        a2, s2 = rng.randint(1, 12), rng.randint(-6, 6)
+        a1, a0, s1 = (rng.randint(-12, 12) for _ in range(3))
+        den = rng.randint(1, 6)
+        integral = all(((a2 * k + a1) * k + a0) % den == 0 and (s2 * k + s1) * k % den == 0
+                       for k in range(-30, 31))
+        try:
+            QuadraticExponentFamily(a2, a1, a0, s2, s1, 1, den)
+        except ValueError:
+            assert not integral, (a2, a1, a0, s2, s1, den)
+        else:
+            assert integral, (a2, a1, a0, s2, s1, den)
+            accepted += 1
+    assert accepted > 100
+
+
+def _paper_forms():
+    """Every family theta builds, beside its exponent and sign written out
+    in exact rationals as the paper and the docstrings state them: a list
+    of (families, [(e(k), t(k), base sign)] per family), sign base*(-1)^t."""
+    half = Fraction(1, 2)
+    forms = []
+    for s in (2, 4):
+        t = lambda k, s=s: k * ((s - 1) * k - 1) * half
+        forms.append((rho_families(s), [
+            (lambda k, s=s: k * (15 * k + 3 * s - 5) * half, t, 1),
+            (lambda k, s=s: (3 * k - s * half) * (5 * k - 3 + s * half) * half, t, 1)]))
+        forms.append((decomposition_families(s),
+                      [(lambda k, s=s: k * (5 * k + 1 - s), lambda k: k, 1)]))
+    for s in (1, 3):
+        forms.append((rho_families(s), [(lambda k, s=s: k * (5 * k - s) * half,
+                                         lambda k, s=s: k * (k + s) * half, 1)]))
+        forms.append((decomposition_families(s), [
+            (lambda k, s=s: 15 * k * k - (5 - 3 * s) * k, lambda k: 0, 1),
+            (lambda k, s=s: 15 * k * k + (5 + 3 * s) * k + s, lambda k: 0, -1)]))
+    # sum_n z^(3n) q^(n(3n-1)/2) (1 - z q^n) and sum_n (-z)^n q^(n(n-1)/2)
+    # under z -> zs q^a, q -> qs q^m, with zs = (-1)^bz and qs = (-1)^bq
+    for zs, a, qs, m in ((1, 1, 1, 3), (-1, 1, 1, 3), (1, 2, -1, 5), (-1, 1, -1, 2)):
+        bz, bq = (zs == -1), (qs == -1)
+        forms.append((quintuple_sum_families(Monomial(zs, a), Monomial(qs, m)), [
+            (lambda k, a=a, m=m: 3 * a * k + m * k * (3 * k - 1) * half,
+             lambda k, bz=bz, bq=bq: 3 * k * bz + bq * k * (3 * k - 1) * half, 1),
+            (lambda k, a=a, m=m: a * (3 * k + 1) + m * k * (3 * k + 1) * half,
+             lambda k, bz=bz, bq=bq: (3 * k + 1) * bz + bq * k * (3 * k + 1) * half, -1)]))
+        forms.append((lambda zs=zs, a=a, qs=qs, m=m: jtp_sides(zs, a, qs, m, 0), [
+            (lambda k, a=a, m=m: a * k + m * k * (k - 1) * half,
+             lambda k, bz=bz, bq=bq: (1 + bz) * k + bq * k * (k - 1) * half, 1)]))
+    forms.append((lambda: gauss_theta_sides(0), [(lambda k: k * k, lambda k: k, 1)]))
+    return forms
+
+
+def test_families_match_exact_rational_evaluation(monkeypatch):
+    # the families jtp_sides and gauss_theta_sides build inline are caught
+    # on their way into bilateral_sum
+    caught = []
+    monkeypatch.setattr(theta, "bilateral_sum", lambda families, order: caught.append(families))
+    for families, forms in _paper_forms():
+        if callable(families):
+            families()
+            families = caught.pop()
+        assert len(families) == len(forms)
+        for fam, (e, t, base) in zip(families, forms):
+            for k in range(-60, 61):
+                ek, tk = Fraction(e(k)), Fraction(t(k))
+                assert ek.denominator == tk.denominator == 1, (fam, k)
+                assert fam.exponent(k) == ek, (fam, k)
+                assert fam.sign(k) == base * (-1) ** int(tk), (fam, k)
+
+
+def test_per_s_data_validates_s():
+    for s in (0, 5):
+        for build in (rho_families, decomposition_families, r_factors):
+            with pytest.raises(ValueError):
+                build(s)
+    for s in (1, 3):
+        with pytest.raises(ValueError):
+            eq41_sides(s, 10)
+        with pytest.raises(ValueError):
+            regime3_product(s, 10)
+    for s in (2, 4):
+        with pytest.raises(ValueError):
+            eq42_sides(s, 10)
+        with pytest.raises(ValueError):
+            regime4_product(s, 10)
 
 
 def test_indices_within_matches_exhaustive_scan():
