@@ -8,6 +8,7 @@ EMPIRICAL_COUNTEREXAMPLE with every violation recorded.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import repeat
@@ -25,7 +26,7 @@ from .partitions import (
     regime4_rule,
 )
 from .report import CheckReport, Stopwatch, Violation, empirical_report, proved_report
-from .series import TruncatedSeries, require_order
+from .series import ParitySeries, TruncatedSeries, require_order
 from .squares import SquareProgression, index_set, indicator_bits, verify_set_equivalence
 from .theta import (
     bilateral_sum,
@@ -38,6 +39,7 @@ from .theta import (
     regime4_product,
     regime4_sum,
     regime_sum,
+    regime_sum_parities,
     regime_sum_parity,
     rho_families,
     truncated_gauss_lhs,
@@ -92,6 +94,12 @@ def _rule(s: int) -> PartResidueRule:
     return regime3_rule(s) if s in (2, 4) else regime4_rule(s)
 
 
+def _counts(rule: PartResidueRule, order: int) -> PartitionTable:
+    """The counts rule admits, to order, read off the generating function
+    (r_gf)."""
+    return PartitionTable(order, r_gf(rule, order).coeffs, rule)
+
+
 def _require_table(table: PartitionTable, rule: PartResidueRule | None,
                    order: int) -> None:
     """A supplied table must count what the check needs, up to its order."""
@@ -109,12 +117,20 @@ def rho_series(part: int, s: int, order: int) -> TruncatedSeries:
 
 
 def check_theorem1(part: int, s: int, order: int,
-                   use_parity_fastpath: bool = False):
-    """Regime sum reduced mod 2 versus the square-progression indicator."""
+                   use_parity_fastpath: bool = False,
+                   parities: dict[int, ParitySeries] | None = None):
+    """Regime sum reduced mod 2 versus the square-progression indicator.
+    parities, when given on the GF(2) path, maps s to
+    regime_sum_parity(s, order), as regime_sum_parities builds it for both
+    s of the part in one walk."""
     _validate_part_s(part, s)
     watch = Stopwatch()
-    lhs = (regime_sum_parity(s, order) if use_parity_fastpath
-           else regime_sum(s, order).reduce_mod2())
+    if not use_parity_fastpath:
+        lhs = regime_sum(s, order).reduce_mod2()
+    elif parities is not None:
+        lhs = parities[s]
+    else:
+        lhs = regime_sum_parity(s, order)
     rhs_bits = indicator_bits(theorem1_progression(part, s), order)
     return proved_report(
         f"theorem1.part{part}.s{s}",
@@ -340,7 +356,9 @@ def check_conjecture2(part: int, s: int, k: int, order: int,
                       readings: tuple[str, ...] = READINGS["both"]):
     """The shifted-count inequality under each of readings (both by
     default); returns one report per reading.  tables and rho, when given,
-    are count_restricted(_rule(s), order) and rho_series(part, s, order).
+    are the counts of _rule(s) to order and rho_series(part, s, order);
+    without them the counts come from the generating function r_gf, since
+    the scan needs their values, not an independent route to them.
 
     For counts T (regime III or IV) and the bilateral coefficients rho:
     (-1)^k (T(n) + 2*sum_j coeff_j*T(n-2j^2) - rho(n)) >= 0 for n <= order.
@@ -350,7 +368,7 @@ def check_conjecture2(part: int, s: int, k: int, order: int,
     _validate_part_s(part, s)
     _require(k >= 1, "k must be >= 1")
     if tables is None:
-        tables = count_restricted(_rule(s), order)
+        tables = _counts(_rule(s), order)
     _require_table(tables, _rule(s), order)
     if rho is None:
         rho = rho_series(part, s, order)
@@ -376,13 +394,17 @@ def check_conjecture2(part: int, s: int, k: int, order: int,
     return reports
 
 
-def cross_validate(rule: PartResidueRule, order: int):
+def cross_validate(rule: PartResidueRule, order: int,
+                   p: PartitionTable | None = None):
     """Three-route agreement: DP counts, generating-function coefficients,
-    and the bilateral decomposition into p(n) values."""
+    and the bilateral decomposition into p(n) values; p, when given, is
+    p_table(order) or longer."""
     watch = Stopwatch()
+    if p is None:
+        p = p_table(order)
     dp = count_restricted(rule, order)
     gf = r_gf(rule, order)
-    dec = r_decomposed(rule, order, p_table(order))
+    dec = r_decomposed(rule, order, p)
     bad = [(n, a, b, c) for n, (a, b, c) in enumerate(zip(dp.values, gf.coeffs, dec.coeffs))
            if not a == b == c]
     return proved_report(
@@ -415,8 +437,10 @@ class RegisteredCheck:
     instances by the keys they carry.  shared declares the inputs the calls
     share, each as (keyword, build, keys): inputs[keyword] is
     build(*values, order) for the call's values of keys, built once per
-    values in each run_check call.  parity_order is the default order under
-    options.fast_parity, for checks with a GF(2) path (use_parity_fastpath);
+    values that two or more calls of one run_check call carry; a call
+    whose values no other call shares gets no input and builds its own.
+    parity_order is the default order under options.fast_parity, for
+    checks with a GF(2) path (use_parity_fastpath);
     default_reading is the READINGS key run when options.reading is None,
     for checks that take readings.
     """
@@ -435,6 +459,11 @@ P_TABLE = ("p", lambda order: p_table(order), ())
 REGIME = ("regime", lambda s, order: regime_sum(s, order), ("s",))
 RHO = ("rho", lambda s, order: rho_series(_part(s), s, order), ("s",))
 TAIL = ("tail", lambda k, order: truncated_gauss_rhs(k, order), ("k",))
+# both regime sums of a part mod 2, from one walk; on the GF(2) path only
+PARITIES = ("parities",
+            lambda part, fast, order: regime_sum_parities(
+                (2, 4) if part == 1 else (1, 3), order) if fast else None,
+            ("part", "use_parity_fastpath"))
 
 PART_S = tuple({"part": part, "s": s} for part, s in ((1, 2), (1, 4), (2, 1), (2, 3)))
 S_VALUES = tuple({"s": s} for s in (2, 4, 1, 3))
@@ -442,7 +471,7 @@ S_VALUES = tuple({"s": s} for s in (2, 4, 1, 3))
 REGISTRY: dict[str, dict[str, RegisteredCheck]] = {
     "verify": {
         "theorem1": RegisteredCheck(DEFAULT_ORDER_PROVED, PART_S, check_theorem1,
-                                    parity_order=DEFAULT_ORDER_PARITY),
+                                    (PARITIES,), parity_order=DEFAULT_ORDER_PARITY),
         "corollary2": RegisteredCheck(DEFAULT_ORDER_PROVED, PART_S, check_corollary2,
                                       (P_TABLE,)),
         "id1": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_VALUES[:2],
@@ -463,15 +492,16 @@ REGISTRY: dict[str, dict[str, RegisteredCheck]] = {
                   for statement in ("theorem1", "corollary2")),
             lambda s, statement, order: check_set_equivalence(s, statement, order),
         ),
-        "cross-validate": RegisteredCheck(DEFAULT_ORDER_CONJECTURE, S_VALUES,
-                                          lambda s, order: cross_validate(_rule(s), order)),
+        "cross-validate": RegisteredCheck(
+            DEFAULT_ORDER_CONJECTURE, S_VALUES,
+            lambda s, order, p=None: cross_validate(_rule(s), order, p), (P_TABLE,)),
     },
     "conjecture": {
         "1": RegisteredCheck(DEFAULT_ORDER_CONJECTURE, PART_S, check_conjecture1,
                              (REGIME, RHO), default_ks=(1, 2, 3, 4)),
         "2": RegisteredCheck(
             DEFAULT_ORDER_CONJECTURE, PART_S, check_conjecture2,
-            (("tables", lambda s, order: count_restricted(_rule(s), order), ("s",)), RHO),
+            (("tables", lambda s, order: _counts(_rule(s), order), ("s",)), RHO),
             default_ks=(1, 2, 3, 4), default_reading="both"),
         "s-pairs": RegisteredCheck(DEFAULT_ORDER_CONJECTURE,
                                    tuple({"a": a, "b": b} for a, b in S_PAIRS),
@@ -522,17 +552,18 @@ def run_check(command: str, name: str, order: int | None = None,
         extra["use_parity_fastpath"] = options.fast_parity
     if entry.default_reading is not None:
         extra["readings"] = READINGS[options.reading]
-    built, reports = {}, []
-    for i in selected:
-        for k in ks or [None]:
-            args = dict(i, **extra) if k is None else dict(i, k=k, **extra)
-            for keyword, build, keys in entry.shared:
-                values = tuple(args[key] for key in keys)
-                if (keyword, values) not in built:
-                    built[keyword, values] = build(*values, order)
-                args[keyword] = built[keyword, values]
-            result = entry.check(**args)
-            reports += result if isinstance(result, list) else [result]
+    calls = [dict(i, **extra) if k is None else dict(i, k=k, **extra)
+             for i in selected for k in ks or [None]]
+    for keyword, build, keys in entry.shared:
+        values = [tuple(args[key] for key in keys) for args in calls]
+        built = {v: build(*v, order) for v, n in Counter(values).items() if n > 1}
+        for args, v in zip(calls, values):
+            if v in built:
+                args[keyword] = built[v]
+    reports = []
+    for args in calls:
+        result = entry.check(**args)
+        reports += result if isinstance(result, list) else [result]
     gating = [r for r in reports if not (options.reading == "both" and
                                          r.params.get("inner_sign") == INNER_SIGN_LITERAL)]
     return reports, gating

@@ -21,9 +21,9 @@ import sys
 from . import (
     __version__,
     bilateral_sum,
-    count_restricted,
     indicator_series,
     p_table,
+    r_gf,
     regime3_rule,
     regime3_sum,
     regime4_rule,
@@ -43,7 +43,9 @@ TEXT_VIOLATION_LIMIT = 10
 
 
 def serialize_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2)
+    """The document on one line: json's C encoder serves only unindented
+    output.  `python -m json.tool` indents it for reading."""
+    return json.dumps(doc)
 
 
 def _document(command: list[str], watch: Stopwatch, **payload) -> dict:
@@ -100,8 +102,8 @@ def _emit_table(rows, args, command, watch, target_params) -> None:
 # its coefficients 0..n
 EXPAND_TARGETS = {
     "p": (None, lambda s, n: p_table(n).values),
-    "R": ({2, 4}, lambda s, n: count_restricted(regime3_rule(s), n).values),
-    "Rstar": ({1, 3}, lambda s, n: count_restricted(regime4_rule(s), n).values),
+    "R": ({2, 4}, lambda s, n: r_gf(regime3_rule(s), n).coeffs),
+    "Rstar": ({1, 3}, lambda s, n: r_gf(regime4_rule(s), n).coeffs),
     "G": (None, lambda s, n: rogers_ramanujan_sum(0, n).coeffs),
     "H": (None, lambda s, n: rogers_ramanujan_sum(1, n).coeffs),
     "regime3": ({2, 4}, lambda s, n: regime3_sum(s, n).coeffs),

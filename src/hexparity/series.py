@@ -62,18 +62,20 @@ def mul_binomial(coeffs: list[int], c: int, m: int) -> list[int]:
     return out
 
 
-def div_binomial(coeffs: list[int], c: int, m: int) -> list[int]:
-    """coeffs divided by (1 + c*q^m), as a new list; requires m >= 1.
+def div_binomial(coeffs, c: int, m: int) -> list[int]:
+    """coeffs, any iterable of ints read once in order, divided by
+    (1 + c*q^m), as a new list; requires m >= 1.
 
-    Solves out[i] = coeffs[i] - c*out[i-m] in one pass: out starts as
-    coeffs[:m] and is extended from coeffs[m:] and an iterator over out
-    itself, which reads out[i-m] when out[i] is appended.
+    Solves out[i] = coeffs[i] - c*out[i-m] in one pass: out starts as the
+    first m coefficients and is extended from the rest and an iterator over
+    out itself, which reads out[i-m] when out[i] is appended.
     """
     if m < 1:
         raise ValueError("cannot divide by a constant binomial factor")
-    out = coeffs[:m]
+    source = iter(coeffs)
+    out = list(islice(source, m))
     lag = iter(out) if c in (1, -1) else map(mul, iter(out), repeat(c))
-    out.extend(map(add if c == -1 else sub, islice(coeffs, m, None), lag))
+    out.extend(map(add if c == -1 else sub, source, lag))
     return out
 
 
@@ -165,7 +167,7 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(mul_binomial(list(self.coeffs), c, m)))
 
     def div_binomial(self, c: int, m: int) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(div_binomial(list(self.coeffs), c, m)))
+        return TruncatedSeries(tuple(div_binomial(self.coeffs, c, m)))
 
     def times_quotient(self, numerators, denominators) -> "TruncatedSeries":
         """self * prod(numerators) / prod(denominators), by the kernel

@@ -11,6 +11,7 @@ exactly one (family, k) pair, so collisions are part of the report.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .report import Stopwatch, Violation, proved_report
@@ -46,14 +47,20 @@ class SquareProgression:
 def index_set(p: SquareProgression, n_max: int) -> list[int]:
     """Sorted list of all k <= n_max with a*k + c a perfect square.
 
-    Enumerates square roots r <= sqrt(a*n_max + c) instead of scanning all
-    k, so bounds around 10^6 stay cheap.  k = (r^2 - c)/a rises strictly
-    with r, so the list comes out sorted and without repeats.
+    Enumerates only the square roots r with c <= r^2 <= a*n_max + c in
+    the residue classes r0 mod a with r0^2 = c (mod a), instead of
+    scanning all k or all r; the classes are found among the r0 below
+    both a and the largest root.  k = (r^2 - c)/a rises strictly with
+    r >= 0, so sorting the roots' k gives the list without repeats.
     """
     if n_max < 0:
         return []
-    return [(r * r - p.c) // p.a for r in range(math.isqrt(p.a * n_max + p.c) + 1)
-            if r * r >= p.c and (r * r - p.c) % p.a == 0]
+    a, c = p.a, p.c
+    top = math.isqrt(a * n_max + c)
+    low = math.isqrt(c - 1) + 1 if c else 0  # the least r with r^2 >= c
+    return sorted((r * r - c) // a for r0 in range(min(a, top + 1))
+                  if (r0 * r0 - c) % a == 0
+                  for r in range(low + (r0 - low) % a, top + 1, a))
 
 
 def indicator_series(p: SquareProgression, order: int) -> TruncatedSeries:
@@ -77,12 +84,9 @@ def exponent_values(f: QuadraticExponentFamily, bound: int) -> list[int]:
 
 def multiplicity_map(families, bound: int) -> dict[int, int]:
     """How many (family, k) pairs land on each value in [0, bound]."""
-    hits: dict[int, int] = {}
+    hits: Counter[int] = Counter()
     for f in families:
-        for k in f.indices_within(bound):
-            e = f.exponent(k)
-            if 0 <= e <= bound:
-                hits[e] = hits.get(e, 0) + 1
+        hits.update([e for e in map(f.exponent, f.indices_within(bound)) if e >= 0])
     return hits
 
 
@@ -91,27 +95,19 @@ def verify_set_equivalence(families, p: SquareProgression, bound: int,
     """Check that the union of family values equals the progression's
     index set, every value being hit exactly once.
 
-    Disagreements are reported, not raised: the report lists values seen by
-    only one side and all multiplicity collisions.
+    Disagreements are reported, not raised: the report lists, in
+    increasing order, each value hit other than exactly once or seen by
+    only one side, and all multiplicity collisions.
     """
     require_order(bound, "bound")
     watch = Stopwatch()
     families = list(families)
     hits = multiplicity_map(families, bound)
-    expected = index_set(p, bound)
-    expected_set = set(expected)
-
-    violations = []
-    for v in sorted(set(hits) | expected_set):
-        left = hits.get(v, 0)
-        right = 1 if v in expected_set else 0
-        if left != right:
-            violations.append(Violation(v, left, right))
-
+    expected = set(index_set(p, bound))
     collisions = sorted(v for v, m in hits.items() if m > 1)
-    histogram: dict[str, int] = {}
-    for m in hits.values():
-        histogram[str(m)] = histogram.get(str(m), 0) + 1
+    bad = sorted(hits.keys() ^ expected | set(collisions))
+    violations = [Violation(v, hits.get(v, 0), 1 if v in expected else 0) for v in bad]
+    histogram = {str(m): n for m, n in Counter(hits.values()).items()}
     details = {
         "bound": bound,
         "values_hit": len(hits),

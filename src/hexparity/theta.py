@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .series import (
     INFINITE,
@@ -89,16 +90,18 @@ class QuadraticExponentFamily:
         return -self.base_sign if t & 1 else self.base_sign
 
     def indices_within(self, bound: int):
-        """All k in Z with e(k) <= bound, scanning outward from the vertex."""
-        pivot = -(self.a1 // (2 * self.a2))  # ceil(-a1 / (2*a2))
-        k = pivot
-        while self.exponent(k) <= bound:
-            yield k
-            k += 1
-        k = pivot - 1
-        while self.exponent(k) <= bound:
-            yield k
-            k -= 1
+        """All k in Z with e(k) <= bound, from the vertex outward: k rising
+        from ceil(-a1/(2*a2)), then falling below it.  e is convex, so the
+        k form one interval, read off exactly: den*e(k) <= den*bound holds
+        exactly when (2*a2*k + a1)^2 <= D = a1^2 - 4*a2*(a0 - den*bound),
+        that is when |2*a2*k + a1| <= isqrt(D)."""
+        d = self.a1 * self.a1 - 4 * self.a2 * (self.a0 - self.den * bound)
+        if d < 0:
+            return iter(())
+        r, twice = math.isqrt(d), 2 * self.a2
+        lo, hi = -((r + self.a1) // twice), (r - self.a1) // twice
+        pivot = min(max(-(self.a1 // twice), lo), hi + 1)
+        return chain(range(pivot, hi + 1), range(pivot - 1, lo - 1, -1))
 
 
 def bilateral_sum(families, order: int) -> TruncatedSeries:
@@ -407,9 +410,16 @@ def regime_sum(s: int, order: int) -> TruncatedSeries:
 
 
 def regime_sum_parity(s: int, order: int) -> ParitySeries:
-    """regime_sum(s, order) reduced mod 2, by _backward_parity_sum over the
-    same terms: multiplications only."""
-    return _backward_parity_sum(*_regime_terms(s), order)
+    """regime_sum(s, order) reduced mod 2, by _backward_parity_walk over
+    the same terms (_parity_schedule): multiplications only."""
+    return regime_sum_parities((s,), order)[s]
+
+
+def regime_sum_parities(ss, order: int) -> dict[int, ParitySeries]:
+    """regime_sum_parity(s, order) for each s in ss, by one walk: s = 2
+    and s = 4, or s = 1 and s = 3, share it."""
+    walks = _backward_parity_walk([_parity_schedule(s, order) for s in ss], order)
+    return dict(zip(ss, walks))
 
 
 def regime3_sum(s: int, order: int) -> TruncatedSeries:
@@ -443,9 +453,12 @@ def _horner_sum(first: int, exponent, factors, order: int) -> TruncatedSeries:
     q^exponent(first) base_first times the result.  Horner's rule from the
     last summand M with exponent(M)-exponent(first) <= order: V_M = 1 and
     V_(n-1) = 1 + q^(exponent(n)-exponent(n-1)) h_n V_n, where V_n is needed
-    only to q^(order-exponent(n)+exponent(first)).  The shift and the "1 +"
-    are one list concatenation, so each summand costs one binomial pass per
-    factor.
+    only to q^(order-exponent(n)+exponent(first)).  Each summand costs one
+    binomial pass per factor.  The shift and the "1 +" stay a chain over
+    the previous list, which the next summand's first division reads once,
+    in order, so the shift builds no list of its own.  The divisions run
+    before the multiplications (exact passes commute), since a
+    multiplication reads its input twice and needs a list.
     """
     top = require_order(order) + exponent(first)
     last = _last_index(exponent, first, top)
@@ -453,41 +466,69 @@ def _horner_sum(first: int, exponent, factors, order: int) -> TruncatedSeries:
     v = [1] + [0] * (top - e)
     for n in range(last, first, -1):
         numerators, denominators = factors(n)
-        for c, m in numerators:
-            v = mul_binomial(v, c, m)
         for c, m in denominators:
             v = div_binomial(v, c, m)
+        if numerators and not isinstance(v, list):
+            v = list(v)
+        for c, m in numerators:
+            v = mul_binomial(v, c, m)
         prev = exponent(n - 1)
-        v = [1] + [0] * (e - prev - 1) + v
+        v = chain((1,), repeat(0, e - prev - 1), v)
         e = prev
     return TruncatedSeries(tuple(v))
 
 
-def _backward_parity_sum(exponent, factors, start, order: int) -> ParitySeries:
-    """sum_{n>=0} q^exponent(n) * base_n mod 2 up to q^order, exponent
-    increasing from exponent(0) = 0, base_0 = 1/prod (1 - q^m) over m in
-    start and base_n/base_(n-1) = 1/prod (1 + c*q^m) over (c, m) in
-    factors(n)[1]; factors(n)[0], the numerators, must be empty.
+def _parity_schedule(s: int, order: int) -> tuple[list[int], dict[int, int]]:
+    """The walk of regime_sum_parity(s, order) as (steps, reads).
 
-    Mod 2 every sign vanishes.  The walk starts at the last n, M, with
-    exponent(M) <= order, whose base is ParitySeries.reciprocal_bits over
-    start and the denominators of factors(1..M) (repeats carry, since
-    (1 + q^m)^2 = 1 + q^2m); base_(n-1) is base_n times the (1 + q^m) of
-    factors(n): one shift per factor, at full precision, so every base_n
-    is exact up to q^order.  Base and sum are kept top-down, the
-    coefficient of q^j at bit order - j, so a shift right drops exactly the
-    terms past q^order and no int grows beyond order + 1 bits; the sum is
-    read back by ParitySeries.reverse_bits once.
+    steps lists the m of every denominator (1 - q^m) in the order the terms
+    meet them: start, then factors(1), factors(2), ... up to the last n
+    with exponent(n) <= order.  reads maps a position p in steps to the
+    exponent at which the base 1/prod (1 - q^m) over steps[:p] enters the
+    sum: base_n sits at p = len(start) plus the number of denominators in
+    factors(1..n).  _regime_terms has no numerators and starts at
+    exponent(0) = 0.
     """
+    exponent, factors, start = _regime_terms(s)
     last = _last_index(exponent, 0, require_order(order))
-    base = ParitySeries.reciprocal_bits(
-        [*start, *(m for n in range(1, last + 1) for _, m in factors(n)[1])], order)
-    acc = 0
-    for n in range(last, 0, -1):
-        acc ^= base >> exponent(n)
-        for _, m in factors(n)[1]:
-            base ^= base >> m
-    return ParitySeries(order, ParitySeries.reverse_bits(acc ^ base, order))
+    steps, reads = list(start), {len(start): 0}
+    for n in range(1, last + 1):
+        steps += [m for _, m in factors(n)[1]]
+        reads[len(steps)] = exponent(n)
+    return steps, reads
+
+
+def _backward_parity_walk(schedules, order: int) -> list[ParitySeries]:
+    """sum_p q^reads[p] / prod (1 - q^m) over steps[:p], mod 2 up to
+    q^order, for each (steps, reads) in schedules, by one walk down the
+    longest steps; the other steps must be prefixes of it.
+
+    Mod 2 every sign vanishes.  The walk starts at the end, whose base is
+    one ParitySeries.reciprocal_bits over steps (repeats carry, since
+    (1 + q^m)^2 = 1 + q^2m), and moves down one position at a time: the
+    base at p - 1 is the base at p times (1 + q^steps[p-1]), one shift at
+    full precision, so every base is exact up to q^order and serves each
+    schedule that reads at p, at one shift each.  Bases and sums are kept
+    top-down, the coefficient of q^j at bit order - j, so a shift right
+    drops exactly the terms past q^order and no int grows beyond order + 1
+    bits; each sum is read back by ParitySeries.reverse_bits once.  Regime
+    III s = 2 and s = 4 read the same steps at the same positions; regime
+    IV s = 1 and s = 3 read alternate positions of the steps 1, 2, 3, ...,
+    whose bases are the 1/(q;q)_j.
+    """
+    steps = max((c for c, _ in schedules), key=len)
+    if any(steps[:len(c)] != c for c, _ in schedules):
+        raise ValueError("the schedules walk different steps")
+    low = min(p for _, reads in schedules for p in reads)
+    base = ParitySeries.reciprocal_bits(steps, order)
+    sums = [0] * len(schedules)
+    for p in range(len(steps), low - 1, -1):
+        for i, (_, reads) in enumerate(schedules):
+            if p in reads:
+                sums[i] ^= base >> reads[p]
+        if p > low:
+            base ^= base >> steps[p - 1]
+    return [ParitySeries(order, ParitySeries.reverse_bits(acc, order)) for acc in sums]
 
 
 def regime3_product(s: int, order: int) -> TruncatedSeries:

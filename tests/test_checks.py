@@ -450,7 +450,7 @@ SHARED_BUILDS = {
     "id2": {"truncated_gauss_rhs": {(k, 90): 1 for k in range(1, 6)},
             "regime_sum": {(s, 90): 1 for s in (1, 3)}, "rho_series": 2},
     "1": {"regime_sum": {(s, 90): 1 for s in (2, 4, 1, 3)}, "rho_series": 4},
-    "2": {"count_restricted": 4, "rho_series": 4},
+    "2": {"r_gf": 4, "rho_series": 4},
     "corollary2": {"p_table": {(90,): 1}},
     "s-pairs": {"p_table": {(90,): 1}},
     "truncated-gauss": {"even_gauss_factor": {(90,): 1}},
@@ -529,3 +529,54 @@ def test_p_table_checks_reject_count_tables():
     with pytest.raises(ValueError):
         check_s_pair(6, 8, 50, p=counts)
     assert check_corollary2(1, 2, 50, p=p_table(50)).status == "PASS"
+
+
+def test_theorem1_pair_walk_is_built_only_for_both_instances(monkeypatch):
+    # under --fast-parity, run_check builds one walk per part whose two
+    # instances are both selected and hands it to both; a lone --s walks
+    # its own chain and never builds the pair, and the bigint path builds
+    # no walk at all.  The reports match the per-instance checks
+    import hexparity.checks as checks
+
+    order, fast = 300, checks.RunOptions(fast_parity=True)
+    counts = _counting(monkeypatch, checks, ("regime_sum_parities", "regime_sum_parity"))
+
+    def fields(r):
+        return r.check_id, r.status, r.params, r.violations
+
+    runs = [({}, {((2, 4), order): 1, ((1, 3), order): 1}, {}),
+            ({"part": 2}, {((1, 3), order): 1}, {}),
+            ({"part": 1}, {((2, 4), order): 1}, {})]
+    runs += [({"s": s}, {}, {(s, order): 1}) for s in (2, 4, 1, 3)]
+    runs += [({"part": 1, "s": 4}, {}, {(4, order): 1})]
+    for flags, pairs, lone in runs:
+        for counter in counts.values():
+            counter.clear()
+        got, _ = checks.run_check("verify", "theorem1", order, options=fast, **flags)
+        assert counts["regime_sum_parities"] == pairs, flags
+        assert counts["regime_sum_parity"] == lone, flags
+        want = [check_theorem1(r.params["part"], r.params["s"], order, True) for r in got]
+        assert list(map(fields, got)) == list(map(fields, want))
+        assert len(got) == 2 * len(pairs) + len(lone)
+    for counter in counts.values():
+        counter.clear()
+    got, _ = checks.run_check("verify", "theorem1", order)
+    assert [r.params["path"] for r in got] == ["bigint"] * 4
+    assert not counts["regime_sum_parities"] and not counts["regime_sum_parity"]
+
+
+def test_cross_validate_run_shares_one_p_table(monkeypatch):
+    # run_check builds p(n) once for the four rules; a lone --s, and a
+    # direct call, build their own
+    import hexparity.checks as checks
+
+    counts = _counting(monkeypatch, checks, ("p_table",))
+    got, _ = checks.run_check("verify", "cross-validate", 90)
+    assert counts["p_table"] == {(90,): 1}
+    want = [checks.cross_validate(checks._rule(s), 90) for s in (2, 4, 1, 3)]
+    assert [(r.check_id, r.status, r.violations) for r in got] == \
+        [(r.check_id, r.status, r.violations) for r in want]
+    assert counts["p_table"] == {(90,): 5}
+    got, _ = checks.run_check("verify", "cross-validate", 90, s=3)
+    assert [r.check_id for r in got] == ["cross_validate.regime4.s3"]
+    assert counts["p_table"] == {(90,): 6}

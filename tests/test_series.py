@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import add, mul, sub
 
 import pytest
@@ -847,3 +847,21 @@ def test_parity_series_validation():
     assert ParitySeries.from_bit_positions(4, [0, 2, 9]) == ParitySeries(4, 0b101)
     with pytest.raises(ValueError):
         ParitySeries(5, 1).div_binomial(0)
+
+
+def test_division_reads_any_iterable_once():
+    # div_binomial reads its input once, in order, so a chain that puts a
+    # head in front of a list (the Horner sum's shift) divides like the
+    # concatenated list, and so does a tuple
+    rng = random.Random(59)
+    for length in (1, 3, 16, 40):
+        for c in (1, -1, 2):
+            for m in (1, 2, length - 1, length, length + 1):
+                if m < 1:
+                    continue
+                coeffs = [rng.randint(-2**70, 2**70) for _ in range(length)]
+                head = [1] + [0] * rng.randint(0, 5)
+                want = div_binomial(head + coeffs, c, m)
+                assert div_binomial(chain(head, coeffs), c, m) == want
+                assert div_binomial(iter(head + coeffs), c, m) == want
+                assert div_binomial(tuple(head + coeffs), c, m) == want

@@ -125,3 +125,63 @@ def test_multiplicity_map_counts_pairs():
     assert hits[0] == 1
     assert hits[1] == 2
     assert hits[25] == 2
+
+
+def test_index_set_matches_definition_for_every_small_modulus():
+    # the residue-class enumeration against the definition, k <= n_max with
+    # a*k + c a square, for every a <= 200, c = 0, 1, 4, 9 and a + 1 (the
+    # residue classes of c = 1, without the roots below sqrt(a + 1)) and
+    # n_max = -1, 0, 1 and 500
+    for a in range(1, 201):
+        for c in (0, 1, 4, 9, a + 1):
+            prog = SquareProgression(a, c)
+            brute = [k for k in range(501) if is_square(a * k + c)]
+            for n_max in (-1, 0, 1, 500):
+                assert index_set(prog, n_max) == [k for k in brute if k <= n_max], \
+                    (a, c, n_max)
+
+
+def set_equivalence_oracle(families, prog, bound):
+    """(violations, histogram, collisions) by an exhaustive k window and a
+    scan of every value up to bound, the way the report defines them."""
+    hits = {}
+    for f in families:
+        for k in range(-bound - 10, bound + 11):
+            e = f.exponent(k)
+            if 0 <= e <= bound:
+                hits[e] = hits.get(e, 0) + 1
+    expected = {n for n in range(bound + 1) if prog.holds(n)}
+    violations = [(v, hits.get(v, 0), int(v in expected)) for v in range(bound + 1)
+                  if hits.get(v, 0) != int(v in expected)]
+    histogram = {}
+    for m in hits.values():
+        histogram[str(m)] = histogram.get(str(m), 0) + 1
+    return violations, histogram, sorted(v for v, m in hits.items() if m > 1)
+
+
+def test_set_equivalence_failures_report_every_value():
+    # collisions (a family twice, k^2 hit from +-k, two families landing on
+    # one value), missing values (one of two families dropped, a wrong
+    # progression) and values below 0 that must be ignored: the report's
+    # violations, histogram and collisions against the oracle's
+    square = QuadraticExponentFamily.make(1, 0, 0)
+    cases = [
+        (eq41_families(2) * 2, SquareProgression(120, 1)),
+        (eq41_families(2)[:1], SquareProgression(120, 1)),
+        ([square], SquareProgression(1, 0)),
+        ([r_decomposition_family(2)], SquareProgression(20, 9)),
+        ([r_decomposition_family(2), r_decomposition_family(4)], SquareProgression(20, 1)),
+        ([QuadraticExponentFamily.make(1, -5, 0)], SquareProgression(3, 1)),
+        (rstar_families(1), SquareProgression(15, 1)),
+    ]
+    for families, prog in cases:
+        for bound in (0, 1, 40, 300):
+            report = verify_set_equivalence(families, prog, bound)
+            violations, histogram, collisions = set_equivalence_oracle(families, prog, bound)
+            assert [(v.n, v.lhs, v.rhs) for v in report.violations] == violations
+            assert report.details["multiplicity_histogram"] == histogram
+            assert report.details["collisions"] == collisions
+            assert report.details["values_hit"] == sum(histogram.values())
+            assert report.status == ("FAIL" if violations else "PASS")
+    # the last case is a true equivalence, the others fail at bound 300
+    assert [verify_set_equivalence(f, p, 300).status for f, p in cases].count("PASS") == 1

@@ -42,6 +42,7 @@ from hexparity.theta import (
     regime4_product,
     regime4_sum,
     regime_sum,
+    regime_sum_parities,
     regime_sum_parity,
     rho_families,
     rr_G,
@@ -679,3 +680,57 @@ def test_partial_theta_structure():
     assert p2.coefficient(2) == -2
     assert p2.coefficient(8) == 2
     assert pochhammer_quotient(*even_binomial_factors(0), 10) == TruncatedSeries.one(10)
+
+
+def test_pair_walk_matches_lone_walks():
+    # regime_sum_parities walks s = 2 and 4, or s = 1 and 3, as one chain
+    # with two readouts; each readout against the lone walk of its s at
+    # orders 0..69, where the last summand of each s changes, at
+    # 2^j - 1, 2^j and 2^j + 1, where reciprocal_bits changes depth, and at
+    # 10^5, in both orders of the pair
+    orders = list(range(70)) + [2**j + d for j in (7, 8, 10, 12, 16) for d in (-1, 0, 1)]
+    for pair in ((2, 4), (1, 3)):
+        for order in orders + [10**5]:
+            got = regime_sum_parities(pair, order)
+            assert got == regime_sum_parities(pair[::-1], order), (pair, order)
+            for s in pair:
+                assert got[s] == regime_sum_parity(s, order), (s, order)
+    # and against the forward walk that divides, which shares no code
+    for regime, pair in ((3, (2, 4)), (4, (1, 3))):
+        for order in (4097, 20_000):
+            got = regime_sum_parities(pair, order)
+            for s in pair:
+                assert got[s].bits == forward_parity_sum(regime, s, order), (s, order)
+    # regime III and regime IV walk different chains
+    with pytest.raises(ValueError):
+        regime_sum_parities((2, 1), 50)
+
+
+def test_indices_within_runs_outward_from_the_vertex():
+    # the interval read off by isqrt, in the order of a scan that rises from
+    # the ceiling of the vertex and then falls below it until e(k) passes
+    # the bound: bilateral_sum names the first negative exponent it meets
+    # and multiplicity_map's keys come in this order
+    def scan(fam, bound):
+        pivot = -(fam.a1 // (2 * fam.a2))
+        k = pivot
+        while fam.exponent(k) <= bound:
+            yield k
+            k += 1
+        k = pivot - 1
+        while fam.exponent(k) <= bound:
+            yield k
+            k -= 1
+
+    rng = random.Random(17)
+    checked = 0
+    while checked < 3000:
+        try:
+            fam = QuadraticExponentFamily(rng.randint(1, 20), rng.randint(-40, 40),
+                                          rng.randint(-60, 60), rng.randint(-3, 3),
+                                          rng.randint(-3, 3), 1, rng.randint(1, 6))
+        except ValueError:
+            continue
+        bound = rng.randint(-80, 300)
+        assert list(fam.indices_within(bound)) == list(scan(fam, bound)), (fam, bound)
+        checked += 1
