@@ -503,32 +503,47 @@ def _backward_parity_walk(schedules, order: int) -> list[ParitySeries]:
     q^order, for each (steps, reads) in schedules, by one walk down the
     longest steps; the other steps must be prefixes of it.
 
-    Mod 2 every sign vanishes.  The walk starts at the end, whose base is
-    one ParitySeries.reciprocal_bits over steps (repeats carry, since
-    (1 + q^m)^2 = 1 + q^2m), and moves down one position at a time: the
-    base at p - 1 is the base at p times (1 + q^steps[p-1]), one shift at
-    full precision, so every base is exact up to q^order and serves each
-    schedule that reads at p, at one shift each.  Bases and sums are kept
-    top-down, the coefficient of q^j at bit order - j, so a shift right
-    drops exactly the terms past q^order and no int grows beyond order + 1
-    bits; each sum is read back by ParitySeries.reverse_bits once.  Regime
-    III s = 2 and s = 4 read the same steps at the same positions; regime
-    IV s = 1 and s = 3 read alternate positions of the steps 1, 2, 3, ...,
-    whose bases are the 1/(q;q)_j.
+    Mod 2, with x = q^2, Frobenius splits each base once: 1/(1 + q^m) is
+    (1 + q^m)/(1 + x^m) for odd m and 1/(1 + x^(m/2)) for even m, so the
+    base at p is O_p(q) Y_p(x), O_p the product of the (1 + q^m) over the
+    odd steps[:p].  Y walks down from one reciprocal_bits at precision
+    order//2, one half-width shift per step.  Each sum is a backward Horner
+    accumulator T = T_e(x) + q T_o(x): a read XORs Y, shifted, into the part
+    of the exponent's parity, and an odd step 2k + 1 sets T_e += x^(k+1) T_o
+    and T_o += x^k T_e from the old values.  The parts are then interleaved
+    and multiplied by the odd steps below the first read.  All ints are
+    top-down (x^j at bit order//2 - j), so a right shift drops exactly the
+    terms past the top; at even orders T_o's last term lies past q^order,
+    and the interleave drops it.
     """
     steps = max((c for c, _ in schedules), key=len)
     if any(steps[:len(c)] != c for c, _ in schedules):
         raise ValueError("the schedules walk different steps")
     low = min(p for _, reads in schedules for p in reads)
-    base = ParitySeries.reciprocal_bits(steps, order)
-    sums = [0] * len(schedules)
+    halved = [m if m & 1 else m >> 1 for m in steps]
+    base = ParitySeries.reciprocal_bits(halved, require_order(order) // 2)
+    parts = [[0, 0] for _ in schedules]
     for p in range(len(steps), low - 1, -1):
-        for i, (_, reads) in enumerate(schedules):
+        for part, (_, reads) in zip(parts, schedules):
             if p in reads:
-                sums[i] ^= base >> reads[p]
+                part[reads[p] & 1] ^= base >> (reads[p] >> 1)
         if p > low:
-            base ^= base >> steps[p - 1]
-    return [ParitySeries(order, ParitySeries.reverse_bits(acc, order)) for acc in sums]
+            base ^= base >> halved[p - 1]
+            if steps[p - 1] & 1:
+                k = steps[p - 1] >> 1
+                for part in parts:
+                    even, odd = part
+                    part[0] = even ^ (odd >> (k + 1))
+                    part[1] = odd ^ (even >> k)
+    sums = []
+    for even, odd in parts:
+        even, odd = ParitySeries.spread_bits(even), ParitySeries.spread_bits(odd)
+        bits = (even << 1) ^ odd if order & 1 else even ^ (odd >> 1)
+        for m in steps[:low]:
+            if m & 1:
+                bits ^= bits >> m
+        sums.append(ParitySeries(order, ParitySeries.reverse_bits(bits, order)))
+    return sums
 
 
 def regime3_product(s: int, order: int) -> TruncatedSeries:

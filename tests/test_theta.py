@@ -706,6 +706,55 @@ def test_pair_walk_matches_lone_walks():
         regime_sum_parities((2, 1), 50)
 
 
+def division_walk_oracle(steps, reads, order: int) -> ParitySeries:
+    """sum_p q^reads[p] / prod (1 + q^m) over steps[:p] mod 2, with the base
+    divided by each binomial in turn through ParitySeries.div_binomial."""
+    base, acc = ParitySeries(order, 1), ParitySeries(order, 0)
+    for p in range(len(steps) + 1):
+        if p in reads:
+            acc = acc + base.shift(reads[p])
+        if p < len(steps):
+            base = base.div_binomial(steps[p])
+    return acc
+
+
+def random_schedule(rng: random.Random, steps: list[int], order: int) -> dict[int, int]:
+    """Reads at random positions of steps, at random increasing exponents,
+    some past the order; half the time the first read follows an odd step."""
+    low = rng.randrange(len(steps) + 1)
+    if rng.random() < 0.5 and any(m & 1 for m in steps[:-1]):
+        low = 1 + rng.choice([p for p, m in enumerate(steps[:-1]) if m & 1])
+    positions = [low] + sorted(rng.sample(range(low + 1, len(steps) + 1),
+                                          rng.randrange(len(steps) - low + 1)))
+    reads, r = {}, rng.randrange(3)
+    for p in positions:
+        reads[p] = r
+        r += rng.randrange(1, max(2, order // 3 + 2))
+    return reads
+
+
+def test_backward_parity_walk_matches_division_oracle_on_random_schedules():
+    # the Frobenius-split walk against the forward division oracle on
+    # schedules no regime sum produces: odd and even steps mixed, repeats,
+    # steps past half the order, first reads after an odd step, and one
+    # schedule or two (the second on a prefix of the first), at orders
+    # 0..69, where the two half-width parts trade tops, and at 2^j - 1,
+    # 2^j and 2^j + 1, where reciprocal_bits changes depth
+    rng = random.Random(2023)
+    orders = list(range(70)) + [2**j + d for j in (6, 7, 9, 11) for d in (-1, 0, 1)]
+    for order in orders:
+        for _ in range(6):
+            pool = [rng.randrange(1, 12)] * 2 + [rng.randrange(1, max(2, order + 3)) for _ in range(6)]
+            steps = [rng.choice(pool) for _ in range(rng.randrange(1, 13))]
+            schedules = [(steps, random_schedule(rng, steps, order))]
+            if rng.random() < 0.5:
+                prefix = steps[:rng.randrange(len(steps) + 1)]
+                schedules.append((prefix, random_schedule(rng, prefix, order)))
+            got = theta._backward_parity_walk(schedules, order)
+            for walked, (c, reads) in zip(got, schedules):
+                assert walked == division_walk_oracle(c, reads, order), (order, c, reads)
+
+
 def test_indices_within_runs_outward_from_the_vertex():
     # the interval read off by isqrt, in the order of a scan that rises from
     # the ceiling of the vertex and then falls below it until e(k) passes
