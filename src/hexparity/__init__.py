@@ -12,7 +12,6 @@ from .partitions import (
     count_restricted,
     p_bruteforce,
     p_table,
-    partitions_of,
     r_gf,
     r_s_decomposed,
     r_star_decomposed,
@@ -28,14 +27,12 @@ from .series import (
     ParitySeries,
     QPochhammerSpec,
     TruncatedSeries,
-    monomial,
     pochhammer_quotient,
 )
 from .squares import (
     SquareProgression,
     index_set,
     indicator_series,
-    is_square,
     verify_set_equivalence,
 )
 from .theta import (

@@ -29,10 +29,12 @@ from .report import CheckReport, Stopwatch, Violation, empirical_report, proved_
 from .series import ParitySeries, TruncatedSeries, require_order
 from .squares import SquareProgression, index_set, indicator_bits, verify_set_equivalence
 from .theta import (
+    PART_S,
     bilateral_sum,
     decomposition_families,
     even_gauss_factor,
     gauss_theta_sides,
+    part_of,
     partial_theta,
     regime3_product,
     regime3_sum,
@@ -77,21 +79,14 @@ def corollary2_progression(part: int, s: int) -> SquareProgression:
 
 
 def _validate_part_s(part: int, s: int) -> None:
-    _require(part in (1, 2), "part must be 1 or 2")
-    if part == 1:
-        _require(s in (2, 4), "part 1 requires s in {2, 4}")
-    else:
-        _require(s in (1, 3), "part 2 requires s in {1, 3}")
-
-
-def _part(s: int) -> int:
-    """The part s belongs to: 1 (regime III) for s in {2, 4}, 2 otherwise."""
-    return 1 if s in (2, 4) else 2
+    _require(part in PART_S, "part must be 1 or 2")
+    _require(s in PART_S[part],
+             f"part {part} requires s in {{{', '.join(map(str, PART_S[part]))}}}")
 
 
 def _rule(s: int) -> PartResidueRule:
-    """The part rule of s: regime III for s in {2, 4}, regime IV otherwise."""
-    return regime3_rule(s) if s in (2, 4) else regime4_rule(s)
+    """The part rule of s: regime III in part 1, regime IV otherwise."""
+    return regime3_rule(s) if part_of(s) == 1 else regime4_rule(s)
 
 
 def _counts(rule: PartResidueRule, order: int) -> PartitionTable:
@@ -218,7 +213,7 @@ def check_rogers(s: int, order: int):
     """Regime sum against its product side: regime III for s in {2, 4},
     regime IV for s in {1, 3}."""
     watch = Stopwatch()
-    if s in (2, 4):
+    if part_of(s) == 1:
         kind, lhs, rhs = "regime3", regime3_sum(s, order), regime3_product(s, order)
     else:
         kind, lhs, rhs = "regime4", regime4_sum(s, order), regime4_product(s, order)
@@ -246,7 +241,7 @@ def check_truncated_gauss(k: int, order: int, factor: TruncatedSeries | None = N
 def check_set_equivalence(s: int, statement: str, bound: int):
     """The exponent set behind theorem1 (the rho families) or corollary2
     (the decomposition families) against its square progression."""
-    part = _part(s)
+    part = part_of(s)
     _validate_part_s(part, s)
     if statement == "theorem1":
         families, prog = rho_families(s), theorem1_progression(part, s)
@@ -457,27 +452,27 @@ class RegisteredCheck:
 # the shared inputs; each builder looks its functions up when it is called
 P_TABLE = ("p", lambda order: p_table(order), ())
 REGIME = ("regime", lambda s, order: regime_sum(s, order), ("s",))
-RHO = ("rho", lambda s, order: rho_series(_part(s), s, order), ("s",))
+RHO = ("rho", lambda s, order: rho_series(part_of(s), s, order), ("s",))
 TAIL = ("tail", lambda k, order: truncated_gauss_rhs(k, order), ("k",))
 # both regime sums of a part mod 2, from one walk; on the GF(2) path only
 PARITIES = ("parities",
-            lambda part, fast, order: regime_sum_parities(
-                (2, 4) if part == 1 else (1, 3), order) if fast else None,
+            lambda part, fast, order: regime_sum_parities(PART_S[part], order) if fast else None,
             ("part", "use_parity_fastpath"))
 
-PART_S = tuple({"part": part, "s": s} for part, s in ((1, 2), (1, 4), (2, 1), (2, 3)))
-S_VALUES = tuple({"s": s} for s in (2, 4, 1, 3))
+INSTANCES = tuple({"part": part, "s": s} for part, ss in PART_S.items() for s in ss)
+S_BY_PART = {part: tuple({"s": s} for s in ss) for part, ss in PART_S.items()}
+S_VALUES = S_BY_PART[1] + S_BY_PART[2]
 
 REGISTRY: dict[str, dict[str, RegisteredCheck]] = {
     "verify": {
-        "theorem1": RegisteredCheck(DEFAULT_ORDER_PROVED, PART_S, check_theorem1,
+        "theorem1": RegisteredCheck(DEFAULT_ORDER_PROVED, INSTANCES, check_theorem1,
                                     (PARITIES,), parity_order=DEFAULT_ORDER_PARITY),
-        "corollary2": RegisteredCheck(DEFAULT_ORDER_PROVED, PART_S, check_corollary2,
+        "corollary2": RegisteredCheck(DEFAULT_ORDER_PROVED, INSTANCES, check_corollary2,
                                       (P_TABLE,)),
-        "id1": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_VALUES[:2],
+        "id1": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_BY_PART[1],
                                partial(_check_identity, 1), (REGIME, RHO, TAIL),
                                default_ks=(1, 2, 3, 4, 5)),
-        "id2": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_VALUES[2:],
+        "id2": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_BY_PART[2],
                                partial(_check_identity, 2), (REGIME, RHO, TAIL),
                                default_ks=(1, 2, 3, 4, 5)),
         "rogers": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_VALUES, check_rogers),
@@ -497,10 +492,10 @@ REGISTRY: dict[str, dict[str, RegisteredCheck]] = {
             lambda s, order, p=None: cross_validate(_rule(s), order, p), (P_TABLE,)),
     },
     "conjecture": {
-        "1": RegisteredCheck(DEFAULT_ORDER_CONJECTURE, PART_S, check_conjecture1,
+        "1": RegisteredCheck(DEFAULT_ORDER_CONJECTURE, INSTANCES, check_conjecture1,
                              (REGIME, RHO), default_ks=(1, 2, 3, 4)),
         "2": RegisteredCheck(
-            DEFAULT_ORDER_CONJECTURE, PART_S, check_conjecture2,
+            DEFAULT_ORDER_CONJECTURE, INSTANCES, check_conjecture2,
             (("tables", lambda s, order: _counts(_rule(s), order), ("s",)), RHO),
             default_ks=(1, 2, 3, 4), default_reading="both"),
         "s-pairs": RegisteredCheck(DEFAULT_ORDER_CONJECTURE,

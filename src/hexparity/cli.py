@@ -32,7 +32,7 @@ from . import (
 from .checks import READINGS, REGISTRY, RunOptions, run_check, theorem1_progression
 from .report import Stopwatch
 from .series import require_order
-from .theta import rho_families, rogers_ramanujan_sum
+from .theta import PART_S, part_of, rho_families, rogers_ramanujan_sum
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -102,16 +102,16 @@ def _emit_table(rows, args, command, watch, target_params) -> None:
 # its coefficients 0..n
 EXPAND_TARGETS = {
     "p": (None, lambda s, n: p_table(n).values),
-    "R": ({2, 4}, lambda s, n: r_gf(regime3_rule(s), n).coeffs),
-    "Rstar": ({1, 3}, lambda s, n: r_gf(regime4_rule(s), n).coeffs),
+    "R": (PART_S[1], lambda s, n: r_gf(regime3_rule(s), n).coeffs),
+    "Rstar": (PART_S[2], lambda s, n: r_gf(regime4_rule(s), n).coeffs),
     "G": (None, lambda s, n: rogers_ramanujan_sum(0, n).coeffs),
     "H": (None, lambda s, n: rogers_ramanujan_sum(1, n).coeffs),
-    "regime3": ({2, 4}, lambda s, n: regime3_sum(s, n).coeffs),
-    "regime4": ({1, 3}, lambda s, n: regime4_sum(s, n).coeffs),
-    "eq41": ({2, 4}, lambda s, n: bilateral_sum(rho_families(s), n).coeffs),
-    "eq42": ({1, 3}, lambda s, n: bilateral_sum(rho_families(s), n).coeffs),
-    "indicator": ({1, 2, 3, 4}, lambda s, n: indicator_series(
-        theorem1_progression(1 if s in (2, 4) else 2, s), n).coeffs),
+    "regime3": (PART_S[1], lambda s, n: regime3_sum(s, n).coeffs),
+    "regime4": (PART_S[2], lambda s, n: regime4_sum(s, n).coeffs),
+    "eq41": (PART_S[1], lambda s, n: bilateral_sum(rho_families(s), n).coeffs),
+    "eq42": (PART_S[2], lambda s, n: bilateral_sum(rho_families(s), n).coeffs),
+    "indicator": (PART_S[1] + PART_S[2], lambda s, n: indicator_series(
+        theorem1_progression(part_of(s), s), n).coeffs),
 }
 
 

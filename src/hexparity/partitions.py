@@ -20,7 +20,7 @@ from .series import (
     pochhammer_quotient,
     require_order,
 )
-from .theta import bilateral_sum, decomposition_families, r_factors
+from .theta import PART_S, bilateral_sum, decomposition_families, r_factors
 
 REGIME_III = "regime3"
 REGIME_IV = "regime4"
@@ -52,14 +52,12 @@ class PartResidueRule:
     s: int
 
     def __post_init__(self) -> None:
-        if self.kind == REGIME_III:
-            if self.s not in (2, 4):
-                raise ValueError("regime III requires s in {2, 4}")
-        elif self.kind == REGIME_IV:
-            if self.s not in (1, 3):
-                raise ValueError("regime IV requires s in {1, 3}")
-        else:
+        if self.kind not in (REGIME_III, REGIME_IV):
             raise ValueError(f"unknown rule kind {self.kind!r}")
+        part, name = (1, "III") if self.kind == REGIME_III else (2, "IV")
+        if self.s not in PART_S[part]:
+            raise ValueError(
+                f"regime {name} requires s in {{{', '.join(map(str, PART_S[part]))}}}")
 
     def allows(self, part: int) -> bool:
         if part < 1:
@@ -138,33 +136,6 @@ def p_bruteforce(n: int) -> int:
         return total
 
     return count(n, n)
-
-
-def partitions_of(n: int, allows=None):
-    """Yield the partitions of n as nonincreasing tuples.
-
-    `allows` restricts the usable parts; None admits every positive integer.
-    """
-    if n < 0:
-        return
-    if n > ORACLE_BOUND:
-        raise OracleBoundExceeded(f"enumeration capped at n <= {ORACLE_BOUND}")
-
-    def rec(remaining: int, largest: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            if allows is not None and not allows(part):
-                continue
-            yield from rec(remaining - part, part, prefix + (part,))
-
-    yield from rec(n, n, ())
-
-
-def count_restricted_bruteforce(rule: PartResidueRule, n: int) -> int:
-    """Enumeration oracle for the restricted counts (small n only)."""
-    return sum(1 for _ in partitions_of(n, allows=rule.allows))
 
 
 def count_restricted(rule: PartResidueRule, n_max: int) -> PartitionTable:

@@ -96,10 +96,6 @@ class TruncatedSeries:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def of(coeffs) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(int(c) for c in coeffs))
-
-    @staticmethod
     def zero(order: int) -> "TruncatedSeries":
         return TruncatedSeries((0,) * (order + 1))
 
@@ -163,9 +159,6 @@ class TruncatedSeries:
         n = self.order
         return TruncatedSeries((0,) * min(m, n + 1) + self.coeffs[: max(n + 1 - m, 0)])
 
-    def times_binomial(self, c: int, m: int) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(mul_binomial(list(self.coeffs), c, m)))
-
     def div_binomial(self, c: int, m: int) -> "TruncatedSeries":
         return TruncatedSeries(tuple(div_binomial(self.coeffs, c, m)))
 
@@ -173,23 +166,6 @@ class TruncatedSeries:
         """self * prod(numerators) / prod(denominators), by the kernel
         pochhammer_quotient would pick for the quotient alone."""
         return _quotient_times(self, numerators, denominators, self.order)
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be +1 or -1."""
-        a = self.coeffs
-        if a[0] not in (1, -1):
-            raise NonUnitConstantTerm(f"constant term {a[0]} is not a unit")
-        u = a[0]
-        n = self.order
-        out = [0] * (n + 1)
-        out[0] = u
-        for i in range(1, n + 1):
-            acc = 0
-            for k in range(1, i + 1):
-                if a[k]:
-                    acc += a[k] * out[i - k]
-            out[i] = -u * acc
-        return TruncatedSeries(tuple(out))
 
     def stretch(self, factor: int, order: int) -> "TruncatedSeries":
         """Substitute q -> q^factor, returning a series of the given order.
@@ -220,16 +196,6 @@ class TruncatedSeries:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order > 7 else ""
         return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
-
-
-def monomial(coef: int, exp: int, order: int) -> TruncatedSeries:
-    """The series coef*q^exp (the zero series if exp > order)."""
-    if exp < 0:
-        raise ValueError("exponents are nonnegative")
-    out = [0] * (order + 1)
-    if exp <= order:
-        out[exp] = coef
-    return TruncatedSeries(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +617,9 @@ _REVERSE_BYTE = bytes(_NIBBLE_REVERSE[v & 15] << 4 | _NIBBLE_REVERSE[v >> 4] for
 class ParitySeries:
     """Coefficients mod 2, bit n of `bits` being the parity of q^n.
 
-    Addition is XOR; multiplication is carry-less.  Multiplying or dividing
-    by (1 + q^m) costs one shifted XOR (respectively log2(order/m) of them)
-    and squaring is a bit spread, so congruence checks scale to order ~10^7.
+    Multiplication is carry-less and squaring is a bit spread.  The static
+    kernels work on raw bit ints, where multiplying by (1 + q^m) is one
+    shifted XOR, so congruence checks scale to order ~10^7.
     """
 
     order: int
@@ -678,20 +644,6 @@ class ParitySeries:
     def _mask(self, order: int) -> int:
         return (1 << (order + 1)) - 1
 
-    def bit(self, n: int) -> int:
-        if n > self.order:
-            raise OrderExceeded(f"bit {n} beyond order {self.order}")
-        return (self.bits >> n) & 1
-
-    coefficient = bit
-
-    def __add__(self, other: "ParitySeries") -> "ParitySeries":
-        n = min(self.order, other.order)
-        m = self._mask(n)
-        return ParitySeries(n, (self.bits ^ other.bits) & m)
-
-    __sub__ = __add__
-
     def __mul__(self, other: "ParitySeries") -> "ParitySeries":
         n = min(self.order, other.order)
         m = self._mask(n)
@@ -704,9 +656,6 @@ class ParitySeries:
             acc ^= b << (low.bit_length() - 1)
             a ^= low
         return ParitySeries(n, acc & m)
-
-    def shift(self, m: int) -> "ParitySeries":
-        return ParitySeries(self.order, (self.bits << m) & self._mask(self.order))
 
     @staticmethod
     def spread_bits(bits: int) -> int:
@@ -773,25 +722,6 @@ class ParitySeries:
         for m in odd:
             bits ^= bits >> m
         return bits
-
-    def times_binomial(self, m: int) -> "ParitySeries":
-        """Multiply by (1 + q^m); signs are invisible mod 2."""
-        return self + self.shift(m)
-
-    def div_binomial(self, m: int) -> "ParitySeries":
-        """Divide by (1 + q^m): multiply by the geometric series in q^m.
-
-        1/(1 + q^m) = (1 + q^m)(1 + q^2m)(1 + q^4m)... mod 2, so the
-        quotient is log2(order/m) shifted XORs.
-        """
-        if m < 1:
-            raise ValueError("cannot divide by a constant binomial factor")
-        mask = self._mask(self.order)
-        bits = self.bits
-        while m <= self.order:
-            bits = (bits ^ (bits << m)) & mask
-            m <<= 1
-        return ParitySeries(self.order, bits)
 
     def square(self) -> "ParitySeries":
         """Frobenius: squaring mod 2 doubles every exponent."""

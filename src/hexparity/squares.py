@@ -1,9 +1,9 @@
 """Squares in arithmetic progressions and exponent-set equivalences.
 
 The congruence theorems identify {n : a*n + c is a perfect square} with the
-value sets of explicit integer quadratics.  This module detects squares
-exactly (integer square root only), builds indicator series and index sets,
-and machine-checks those set equivalences with multiplicity tracking: the
+value sets of explicit integer quadratics.  This module builds index sets
+(exactly, by integer square roots) and indicator series, and
+machine-checks those set equivalences with multiplicity tracking: the
 mod-2 reading of the theorems needs every qualifying value to be hit by
 exactly one (family, k) pair, so collisions are part of the report.
 """
@@ -16,15 +16,6 @@ from dataclasses import dataclass
 
 from .report import Stopwatch, Violation, proved_report
 from .series import ParitySeries, TruncatedSeries, require_order
-from .theta import QuadraticExponentFamily
-
-
-def is_square(v: int) -> bool:
-    """Exact perfect-square test via integer square root."""
-    if v < 0:
-        return False
-    r = math.isqrt(v)
-    return r * r == v
 
 
 @dataclass(frozen=True)
@@ -39,9 +30,6 @@ class SquareProgression:
             raise ValueError("modulus multiplier must be positive")
         if self.c < 0:
             raise ValueError("offset must be nonnegative")
-
-    def holds(self, n: int) -> bool:
-        return is_square(self.a * n + self.c)
 
 
 def index_set(p: SquareProgression, n_max: int) -> list[int]:
@@ -74,12 +62,6 @@ def indicator_series(p: SquareProgression, order: int) -> TruncatedSeries:
 def indicator_bits(p: SquareProgression, order: int) -> int:
     """The indicator packed as an int, for parity-path comparisons."""
     return ParitySeries.from_bit_positions(order, index_set(p, order)).bits
-
-
-def exponent_values(f: QuadraticExponentFamily, bound: int) -> list[int]:
-    """Sorted set {e(k) : k in Z, 0 <= e(k) <= bound}."""
-    return sorted({f.exponent(k) for k in f.indices_within(bound)
-                   if f.exponent(k) >= 0})
 
 
 def multiplicity_map(families, bound: int) -> dict[int, int]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, repeat
 
 from .series import (
@@ -54,8 +53,7 @@ class QuadraticExponentFamily:
 
     Construction checks a2 > 0 and den > 0 (finite truncation windows),
     base_sign in {+1, -1}, and that e and t are integers on all of Z, which
-    for a quadratic holds exactly when it holds at k = 0, 1, 2.  make builds
-    a family from rational coefficients.
+    for a quadratic holds exactly when it holds at k = 0, 1, 2.
     """
 
     a2: int
@@ -75,12 +73,6 @@ class QuadraticExponentFamily:
             if ((self.a2 * k + self.a1) * k + self.a0) % self.den or \
                     (self.s2 * k + self.s1) * k % self.den:
                 raise ValueError(f"e({k}) or t({k}) is not an integer")
-
-    @staticmethod
-    def make(a2, a1, a0, s2=0, s1=0, base_sign: int = 1) -> "QuadraticExponentFamily":
-        coeffs = [Fraction(c) for c in (a2, a1, a0, s2, s1)]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        return QuadraticExponentFamily(*(int(c * den) for c in coeffs), base_sign, den)
 
     def exponent(self, k: int) -> int:
         return ((self.a2 * k + self.a1) * k + self.a0) // self.den
@@ -116,7 +108,18 @@ def bilateral_sum(families, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def _require_s(s: int, allowed: tuple[int, ...]) -> None:
+# the s values of each part: part 1 is regime III, part 2 regime IV
+PART_S = {1: (2, 4), 2: (1, 3)}
+
+
+def part_of(s: int) -> int:
+    """The part whose PART_S holds s; 2 for any s outside part 1."""
+    return 1 if s in PART_S[1] else 2
+
+
+def _require_s(s: int, *parts: int) -> None:
+    """Raise ValueError unless s is an s value of one of parts."""
+    allowed = sorted(t for part in parts for t in PART_S[part])
     if s not in allowed:
         *rest, last = allowed
         raise ValueError(f"s must be {', '.join(map(str, rest))} or {last}")
@@ -126,7 +129,7 @@ def eq41_families(s: int) -> list[QuadraticExponentFamily]:
     """The two families k(15k+3s-5)/2 and (3k-s/2)(5k-3+s/2)/2, both with
     sign (-1)^(k((s-1)k-1)/2), for s in {2, 4}; the second expands to
     (15k^2-(9+s)k+2)/2, since (6s-s^2)/4 = 2 at both s."""
-    _require_s(s, (2, 4))
+    _require_s(s, 1)
     return [
         QuadraticExponentFamily(15, 3 * s - 5, 0, s2=s - 1, s1=-1, den=2),
         QuadraticExponentFamily(15, -(9 + s), 2, s2=s - 1, s1=-1, den=2),
@@ -135,13 +138,13 @@ def eq41_families(s: int) -> list[QuadraticExponentFamily]:
 
 def eq42_family(s: int) -> QuadraticExponentFamily:
     """e(k) = k(5k-s)/2 with sign (-1)^(k(k+s)/2), for s in {1, 3}."""
-    _require_s(s, (1, 3))
+    _require_s(s, 2)
     return QuadraticExponentFamily(5, -s, 0, s2=1, s1=s, den=2)
 
 
 def rstar_families(s: int) -> list[QuadraticExponentFamily]:
     """15k^2-(5-3s)k with sign +1 and 15k^2+(5+3s)k+s with sign -1."""
-    _require_s(s, (1, 3))
+    _require_s(s, 2)
     return [
         QuadraticExponentFamily(15, -(5 - 3 * s), 0),
         QuadraticExponentFamily(15, 5 + 3 * s, s, base_sign=-1),
@@ -150,23 +153,23 @@ def rstar_families(s: int) -> list[QuadraticExponentFamily]:
 
 def r_decomposition_family(s: int) -> QuadraticExponentFamily:
     """e(k) = k(5k+1-s) with sign (-1)^k, for s in {2, 4}."""
-    _require_s(s, (2, 4))
+    _require_s(s, 1)
     return QuadraticExponentFamily(5, 1 - s, 0, s1=1)
 
 
 def rho_families(s: int) -> list[QuadraticExponentFamily]:
     """The families of the bilateral series rho: eq41_families(s) for
     s in {2, 4}, eq42_family(s) for s in {1, 3}."""
-    _require_s(s, (1, 2, 3, 4))
-    return eq41_families(s) if s in (2, 4) else [eq42_family(s)]
+    _require_s(s, 1, 2)
+    return eq41_families(s) if part_of(s) == 1 else [eq42_family(s)]
 
 
 def decomposition_families(s: int) -> list[QuadraticExponentFamily]:
     """The families whose theta series times sum p(n) q^n generates R_s
     (s in {2, 4}: r_decomposition_family) or R*_s (s in {1, 3}:
     rstar_families)."""
-    _require_s(s, (1, 2, 3, 4))
-    return [r_decomposition_family(s)] if s in (2, 4) else rstar_families(s)
+    _require_s(s, 1, 2)
+    return [r_decomposition_family(s)] if part_of(s) == 1 else rstar_families(s)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +392,8 @@ def _regime_terms(s: int):
     1/((1-q^n)(1-q^(2n+1))); regime IV starts at 1/(q;q)_d, with ratio
     1/((1-q^(2n-1+d))(1-q^(2n+d))).
     """
-    _require_s(s, (1, 2, 3, 4))
-    if s in (2, 4):
+    _require_s(s, 1, 2)
+    if part_of(s) == 1:
         return (lambda n: n * (3 * n + s - 1) // 2,
                 lambda n: ([], [(-1, n), (-1, 2 * n + 1)]), [1])
     d = (s - 1) // 2
@@ -424,13 +427,13 @@ def regime_sum_parities(ss, order: int) -> dict[int, ParitySeries]:
 
 def regime3_sum(s: int, order: int) -> TruncatedSeries:
     """sum_n (-q;q)_n q^(n(3n+s-1)/2) / (q;q)_(2n+1), s in {2, 4}."""
-    _require_s(s, (2, 4))
+    _require_s(s, 1)
     return regime_sum(s, order)
 
 
 def regime4_sum(s: int, order: int) -> TruncatedSeries:
     """sum_n q^(n(n+1)) / (q;q)_(2n+(s-1)/2), s in {1, 3}."""
-    _require_s(s, (1, 3))
+    _require_s(s, 2)
     return regime_sum(s, order)
 
 
@@ -550,7 +553,7 @@ def regime3_product(s: int, order: int) -> TruncatedSeries:
     """G(q^2)/(q;q^2)oo for s=2, H(q^2)/(q;q^2)oo for s=4, with G and H
     taken from their summation forms so the comparison against
     regime3_sum is a genuinely independent route."""
-    _require_s(s, (2, 4))
+    _require_s(s, 1)
     half = rogers_ramanujan_sum(0 if s == 2 else 1, (order + 1) // 2)
     return half.stretch(2, order).times_quotient([], [ODD_PARTS])
 
@@ -559,8 +562,8 @@ def r_factors(s: int) -> tuple[list[QPochhammerSpec], list[QPochhammerSpec]]:
     """(numerators, denominators) of the product generating R_s, s in {2, 4}:
     1/((q;q^2)oo (q^s, q^(10-s); q^10)oo), or R*_s, s in {1, 3}:
     (q^s, q^(10-s), q^10; q^10)oo (q^(10-2s), q^(10+2s); q^20)oo / (q;q)oo."""
-    _require_s(s, (1, 2, 3, 4))
-    if s in (2, 4):
+    _require_s(s, 1, 2)
+    if part_of(s) == 1:
         return [], [ODD_PARTS, QPochhammerSpec(1, s, 10), QPochhammerSpec(1, 10 - s, 10)]
     return [
         QPochhammerSpec(1, s, 10),
@@ -573,7 +576,7 @@ def r_factors(s: int) -> tuple[list[QPochhammerSpec], list[QPochhammerSpec]]:
 
 def regime4_product(s: int, order: int) -> TruncatedSeries:
     """The product generating R*_s, s in {1, 3} (r_factors)."""
-    _require_s(s, (1, 3))
+    _require_s(s, 2)
     return pochhammer_quotient(*r_factors(s), order)
 
 
@@ -593,7 +596,7 @@ def _rho_sides(s: int, order: int, numerators, denominators):
 def eq41_sides(s: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Bilateral side versus R_s's product times (q^2;q^2)oo / (-q^2;q^2)oo,
     for s in {2, 4}."""
-    _require_s(s, (2, 4))
+    _require_s(s, 1)
     return _rho_sides(s, order, *r_factors(s))
 
 
@@ -607,7 +610,7 @@ def eq42_sides(
     that makes the identity hold; passing first_decade_exponent=2 selects
     the alternative literal reading so callers can report its failure.
     """
-    _require_s(s, (1, 3))
+    _require_s(s, 2)
     numerators, denominators = r_factors(s)
     if first_decade_exponent is not None:
         numerators[0] = QPochhammerSpec(1, first_decade_exponent, 10)

@@ -8,18 +8,19 @@ import pytest
 from hexparity.partitions import (
     ORACLE_BOUND,
     OracleBoundExceeded,
+    PartResidueRule,
     TableTooSmall,
     count_restricted,
-    count_restricted_bruteforce,
     p_bruteforce,
     p_table,
-    partitions_of,
     r_gf,
     r_s_decomposed,
     r_star_decomposed,
     regime3_rule,
     regime4_rule,
 )
+
+from oracles import inverse
 
 ALL_RULES = [regime3_rule(2), regime3_rule(4), regime4_rule(1), regime4_rule(3)]
 
@@ -28,6 +29,33 @@ def test_p_table_small_values():
     table = p_table(10)
     assert table.values == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
     assert table[5] == 7
+
+
+def partitions_of(n: int, allows=None):
+    """Yield the partitions of n as nonincreasing tuples.
+
+    `allows` restricts the usable parts; None admits every positive integer.
+    """
+    if n < 0:
+        return
+    if n > ORACLE_BOUND:
+        raise OracleBoundExceeded(f"enumeration capped at n <= {ORACLE_BOUND}")
+
+    def rec(remaining: int, largest: int, prefix: tuple[int, ...]):
+        if remaining == 0:
+            yield prefix
+            return
+        for part in range(min(largest, remaining), 0, -1):
+            if allows is not None and not allows(part):
+                continue
+            yield from rec(remaining - part, part, prefix + (part,))
+
+    yield from rec(n, n, ())
+
+
+def count_restricted_bruteforce(rule: PartResidueRule, n: int) -> int:
+    """Enumeration oracle for the restricted counts (small n only)."""
+    return sum(1 for _ in partitions_of(n, allows=rule.allows))
 
 
 def test_p_bruteforce_base_cases():
@@ -186,7 +214,7 @@ def test_gf_route_is_reciprocal_of_spec_product():
         [],
         40,
     )
-    assert product.inverse() == r_gf(regime3_rule(2), 40)
+    assert inverse(product) == r_gf(regime3_rule(2), 40)
 
 
 def test_decomposition_examples():

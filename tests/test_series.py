@@ -28,10 +28,11 @@ from hexparity.series import (
     _unpack,
     _widen,
     div_binomial,
-    monomial,
     mul_binomial,
     pochhammer_quotient,
 )
+
+from oracles import div_binomial_bits, inverse, mul_binomial_bits
 
 
 def poly_mul_oracle(a: list[int], b: list[int], order: int) -> list[int]:
@@ -63,28 +64,22 @@ def random_series(rng: random.Random, order: int, unit: bool = False) -> Truncat
     coeffs = [rng.randint(-9, 9) for _ in range(order + 1)]
     if unit:
         coeffs[0] = rng.choice([1, -1])
-    return TruncatedSeries.of(coeffs)
+    return TruncatedSeries(tuple(coeffs))
 
 
 def sparse_series(rng: random.Random, order: int) -> TruncatedSeries:
     """Coefficients from {0, 1, -1, small, multi-limb}, at a random density."""
     density = rng.random()
     pool = (1, -1, rng.randint(-9, 9), rng.randint(-2**130, 2**130))
-    return TruncatedSeries.of(
+    return TruncatedSeries(tuple(
         rng.choice(pool) if rng.random() < density else 0 for _ in range(order + 1)
-    )
-
-
-def test_monomial_examples():
-    assert monomial(1, 0, 5).coeffs == (1, 0, 0, 0, 0, 0)
-    assert monomial(-2, 3, 5).coeffs == (0, 0, 0, -2, 0, 0)
-    assert monomial(1, 7, 5).coeffs == (0,) * 6  # exponent beyond order
+    ))
 
 
 def test_add_sub_negate():
     one = TruncatedSeries.one(4)
     assert one + (-one) == TruncatedSeries.zero(4)
-    q = monomial(1, 1, 3)
+    q = TruncatedSeries((0, 1, 0, 0))
     assert (q + q).coeffs == (0, 2, 0, 0)
     rng = random.Random(7)
     a = random_series(rng, 10)
@@ -95,8 +90,8 @@ def test_add_sub_negate():
 
 def test_mul_telescopes_geometric():
     order = 12
-    geometric = TruncatedSeries.of([1] * (order + 1))
-    one_minus_q = TruncatedSeries.of([1, -1] + [0] * (order - 1))
+    geometric = TruncatedSeries((1,) * (order + 1))
+    one_minus_q = TruncatedSeries((1, -1) + (0,) * (order - 1))
     assert (one_minus_q * geometric) == TruncatedSeries.one(order)
 
 
@@ -142,17 +137,17 @@ def test_mul_matches_oracle():
 
 def test_inverse_of_partition_product():
     # 1/(q;q)oo starts 1, 1, 2, 3, 5, 7: the count of 5 is 7
-    inv = pochhammer_quotient([QPochhammerSpec(1, 1, 1, INFINITE)], [], 6).inverse()
+    inv = inverse(pochhammer_quotient([QPochhammerSpec(1, 1, 1, INFINITE)], [], 6))
     assert inv.coefficient(5) == 7
 
 
 def test_inverse_trivial_and_errors():
     one = TruncatedSeries.one(8)
-    assert one.inverse() == one
+    assert inverse(one) == one
     with pytest.raises(NonUnitConstantTerm):
-        TruncatedSeries.zero(4).inverse()
+        inverse(TruncatedSeries.zero(4))
     with pytest.raises(NonUnitConstantTerm):
-        TruncatedSeries.of([2, 1, 1]).inverse()
+        inverse(TruncatedSeries((2, 1, 1)))
 
 
 def test_inverse_roundtrip_on_random_units():
@@ -160,7 +155,7 @@ def test_inverse_roundtrip_on_random_units():
     for _ in range(100):
         order = rng.randint(0, 30)
         a = random_series(rng, order, unit=True)
-        assert a * a.inverse() == TruncatedSeries.one(order)
+        assert a * inverse(a) == TruncatedSeries.one(order)
 
 
 def test_pochhammer_pentagonal_pattern():
@@ -231,7 +226,7 @@ def schoolbook(specs, order: int) -> TruncatedSeries:
     """The product of the specs, each multiplied out by poch_oracle."""
     out = TruncatedSeries.one(order)
     for spec in specs:
-        out = out * TruncatedSeries.of(poch_oracle(*spec, order))
+        out = out * TruncatedSeries(tuple(poch_oracle(*spec, order)))
     return out
 
 
@@ -239,7 +234,7 @@ def test_pochhammer_quotient_matches_inverse():
     num = [QPochhammerSpec(-1, 1, 2, INFINITE)]
     den = [QPochhammerSpec(1, 1, 1, INFINITE), QPochhammerSpec(1, 3, 4, 2)]
     q = pochhammer_quotient(num, den, 20)
-    direct = pochhammer_quotient(num, [], 20) * pochhammer_quotient(den, [], 20).inverse()
+    direct = pochhammer_quotient(num, [], 20) * inverse(pochhammer_quotient(den, [], 20))
     assert q == direct
 
     # random spec lists against schoolbook products and the series inverse
@@ -249,7 +244,7 @@ def test_pochhammer_quotient_matches_inverse():
         num, den = random_specs(rng, 0), random_specs(rng, 1)
         q = pochhammer_quotient([QPochhammerSpec(*a) for a in num],
                                 [QPochhammerSpec(*a) for a in den], order)
-        assert q == schoolbook(num, order) * schoolbook(den, order).inverse()
+        assert q == schoolbook(num, order) * inverse(schoolbook(den, order))
 
 
 def test_recurrence_matches_binomial_passes():
@@ -281,7 +276,7 @@ def test_recurrence_matches_binomial_passes():
         assert got == want, (num, den, order)
         assert pochhammer_quotient(numerators, denominators, order).coeffs == tuple(want)
         if order <= 40:
-            assert got == list((schoolbook(num, order) * schoolbook(den, order).inverse()).coeffs)
+            assert got == list((schoolbook(num, order) * inverse(schoolbook(den, order))).coeffs)
         net = sum(c)
         seen.add("net >= 0" if net >= 0 else "net < 0")
         if lead > 1:
@@ -627,7 +622,7 @@ def test_both_kernels_share_the_error_contract():
 
 
 def test_coefficient_access():
-    inv = pochhammer_quotient([QPochhammerSpec(1, 1, 1, INFINITE)], [], 10).inverse()
+    inv = inverse(pochhammer_quotient([QPochhammerSpec(1, 1, 1, INFINITE)], [], 10))
     assert inv.coefficient(5) == 7
     assert pochhammer_quotient([], [], 4).coefficient(0) == 1
     assert TruncatedSeries.zero(4).coefficient(3) == 0
@@ -636,7 +631,7 @@ def test_coefficient_access():
 
 
 def test_shift_scale_stretch():
-    a = TruncatedSeries.of([1, 2, 3])
+    a = TruncatedSeries((1, 2, 3))
     assert a.shift(1).coeffs == (0, 1, 2)
     assert a.scale(-3).coeffs == (-3, -6, -9)
     assert a.stretch(2, 5).coeffs == (1, 0, 2, 0, 3, 0)
@@ -645,7 +640,7 @@ def test_shift_scale_stretch():
 
 
 def test_reduce_mod2_examples():
-    s = TruncatedSeries.of([0, 2, 3])
+    s = TruncatedSeries((0, 2, 3))
     assert s.reduce_mod2().bits == 0b100
     assert TruncatedSeries.zero(5).reduce_mod2().bits == 0
 
@@ -656,7 +651,7 @@ def test_parity_is_ring_homomorphism():
         a = random_series(rng, 200)
         b = random_series(rng, 200)
         assert (a * b).reduce_mod2() == a.reduce_mod2() * b.reduce_mod2()
-        assert (a + b).reduce_mod2() == a.reduce_mod2() + b.reduce_mod2()
+        assert (a + b).reduce_mod2().bits == a.reduce_mod2().bits ^ b.reduce_mod2().bits
 
 
 def test_parity_commutes_with_inverse():
@@ -666,7 +661,7 @@ def test_parity_commutes_with_inverse():
     orders = [64] * 20 + [0] + [2**j + d for j in range(1, 11) for d in (-1, 0, 1)]
     for order in orders:
         a = random_series(rng, order, unit=True)
-        assert a.inverse().reduce_mod2() == a.reduce_mod2().inverse(), order
+        assert inverse(a).reduce_mod2() == a.reduce_mod2().inverse(), order
 
 
 def test_parity_binomial_ops_match_bigint():
@@ -682,23 +677,24 @@ def test_parity_binomial_ops_match_bigint():
     for length in (1, 2, 3, 4, 5, 15, 16, 17, 48, 49, 50):
         order = length - 1
         for m in range(0, length + 3):
-            a = TruncatedSeries.of(rng.randint(-2**200, 2**200) for _ in range(length))
+            a = TruncatedSeries(tuple(rng.randint(-2**200, 2**200) for _ in range(length)))
+            bits = a.reduce_mod2().bits
             for c in (1, -1, -3):
                 binomial = [1] + [0] * order
                 if m <= order:
                     binomial[m] += c
-                product = a.times_binomial(c, m)
+                product = TruncatedSeries(tuple(mul_binomial(list(a.coeffs), c, m)))
                 assert list(product.coeffs) == poly_mul_oracle(list(a.coeffs), binomial, order)
-                assert product.reduce_mod2() == a.reduce_mod2().times_binomial(m)
+                assert product.reduce_mod2().bits == mul_binomial_bits(bits, m, order)
                 if m == 0:
                     with pytest.raises(ValueError):
                         a.div_binomial(c, m)
                     continue
                 quotient = a.div_binomial(c, m)
-                assert quotient == a * TruncatedSeries.of(binomial).inverse()
-                assert quotient.times_binomial(c, m) == a
-                assert quotient.reduce_mod2() == a.reduce_mod2().div_binomial(m)
-            assert a.shift(m).reduce_mod2() == a.reduce_mod2().shift(m)
+                assert quotient == a * inverse(TruncatedSeries(tuple(binomial)))
+                assert mul_binomial(list(quotient.coeffs), c, m) == list(a.coeffs)
+                assert quotient.reduce_mod2().bits == div_binomial_bits(bits, m, order)
+            assert a.shift(m).reduce_mod2().bits == (bits << m) & ((1 << order + 1) - 1)
 
 
 def test_binomial_passes_return_a_new_list():
@@ -717,10 +713,10 @@ def test_binomial_passes_return_a_new_list():
                 binomial = [1] + [0] * order
                 if m <= order:
                     binomial[m] += c
-                binomial = TruncatedSeries.of(binomial)
+                binomial = TruncatedSeries(tuple(binomial))
                 product = mul_binomial(coeffs, c, m)
                 assert coeffs == before and product is not coeffs
-                assert product == list((TruncatedSeries.of(coeffs) * binomial).coeffs)
+                assert product == list((TruncatedSeries(tuple(coeffs)) * binomial).coeffs)
                 if m == 0:
                     with pytest.raises(ValueError):
                         div_binomial(coeffs, c, m)
@@ -728,14 +724,15 @@ def test_binomial_passes_return_a_new_list():
                 quotient = div_binomial(coeffs, c, m)
                 assert coeffs == before and quotient is not coeffs
                 assert len(quotient) == length
-                assert TruncatedSeries.of(quotient) * binomial == TruncatedSeries.of(coeffs)
+                assert TruncatedSeries(tuple(quotient)) * binomial == TruncatedSeries(tuple(coeffs))
         # the passes kernel, which chains them, leaves its input as it is too
         num, den = [(1, 1, 1, 3)], [(-1, 2, 3, None), (1, 1, 2, None)]
         product = _expand_by_passes(coeffs, [QPochhammerSpec(*a) for a in num],
                                     [QPochhammerSpec(*a) for a in den])
         assert coeffs == before
-        assert TruncatedSeries.of(product) == (TruncatedSeries.of(coeffs) * schoolbook(num, order)
-                                               * schoolbook(den, order).inverse())
+        assert TruncatedSeries(tuple(product)) == (TruncatedSeries(tuple(coeffs))
+                                                   * schoolbook(num, order)
+                                                   * inverse(schoolbook(den, order)))
 
 
 def test_square_matches_set_bit_walk():
@@ -846,7 +843,7 @@ def test_parity_series_validation():
         ParitySeries(3, 1 << 5)
     assert ParitySeries.from_bit_positions(4, [0, 2, 9]) == ParitySeries(4, 0b101)
     with pytest.raises(ValueError):
-        ParitySeries(5, 1).div_binomial(0)
+        div_binomial_bits(1, 0, 5)
 
 
 def test_division_reads_any_iterable_once():
