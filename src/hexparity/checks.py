@@ -9,8 +9,7 @@ EMPIRICAL_COUNTEREXAMPLE with every violation recorded.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul
 from typing import Callable
@@ -30,6 +29,7 @@ from .series import ParitySeries, TruncatedSeries, require_order
 from .squares import SquareProgression, index_set, indicator_bits, verify_set_equivalence
 from .theta import (
     PART_S,
+    _require_s,
     bilateral_sum,
     decomposition_families,
     even_gauss_factor,
@@ -42,7 +42,6 @@ from .theta import (
     regime4_sum,
     regime_sum,
     regime_sum_parities,
-    regime_sum_parity,
     rho_families,
     truncated_gauss_lhs,
     truncated_gauss_rhs,
@@ -115,17 +114,14 @@ def check_theorem1(part: int, s: int, order: int,
                    use_parity_fastpath: bool = False,
                    parities: dict[int, ParitySeries] | None = None):
     """Regime sum reduced mod 2 versus the square-progression indicator.
-    parities, when given on the GF(2) path, maps s to
-    regime_sum_parity(s, order), as regime_sum_parities builds it for both
-    s of the part in one walk."""
+    parities, when given on the GF(2) path, is regime_sum_parities over
+    both s of the part, built in one walk."""
     _validate_part_s(part, s)
     watch = Stopwatch()
-    if not use_parity_fastpath:
-        lhs = regime_sum(s, order).reduce_mod2()
-    elif parities is not None:
-        lhs = parities[s]
+    if use_parity_fastpath:
+        lhs = (parities or regime_sum_parities((s,), order))[s]
     else:
-        lhs = regime_sum_parity(s, order)
+        lhs = regime_sum(s, order).reduce_mod2()
     rhs_bits = indicator_bits(theorem1_progression(part, s), order)
     return proved_report(
         f"theorem1.part{part}.s{s}",
@@ -212,6 +208,7 @@ def _compare_series(check_id: str, params: dict, lhs: TruncatedSeries,
 def check_rogers(s: int, order: int):
     """Regime sum against its product side: regime III for s in {2, 4},
     regime IV for s in {1, 3}."""
+    _require_s(s, 1, 2)
     watch = Stopwatch()
     if part_of(s) == 1:
         kind, lhs, rhs = "regime3", regime3_sum(s, order), regime3_product(s, order)
@@ -242,7 +239,6 @@ def check_set_equivalence(s: int, statement: str, bound: int):
     """The exponent set behind theorem1 (the rho families) or corollary2
     (the decomposition families) against its square progression."""
     part = part_of(s)
-    _validate_part_s(part, s)
     if statement == "theorem1":
         families, prog = rho_families(s), theorem1_progression(part, s)
     elif statement == "corollary2":
@@ -276,14 +272,16 @@ def _check_identity(part: int, s: int, k: int, order: int,
     )
 
 
-def check_identity_id1(s: int, k: int, order: int):
-    """The truncated identity for the regime-III sum (s in {2, 4}, k >= 1)."""
-    return _check_identity(1, s, k, order)
+def check_identity_id1(s: int, k: int, order: int, **inputs):
+    """The truncated identity for the regime-III sum (s in {2, 4}, k >= 1);
+    inputs as in _check_identity."""
+    return _check_identity(1, s, k, order, **inputs)
 
 
-def check_identity_id2(s: int, k: int, order: int):
-    """The truncated identity for the regime-IV sum (s in {1, 3}, k >= 1)."""
-    return _check_identity(2, s, k, order)
+def check_identity_id2(s: int, k: int, order: int, **inputs):
+    """The truncated identity for the regime-IV sum (s in {1, 3}, k >= 1);
+    inputs as in _check_identity."""
+    return _check_identity(2, s, k, order, **inputs)
 
 
 def conjecture1_difference(part: int, s: int, k: int, order: int,
@@ -417,12 +415,6 @@ def cross_validate(rule: PartResidueRule, order: int,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RunOptions:
-    fast_parity: bool = False
-    reading: str | None = None  # a READINGS key; None for the check's default
-
-
-@dataclass(frozen=True)
 class RegisteredCheck:
     """One check or scan as the command line runs it.
 
@@ -434,10 +426,10 @@ class RegisteredCheck:
     build(*values, order) for the call's values of keys, built once per
     values that two or more calls of one run_check call carry; a call
     whose values no other call shares gets no input and builds its own.
-    parity_order is the default order under options.fast_parity, for
-    checks with a GF(2) path (use_parity_fastpath);
-    default_reading is the READINGS key run when options.reading is None,
-    for checks that take readings.
+    parity_order is the default order under run_check's fast_parity, for
+    checks with a GF(2) path (use_parity_fastpath); default_reading is the
+    READINGS key run when run_check's reading is None, for checks that take
+    readings.
     """
 
     default_order: int
@@ -470,10 +462,10 @@ REGISTRY: dict[str, dict[str, RegisteredCheck]] = {
         "corollary2": RegisteredCheck(DEFAULT_ORDER_PROVED, INSTANCES, check_corollary2,
                                       (P_TABLE,)),
         "id1": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_BY_PART[1],
-                               partial(_check_identity, 1), (REGIME, RHO, TAIL),
+                               check_identity_id1, (REGIME, RHO, TAIL),
                                default_ks=(1, 2, 3, 4, 5)),
         "id2": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_BY_PART[2],
-                               partial(_check_identity, 2), (REGIME, RHO, TAIL),
+                               check_identity_id2, (REGIME, RHO, TAIL),
                                default_ks=(1, 2, 3, 4, 5)),
         "rogers": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_VALUES, check_rogers),
         "gauss": RegisteredCheck(DEFAULT_ORDER_PROVED, ({},), check_gauss),
@@ -507,14 +499,16 @@ REGISTRY: dict[str, dict[str, RegisteredCheck]] = {
 
 def run_check(command: str, name: str, order: int | None = None,
               part: int | None = None, s: int | None = None,
-              ks: list[int] | None = None, options: RunOptions = RunOptions()):
+              ks: list[int] | None = None, fast_parity: bool = False,
+              reading: str | None = None):
     """Run a registered check; returns (reports, reports gating the exit).
 
-    Raises ValueError on a negative order, a k below 1, flags that select
-    no instance, and flags the check does not take: ks where it has no
-    default_ks, options.fast_parity where it has no parity_order,
-    options.reading where it has no default_reading, part or s where no
-    instance carries that key.  Under the "both" reading the
+    fast_parity selects the GF(2) path; reading is a READINGS key, None for
+    the check's default_reading.  Raises ValueError on a negative order, a
+    k below 1, flags that select no instance, and flags the check does not
+    take: ks where it has no default_ks, fast_parity where it has no
+    parity_order, reading where it has no default_reading, part or s where
+    no instance carries that key.  Under the "both" reading the
     literal conjecture-2 reports are emitted but do not gate: their known
     counterexamples are a finding about the displayed formula, not about
     the conjecture under its consistent reading.
@@ -526,15 +520,13 @@ def run_check(command: str, name: str, order: int | None = None,
         _require(value is None or any(key in i for i in entry.instances),
                  f"{label} takes no --{key}")
     _require(not ks or bool(entry.default_ks), f"{label} takes no --k")
-    _require(not options.fast_parity or entry.parity_order is not None,
+    _require(not fast_parity or entry.parity_order is not None,
              f"{label} has no --fast-parity path")
-    _require(options.reading is None or entry.default_reading is not None,
+    _require(reading is None or entry.default_reading is not None,
              f"{label} takes no --reading")
-    if options.reading is None:
-        options = replace(options, reading=entry.default_reading)
+    reading = reading or entry.default_reading
     if order is None:
-        use_parity = options.fast_parity and entry.parity_order is not None
-        order = entry.parity_order if use_parity else entry.default_order
+        order = entry.parity_order if fast_parity else entry.default_order
     require_order(order)
     ks = list(ks or entry.default_ks) if entry.default_ks else []
     _require(all(k >= 1 for k in ks), "k must be >= 1")
@@ -544,9 +536,9 @@ def run_check(command: str, name: str, order: int | None = None,
     _require(bool(selected), f"{label} has no instance with the given --part/--s")
     extra = {"order": order}
     if entry.parity_order is not None:
-        extra["use_parity_fastpath"] = options.fast_parity
+        extra["use_parity_fastpath"] = fast_parity
     if entry.default_reading is not None:
-        extra["readings"] = READINGS[options.reading]
+        extra["readings"] = READINGS[reading]
     calls = [dict(i, **extra) if k is None else dict(i, k=k, **extra)
              for i in selected for k in ks or [None]]
     for keyword, build, keys in entry.shared:
@@ -559,6 +551,6 @@ def run_check(command: str, name: str, order: int | None = None,
     for args in calls:
         result = entry.check(**args)
         reports += result if isinstance(result, list) else [result]
-    gating = [r for r in reports if not (options.reading == "both" and
+    gating = [r for r in reports if not (reading == "both" and
                                          r.params.get("inner_sign") == INNER_SIGN_LITERAL)]
     return reports, gating

@@ -29,7 +29,7 @@ from . import (
     regime4_rule,
     regime4_sum,
 )
-from .checks import READINGS, REGISTRY, RunOptions, run_check, theorem1_progression
+from .checks import READINGS, REGISTRY, run_check, theorem1_progression
 from .report import Stopwatch
 from .series import require_order
 from .theta import PART_S, part_of, rho_families, rogers_ramanujan_sum
@@ -40,12 +40,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 TEXT_VIOLATION_LIMIT = 10
-
-
-def serialize_document(doc: dict) -> str:
-    """The document on one line: json's C encoder serves only unindented
-    output.  `python -m json.tool` indents it for reading."""
-    return json.dumps(doc)
 
 
 def _document(command: list[str], watch: Stopwatch, **payload) -> dict:
@@ -59,7 +53,9 @@ def _emit_reports(doc_reports, args, command, watch) -> None:
     doc_reports = sorted(doc_reports, key=lambda r: (r.check_id, sorted(r.params.items(), key=str)))
     if args.format == "json":
         doc = _document(command, watch, reports=[r.to_json_dict() for r in doc_reports])
-        print(serialize_document(doc))
+        # on one line: json's C encoder serves only unindented output, and
+        # `python -m json.tool` indents it for reading
+        print(json.dumps(doc))
         return
     if args.format == "csv":
         print("check_id,status,violations,elapsed_ms")
@@ -87,7 +83,7 @@ def _emit_table(rows, args, command, watch, target_params) -> None:
             table={"params": target_params,
                    "rows": [{"n": n, "coefficient": str(c)} for n, c in rows]},
         )
-        print(serialize_document(doc))
+        print(json.dumps(doc))
         return
     if args.format == "csv":
         print("n,coefficient")
@@ -128,18 +124,16 @@ def _expand_series(args) -> tuple[list[tuple[int, int]], dict]:
     return list(enumerate(coefficients(args.s, order))), params
 
 
-def _parse_k_range(text: str, parser) -> list[int]:
-    """Accept '3' or '1..5'."""
+def _k_list(text: str) -> list[int]:
+    """The ks of a --k value, '3' or '1..5'."""
+    lo, dots, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        ks = list(range(int(lo), int(hi if dots else lo) + 1))
     except ValueError:
-        parser.error(f"invalid k range {text!r} (expected e.g. 3 or 1..5)")
+        ks = []
+    if not ks:
+        raise argparse.ArgumentTypeError(f"invalid k range {text!r} (expected e.g. 3 or 1..5)")
+    return ks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--part", type=int, choices=(1, 2), default=None,
                            help="statement part: 1 = regime III, 2 = regime IV")
         if with_k:
-            p.add_argument("--k", dest="k_range", default=None,
+            p.add_argument("--k", dest="k_list", type=_k_list, metavar="K", default=None,
                            help="truncation index k, a single value or a range like 1..5")
         p.add_argument("--order", "-N", type=int, default=None,
                        help="truncation order (defaults depend on the check)")
@@ -189,15 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     watch = Stopwatch()
     command = ["hexparity"] + argv
-
-    if getattr(args, "k_range", None) is not None:
-        args.k_list = _parse_k_range(args.k_range, parser)
-    else:
-        args.k_list = None
 
     status = EXIT_PASS
     try:
@@ -206,10 +194,10 @@ def main(argv: list[str] | None = None) -> int:
             _emit_table(rows, args, command, watch, params)
         else:
             name = args.check if args.command == "verify" else args.which
-            options = RunOptions(getattr(args, "fast_parity", False),
-                                 getattr(args, "reading", None))
             reports, gating = run_check(args.command, name, args.order, args.part,
-                                        args.s, args.k_list, options)
+                                        args.s, args.k_list,
+                                        getattr(args, "fast_parity", False),
+                                        getattr(args, "reading", None))
             if not all(r.passed for r in gating):
                 status = EXIT_COUNTEREXAMPLE
             _emit_reports(reports, args, command, watch)

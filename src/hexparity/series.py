@@ -159,9 +159,6 @@ class TruncatedSeries:
         n = self.order
         return TruncatedSeries((0,) * min(m, n + 1) + self.coeffs[: max(n + 1 - m, 0)])
 
-    def div_binomial(self, c: int, m: int) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(div_binomial(self.coeffs, c, m)))
-
     def times_quotient(self, numerators, denominators) -> "TruncatedSeries":
         """self * prod(numerators) / prod(denominators), by the kernel
         pochhammer_quotient would pick for the quotient alone."""

@@ -53,7 +53,7 @@ def index_set(p: SquareProgression, n_max: int) -> list[int]:
 
 def indicator_series(p: SquareProgression, order: int) -> TruncatedSeries:
     """Coefficient of q^n is 1 when a*n + c is a square, else 0."""
-    out = [0] * (order + 1)
+    out = [0] * (require_order(order) + 1)
     for k in index_set(p, order):
         out[k] = 1
     return TruncatedSeries(tuple(out))

@@ -275,6 +275,7 @@ def gauss_theta_sides(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
 def partial_theta(k: int, order: int) -> TruncatedSeries:
     """1 + 2*sum_{j=1..k} (-1)^j q^(2j^2): the truncation that drives the
     identity-versus-tail checks and the sign conjecture."""
+    require_order(order)
     if k < 0:
         raise ValueError("k must be nonnegative")
     out = [0] * (order + 1)
@@ -406,21 +407,16 @@ def regime_sum(s: int, order: int) -> TruncatedSeries:
     in at two binomial divisions each, and the result is divided by
     (1-q^m) once per m in start."""
     exponent, factors, start = _regime_terms(s)
-    v = _horner_sum(0, exponent, factors, order)
+    v = _horner_sum(0, exponent, factors, order).coeffs
     for m in start:
-        v = v.div_binomial(-1, m)
-    return v
-
-
-def regime_sum_parity(s: int, order: int) -> ParitySeries:
-    """regime_sum(s, order) reduced mod 2, by _backward_parity_walk over
-    the same terms (_parity_schedule): multiplications only."""
-    return regime_sum_parities((s,), order)[s]
+        v = div_binomial(v, -1, m)
+    return TruncatedSeries(tuple(v))
 
 
 def regime_sum_parities(ss, order: int) -> dict[int, ParitySeries]:
-    """regime_sum_parity(s, order) for each s in ss, by one walk: s = 2
-    and s = 4, or s = 1 and s = 3, share it."""
+    """regime_sum(s, order) reduced mod 2 for each s in ss, by one
+    _backward_parity_walk over the same terms (_parity_schedule), with
+    multiplications only: s = 2 and s = 4, or s = 1 and s = 3, share it."""
     walks = _backward_parity_walk([_parity_schedule(s, order) for s in ss], order)
     return dict(zip(ss, walks))
 
@@ -482,7 +478,7 @@ def _horner_sum(first: int, exponent, factors, order: int) -> TruncatedSeries:
 
 
 def _parity_schedule(s: int, order: int) -> tuple[list[int], dict[int, int]]:
-    """The walk of regime_sum_parity(s, order) as (steps, reads).
+    """The walk of regime_sum_parities((s,), order) as (steps, reads).
 
     steps lists the m of every denominator (1 - q^m) in the order the terms
     meet them: start, then factors(1), factors(2), ... up to the last n

@@ -16,7 +16,9 @@ from hexparity.checks import (
     check_corollary2,
     check_identity_id1,
     check_identity_id2,
+    check_rogers,
     check_s_pair,
+    check_set_equivalence,
     check_theorem1,
     check_truncated_gauss,
     conjecture1_difference,
@@ -34,12 +36,13 @@ from hexparity.partitions import (
 )
 from hexparity.report import CheckReport, Violation
 from hexparity.series import TruncatedSeries
-from hexparity.squares import SquareProgression, index_set
+from hexparity.squares import SquareProgression, index_set, indicator_series
 from hexparity.theta import (
+    partial_theta,
     regime3_sum,
     regime4_sum,
     regime_sum,
-    regime_sum_parity,
+    regime_sum_parities,
     truncated_gauss_lhs,
     truncated_gauss_rhs,
 )
@@ -79,13 +82,27 @@ def test_theorem1_parameter_validation():
     with pytest.raises(ValueError):
         check_theorem1(3, 2, 10)
     for s in (0, 5):
-        for regime in (regime_sum, regime_sum_parity):
-            with pytest.raises(ValueError):
-                regime(s, 10)
+        with pytest.raises(ValueError):
+            regime_sum(s, 10)
+        with pytest.raises(ValueError):
+            regime_sum_parities((s,), 10)
     with pytest.raises(ValueError):
         regime3_sum(1, 10)
     with pytest.raises(ValueError):
         regime4_sum(2, 10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: partial_theta(2, -3), "order must be nonnegative"),
+    (lambda: indicator_series(SquareProgression(120, 1), -1), "order must be nonnegative"),
+    (lambda: check_rogers(0, 10), "s must be 1, 2, 3 or 4"),
+    (lambda: check_set_equivalence(5, "theorem1", 10), "s must be 1, 2, 3 or 4"),
+], ids=["partial_theta", "indicator_series", "check_rogers", "check_set_equivalence"])
+def test_bad_arguments_raise_the_rule_they_break(call, message):
+    # a negative order, or an s outside 1..4, is refused by name before
+    # any expansion runs
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_corollary2_small_cases_by_hand():
@@ -489,8 +506,7 @@ def test_shared_input_runs_match_per_instance_checks(monkeypatch, command, name,
     for reading, want in zip(readings, wants):
         for counter in counts.values():
             counter.clear()
-        got, _ = checks.run_check(command, name, order,
-                                  options=checks.RunOptions(reading=reading))
+        got, _ = checks.run_check(command, name, order, reading=reading)
         assert list(map(fields, got)) == list(map(fields, want))
         for function, calls in builds.items():
             if isinstance(calls, int):
@@ -540,31 +556,28 @@ def test_theorem1_pair_walk_is_built_only_for_both_instances(monkeypatch):
     # no walk at all.  The reports match the per-instance checks
     import hexparity.checks as checks
 
-    order, fast = 300, checks.RunOptions(fast_parity=True)
-    counts = _counting(monkeypatch, checks, ("regime_sum_parities", "regime_sum_parity"))
+    order = 300
+    counts = _counting(monkeypatch, checks, ("regime_sum_parities",))
 
     def fields(r):
         return r.check_id, r.status, r.params, r.violations
 
-    runs = [({}, {((2, 4), order): 1, ((1, 3), order): 1}, {}),
-            ({"part": 2}, {((1, 3), order): 1}, {}),
-            ({"part": 1}, {((2, 4), order): 1}, {})]
-    runs += [({"s": s}, {}, {(s, order): 1}) for s in (2, 4, 1, 3)]
-    runs += [({"part": 1, "s": 4}, {}, {(4, order): 1})]
-    for flags, pairs, lone in runs:
-        for counter in counts.values():
-            counter.clear()
-        got, _ = checks.run_check("verify", "theorem1", order, options=fast, **flags)
-        assert counts["regime_sum_parities"] == pairs, flags
-        assert counts["regime_sum_parity"] == lone, flags
+    runs = [({}, {((2, 4), order): 1, ((1, 3), order): 1}),
+            ({"part": 2}, {((1, 3), order): 1}),
+            ({"part": 1}, {((2, 4), order): 1})]
+    runs += [({"s": s}, {((s,), order): 1}) for s in (2, 4, 1, 3)]
+    runs += [({"part": 1, "s": 4}, {((4,), order): 1})]
+    for flags, walks in runs:
+        counts["regime_sum_parities"].clear()
+        got, _ = checks.run_check("verify", "theorem1", order, fast_parity=True, **flags)
+        assert counts["regime_sum_parities"] == walks, flags
         want = [check_theorem1(r.params["part"], r.params["s"], order, True) for r in got]
         assert list(map(fields, got)) == list(map(fields, want))
-        assert len(got) == 2 * len(pairs) + len(lone)
-    for counter in counts.values():
-        counter.clear()
+        assert len(got) == sum(len(ss) for ss, _ in walks)
+    counts["regime_sum_parities"].clear()
     got, _ = checks.run_check("verify", "theorem1", order)
     assert [r.params["path"] for r in got] == ["bigint"] * 4
-    assert not counts["regime_sum_parities"] and not counts["regime_sum_parity"]
+    assert not counts["regime_sum_parities"]
 
 
 def test_cross_validate_run_shares_one_p_table(monkeypatch):

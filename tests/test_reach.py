@@ -31,8 +31,6 @@ ROADMAP_3 = "ROADMAP item 3: the Euler route to p(n) mod 2"
 
 # name -> (why it stays, the name through which that file reaches it)
 ALLOWED = {
-    "checks.check_identity_id1": (ACCEPTANCE, "check_identity_id1"),
-    "checks.check_identity_id2": (ACCEPTANCE, "check_identity_id2"),
     "partitions.p_bruteforce": (ACCEPTANCE, "p_bruteforce"),
     "partitions.r_s_decomposed": (ACCEPTANCE, "r_s_decomposed"),
     "partitions.r_star_decomposed": (ACCEPTANCE, "r_star_decomposed"),
