@@ -21,8 +21,6 @@ from .partitions import (
     p_table,
     r_decomposed,
     r_gf,
-    regime3_rule,
-    regime4_rule,
 )
 from .report import CheckReport, Stopwatch, Violation, empirical_report, proved_report
 from .series import ParitySeries, TruncatedSeries, require_order
@@ -83,11 +81,6 @@ def _validate_part_s(part: int, s: int) -> None:
              f"part {part} requires s in {{{', '.join(map(str, PART_S[part]))}}}")
 
 
-def _rule(s: int) -> PartResidueRule:
-    """The part rule of s: regime III in part 1, regime IV otherwise."""
-    return regime3_rule(s) if part_of(s) == 1 else regime4_rule(s)
-
-
 def _counts(rule: PartResidueRule, order: int) -> PartitionTable:
     """The counts rule admits, to order, read off the generating function
     (r_gf)."""
@@ -102,12 +95,11 @@ def _require_table(table: PartitionTable, rule: PartResidueRule | None,
     _require(table.n_max >= order, "table shorter than requested order")
 
 
-def rho_series(part: int, s: int, order: int) -> TruncatedSeries:
-    """Coefficients of the bilateral theta series subtracted in the
-    identities; operational definition of the conjectures' correction term.
-    """
-    _validate_part_s(part, s)
-    return bilateral_sum(rho_families(s), order)
+def _require_input(name: str, series, order: int) -> None:
+    """A supplied TruncatedSeries or ParitySeries must reach the check's
+    order; the check cuts a longer one to it."""
+    _require(series is None or series.order >= order,
+             f"{name} shorter than requested order")
 
 
 def check_theorem1(part: int, s: int, order: int,
@@ -115,11 +107,12 @@ def check_theorem1(part: int, s: int, order: int,
                    parities: dict[int, ParitySeries] | None = None):
     """Regime sum reduced mod 2 versus the square-progression indicator.
     parities, when given on the GF(2) path, is regime_sum_parities over
-    both s of the part, built in one walk."""
+    both s of the part, built in one walk, to order or beyond."""
     _validate_part_s(part, s)
     watch = Stopwatch()
     if use_parity_fastpath:
         lhs = (parities or regime_sum_parities((s,), order))[s]
+        _require_input("parities", lhs, order)
     else:
         lhs = regime_sum(s, order).reduce_mod2()
     rhs_bits = indicator_bits(theorem1_progression(part, s), order)
@@ -127,14 +120,15 @@ def check_theorem1(part: int, s: int, order: int,
         f"theorem1.part{part}.s{s}",
         {"part": part, "s": s, "order": order,
          "path": "parity" if use_parity_fastpath else "bigint"},
-        _bit_violations(lhs.bits, rhs_bits),
+        _bit_violations(lhs.bits, rhs_bits, order),
         watch.elapsed_ms(),
     )
 
 
-def _bit_violations(lhs: int, rhs: int) -> list[Violation]:
-    """A Violation(n, lhs bit, rhs bit) for each n where the packed parity
-    series lhs and rhs differ, in increasing n."""
+def _bit_violations(lhs: int, rhs: int, order: int) -> list[Violation]:
+    """A Violation(n, lhs bit, rhs bit) for each n <= order where the packed
+    parity series lhs, cut to order, and rhs differ, in increasing n."""
+    lhs &= (1 << (order + 1)) - 1
     if lhs == rhs:
         return []
     diff = format(lhs ^ rhs, "b")[::-1]
@@ -158,8 +152,7 @@ def _parity_sum_violations(p: PartitionTable, ks: list[int],
     lhs = 0
     for k in ks:
         lhs ^= parity << k
-    lhs &= (1 << (order + 1)) - 1
-    return _bit_violations(lhs, indicator_bits(target, order))
+    return _bit_violations(lhs, indicator_bits(target, order), order)
 
 
 def check_corollary2(part: int, s: int, order: int,
@@ -227,8 +220,9 @@ def check_gauss(order: int):
 
 def check_truncated_gauss(k: int, order: int, factor: TruncatedSeries | None = None):
     """The truncated Gauss identity at truncation index k >= 1; factor, when
-    given, is even_gauss_factor(order)."""
+    given, is even_gauss_factor to order or beyond."""
     _require(k >= 1, "k must be >= 1")
+    _require_input("factor", factor, order)
     watch = Stopwatch()
     lhs, rhs = truncated_gauss_lhs(k, order, factor), truncated_gauss_rhs(k, order)
     return _compare_series(f"truncated_gauss.k{k}", {"k": k, "order": order},
@@ -251,23 +245,20 @@ def check_set_equivalence(s: int, statement: str, bound: int):
 
 def _check_identity(part: int, s: int, k: int, order: int,
                     regime: TruncatedSeries | None = None,
-                    rho: TruncatedSeries | None = None,
                     tail: TruncatedSeries | None = None):
     """Truncated-theta times the regime sum minus the bilateral series,
-    against the explicit tail product.  regime, rho and tail, when given,
-    are the regime sum, rho_series(part, s, order) and
-    truncated_gauss_rhs(k, order)."""
+    against the explicit tail product.  regime and tail, when given, are
+    the regime sum and truncated_gauss_rhs(k), to order or beyond."""
     _validate_part_s(part, s)
     _require(k >= 1, "k must be >= 1")
+    _require_input("tail", tail, order)
     watch = Stopwatch()
-    if rho is None:
-        rho = rho_series(part, s, order)
     if tail is None:
         tail = truncated_gauss_rhs(k, order)
-    rhs = tail * rho
+    rhs = tail * bilateral_sum(rho_families(s), order)
     return _compare_series(
         f"id{part}.s{s}.k{k}", {"s": s, "k": k, "order": order},
-        conjecture1_difference(part, s, k, order, regime, rho),
+        conjecture1_difference(part, s, k, order, regime),
         -rhs if k % 2 == 1 else rhs, watch,
     )
 
@@ -285,27 +276,24 @@ def check_identity_id2(s: int, k: int, order: int, **inputs):
 
 
 def conjecture1_difference(part: int, s: int, k: int, order: int,
-                           regime: TruncatedSeries | None = None,
-                           rho: TruncatedSeries | None = None) -> TruncatedSeries:
+                           regime: TruncatedSeries | None = None) -> TruncatedSeries:
     """partial_theta(k) * regime sum - bilateral series: the object whose
     coefficient signs the first conjecture predicts."""
     _validate_part_s(part, s)
+    _require_input("regime", regime, order)
     if regime is None:
         regime = regime_sum(s, order)
-    if rho is None:
-        rho = rho_series(part, s, order)
-    return partial_theta(k, order) * regime - rho
+    return partial_theta(k, order) * regime - bilateral_sum(rho_families(s), order)
 
 
 def check_conjecture1(part: int, s: int, k: int, order: int,
-                      regime: TruncatedSeries | None = None,
-                      rho: TruncatedSeries | None = None):
+                      regime: TruncatedSeries | None = None):
     """Difference series has coefficients >= 0 for even k, <= 0 for odd k;
-    regime and rho as in _check_identity."""
+    regime as in _check_identity."""
     _validate_part_s(part, s)
     _require(k >= 1, "k must be >= 1")
     watch = Stopwatch()
-    diff = conjecture1_difference(part, s, k, order, regime, rho)
+    diff = conjecture1_difference(part, s, k, order, regime)
     want_sign = 1 if k % 2 == 0 else -1
     return empirical_report(
         f"conjecture1.part{part}.s{s}.k{k}",
@@ -345,13 +333,12 @@ def _conjecture2_inner_coeffs(part: int, k: int, reading: str) -> list[int]:
 
 def check_conjecture2(part: int, s: int, k: int, order: int,
                       tables: PartitionTable | None = None,
-                      rho: TruncatedSeries | None = None,
                       readings: tuple[str, ...] = READINGS["both"]):
     """The shifted-count inequality under each of readings (both by
-    default); returns one report per reading.  tables and rho, when given,
-    are the counts of _rule(s) to order and rho_series(part, s, order);
-    without them the counts come from the generating function r_gf, since
-    the scan needs their values, not an independent route to them.
+    default); returns one report per reading.  tables, when given, holds
+    the counts of PartResidueRule(s) to order; without it the counts come
+    from the generating function r_gf, since the scan needs their values,
+    not an independent route to them.
 
     For counts T (regime III or IV) and the bilateral coefficients rho:
     (-1)^k (T(n) + 2*sum_j coeff_j*T(n-2j^2) - rho(n)) >= 0 for n <= order.
@@ -360,11 +347,10 @@ def check_conjecture2(part: int, s: int, k: int, order: int,
     """
     _validate_part_s(part, s)
     _require(k >= 1, "k must be >= 1")
-    if tables is None:
-        tables = _counts(_rule(s), order)
-    _require_table(tables, _rule(s), order)
-    if rho is None:
-        rho = rho_series(part, s, order)
+    rule = PartResidueRule(s)
+    tables = tables or _counts(rule, order)
+    _require_table(tables, rule, order)
+    rho = bilateral_sum(rho_families(s), order)
     outer = 1 if k % 2 == 0 else -1
 
     reports = []
@@ -444,7 +430,6 @@ class RegisteredCheck:
 # the shared inputs; each builder looks its functions up when it is called
 P_TABLE = ("p", lambda order: p_table(order), ())
 REGIME = ("regime", lambda s, order: regime_sum(s, order), ("s",))
-RHO = ("rho", lambda s, order: rho_series(part_of(s), s, order), ("s",))
 TAIL = ("tail", lambda k, order: truncated_gauss_rhs(k, order), ("k",))
 # both regime sums of a part mod 2, from one walk; on the GF(2) path only
 PARITIES = ("parities",
@@ -462,10 +447,10 @@ REGISTRY: dict[str, dict[str, RegisteredCheck]] = {
         "corollary2": RegisteredCheck(DEFAULT_ORDER_PROVED, INSTANCES, check_corollary2,
                                       (P_TABLE,)),
         "id1": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_BY_PART[1],
-                               check_identity_id1, (REGIME, RHO, TAIL),
+                               check_identity_id1, (REGIME, TAIL),
                                default_ks=(1, 2, 3, 4, 5)),
         "id2": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_BY_PART[2],
-                               check_identity_id2, (REGIME, RHO, TAIL),
+                               check_identity_id2, (REGIME, TAIL),
                                default_ks=(1, 2, 3, 4, 5)),
         "rogers": RegisteredCheck(DEFAULT_ORDER_IDENTITY, S_VALUES, check_rogers),
         "gauss": RegisteredCheck(DEFAULT_ORDER_PROVED, ({},), check_gauss),
@@ -481,14 +466,14 @@ REGISTRY: dict[str, dict[str, RegisteredCheck]] = {
         ),
         "cross-validate": RegisteredCheck(
             DEFAULT_ORDER_CONJECTURE, S_VALUES,
-            lambda s, order, p=None: cross_validate(_rule(s), order, p), (P_TABLE,)),
+            lambda s, order, p=None: cross_validate(PartResidueRule(s), order, p), (P_TABLE,)),
     },
     "conjecture": {
         "1": RegisteredCheck(DEFAULT_ORDER_CONJECTURE, INSTANCES, check_conjecture1,
-                             (REGIME, RHO), default_ks=(1, 2, 3, 4)),
+                             (REGIME,), default_ks=(1, 2, 3, 4)),
         "2": RegisteredCheck(
             DEFAULT_ORDER_CONJECTURE, INSTANCES, check_conjecture2,
-            (("tables", lambda s, order: _counts(_rule(s), order), ("s",)), RHO),
+            (("tables", lambda s, order: _counts(PartResidueRule(s), order), ("s",)),),
             default_ks=(1, 2, 3, 4), default_reading="both"),
         "s-pairs": RegisteredCheck(DEFAULT_ORDER_CONJECTURE,
                                    tuple({"a": a, "b": b} for a, b in S_PAIRS),

@@ -20,7 +20,7 @@ from .series import (
     pochhammer_quotient,
     require_order,
 )
-from .theta import PART_S, bilateral_sum, decomposition_families, r_factors
+from .theta import _require_s, bilateral_sum, decomposition_families, part_of, r_factors
 
 REGIME_III = "regime3"
 REGIME_IV = "regime4"
@@ -38,7 +38,7 @@ class TableTooSmall(ValueError):
 
 @dataclass(frozen=True)
 class PartResidueRule:
-    """Allowed-part predicate for one regime and one value of s.
+    """Allowed-part predicate for one value of s, whose regime is kind.
 
     Regime III (s in {2,4}): parts odd or congruent to +-s mod 10.
     Regime IV (s in {1,3}): parts not congruent to 0 or +-s mod 10 and not
@@ -48,16 +48,15 @@ class PartResidueRule:
     what makes the DP, product, and decomposition routes agree.
     """
 
-    kind: str
     s: int
 
     def __post_init__(self) -> None:
-        if self.kind not in (REGIME_III, REGIME_IV):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-        part, name = (1, "III") if self.kind == REGIME_III else (2, "IV")
-        if self.s not in PART_S[part]:
-            raise ValueError(
-                f"regime {name} requires s in {{{', '.join(map(str, PART_S[part]))}}}")
+        _require_s(self.s, 1, 2)
+
+    @property
+    def kind(self) -> str:
+        """The regime of s: III for s in {2, 4}, IV for s in {1, 3}."""
+        return REGIME_III if part_of(self.s) == 1 else REGIME_IV
 
     def allows(self, part: int) -> bool:
         if part < 1:
@@ -78,11 +77,13 @@ class PartResidueRule:
 
 
 def regime3_rule(s: int) -> PartResidueRule:
-    return PartResidueRule(REGIME_III, s)
+    _require_s(s, 1)
+    return PartResidueRule(s)
 
 
 def regime4_rule(s: int) -> PartResidueRule:
-    return PartResidueRule(REGIME_IV, s)
+    _require_s(s, 2)
+    return PartResidueRule(s)
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ from hexparity.checks import (
     conjecture1_difference,
     corollary2_progression,
     cross_validate,
-    rho_series,
     theorem1_progression,
 )
 from hexparity.partitions import (
+    PartResidueRule,
     PartitionTable,
     count_restricted,
     p_table,
@@ -38,11 +38,14 @@ from hexparity.report import CheckReport, Violation
 from hexparity.series import TruncatedSeries
 from hexparity.squares import SquareProgression, index_set, indicator_series
 from hexparity.theta import (
+    bilateral_sum,
+    even_gauss_factor,
     partial_theta,
     regime3_sum,
     regime4_sum,
     regime_sum,
     regime_sum_parities,
+    rho_families,
     truncated_gauss_lhs,
     truncated_gauss_rhs,
 )
@@ -249,14 +252,14 @@ def test_conjecture1_telescoping():
 
 def test_rho_series_coefficients_in_minus_one_zero_one():
     for part, s in ALL_INSTANCES:
-        rho = rho_series(part, s, 2000)
+        rho = bilateral_sum(rho_families(s), 2000)
         assert set(rho.coeffs) <= {-1, 0, 1}, (part, s)
 
 
 def test_rho_series_matches_case_formula():
     # the bilateral coefficients reproduce the piecewise sign description
     for s in (2, 4):
-        rho = rho_series(1, s, 500)
+        rho = bilateral_sum(rho_families(s), 500)
         expected = [0] * 501
         for m in range(-40, 41):
             sign = -1 if (m * ((s - 1) * m - 1) // 2) % 2 else 1
@@ -266,7 +269,7 @@ def test_rho_series_matches_case_formula():
                     expected[e] = sign
         assert list(rho.coeffs) == expected, s
     for s in (1, 3):
-        rho = rho_series(2, s, 500)
+        rho = bilateral_sum(rho_families(s), 500)
         expected = [0] * 501
         for m in range(-40, 41):
             sign = -1 if (m * (m + s) // 2) % 2 else 1
@@ -325,7 +328,7 @@ def conjecture2_oracle(tables, part, s, k, reading, order):
     else:
         inner = [(-1) ** k if part == 1 else 1] * k
     outer = 1 if k % 2 == 0 else -1
-    rho = rho_series(part, s, order)
+    rho = bilateral_sum(rho_families(s), order)
     violations = []
     for n in range(order + 1):
         acc = tables.values[n]
@@ -465,11 +468,11 @@ def _per_instance_reports(command, name, order, reading):
 # per instance's s
 SHARED_BUILDS = {
     "id1": {"truncated_gauss_rhs": {(k, 90): 1 for k in range(1, 6)},
-            "regime_sum": {(s, 90): 1 for s in (2, 4)}, "rho_series": 2},
+            "regime_sum": {(s, 90): 1 for s in (2, 4)}},
     "id2": {"truncated_gauss_rhs": {(k, 90): 1 for k in range(1, 6)},
-            "regime_sum": {(s, 90): 1 for s in (1, 3)}, "rho_series": 2},
-    "1": {"regime_sum": {(s, 90): 1 for s in (2, 4, 1, 3)}, "rho_series": 4},
-    "2": {"r_gf": 4, "rho_series": 4},
+            "regime_sum": {(s, 90): 1 for s in (1, 3)}},
+    "1": {"regime_sum": {(s, 90): 1 for s in (2, 4, 1, 3)}},
+    "2": {"r_gf": 4},
     "corollary2": {"p_table": {(90,): 1}},
     "s-pairs": {"p_table": {(90,): 1}},
     "truncated-gauss": {"even_gauss_factor": {(90,): 1}},
@@ -481,9 +484,9 @@ SHARED_BUILDS = {
     ("verify", "corollary2"), ("conjecture", "s-pairs"), ("verify", "truncated-gauss")])
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_shared_input_runs_match_per_instance_checks(monkeypatch, command, name, corrupt):
-    # run_check builds each shared input once per run (the regime sums and
-    # rho series once per s, truncated_gauss_rhs once per k, the tables and
-    # the even Gauss factor once) and returns the reports the per-instance
+    # run_check builds each shared input once per run (the regime sums
+    # once per s, truncated_gauss_rhs once per k, the tables and the even
+    # Gauss factor once; each check builds its own rho) and returns the reports the per-instance
     # checks return, over every default instance and k and, for conjecture
     # 2, under each reading; with the regime sums corrupted, the same FAILs
     # and violations
@@ -540,6 +543,30 @@ def test_conjecture2_rejects_table_for_another_rule():
     assert len(check_conjecture2(1, 2, 1, 50, tables=right)) == 2
 
 
+@pytest.mark.parametrize("check, args, flags, keyword, build", [
+    (check_identity_id1, (2, 1), {}, "regime", lambda n: regime_sum(2, n)),
+    (check_identity_id2, (1, 2), {}, "tail", lambda n: truncated_gauss_rhs(2, n)),
+    (check_conjecture1, (1, 2, 1), {}, "regime", lambda n: regime_sum(2, n)),
+    (check_truncated_gauss, (1,), {}, "factor", even_gauss_factor),
+    (check_theorem1, (1, 2), {"use_parity_fastpath": True}, "parities",
+     lambda n: regime_sum_parities((2, 4), n)),
+], ids=["id1-regime", "id2-tail", "conjecture1-regime", "truncated-gauss-factor",
+        "theorem1-parities"])
+def test_supplied_inputs_must_reach_the_order(check, args, flags, keyword, build):
+    # an input shorter than the order raises and names itself, where it
+    # would shorten the comparison; a longer one is cut to the order, where
+    # it would compare points past it
+    order = 120
+    with pytest.raises(ValueError, match=f"^{keyword} shorter than requested order"):
+        check(*args, order, **flags, **{keyword: build(order - 1)})
+
+    def fields(r):
+        return r.check_id, r.status, r.params, r.violations
+
+    want = check(*args, order, **flags)
+    assert fields(check(*args, order, **flags, **{keyword: build(order + 37)})) == fields(want)
+
+
 def test_p_table_checks_reject_count_tables():
     counts = count_restricted(regime4_rule(1), 50)
     with pytest.raises(ValueError):
@@ -588,7 +615,7 @@ def test_cross_validate_run_shares_one_p_table(monkeypatch):
     counts = _counting(monkeypatch, checks, ("p_table",))
     got, _ = checks.run_check("verify", "cross-validate", 90)
     assert counts["p_table"] == {(90,): 1}
-    want = [checks.cross_validate(checks._rule(s), 90) for s in (2, 4, 1, 3)]
+    want = [checks.cross_validate(PartResidueRule(s), 90) for s in (2, 4, 1, 3)]
     assert [(r.check_id, r.status, r.violations) for r in got] == \
         [(r.check_id, r.status, r.violations) for r in want]
     assert counts["p_table"] == {(90,): 5}

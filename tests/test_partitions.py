@@ -20,6 +20,8 @@ from hexparity.partitions import (
     regime4_rule,
 )
 
+from hexparity.theta import part_of
+
 from oracles import inverse
 
 ALL_RULES = [regime3_rule(2), regime3_rule(4), regime4_rule(1), regime4_rule(3)]
@@ -124,6 +126,21 @@ def test_the_seven_partitions_of_five():
 
 
 def test_rule_validation():
+    with pytest.raises(ValueError):
+        regime3_rule(1)
+    with pytest.raises(ValueError):
+        regime4_rule(2)
+
+
+def test_a_rule_is_its_s():
+    # the regime is read off s, and a rule built either way is the same
+    for s in (1, 2, 3, 4):
+        rule = PartResidueRule(s)
+        assert rule.kind == ("regime3" if part_of(s) == 1 else "regime4"), s
+        assert rule == (regime3_rule(s) if part_of(s) == 1 else regime4_rule(s)), s
+    for s in (0, 5):
+        with pytest.raises(ValueError, match="s must be 1, 2, 3 or 4"):
+            PartResidueRule(s)
     with pytest.raises(ValueError):
         regime3_rule(1)
     with pytest.raises(ValueError):
