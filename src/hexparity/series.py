@@ -13,7 +13,8 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from itertools import islice, repeat
 from math import gcd, isqrt
 from operator import add, and_, mul, neg, sub
@@ -79,6 +80,48 @@ def div_binomial(coeffs, c: int, m: int) -> list[int]:
     return out
 
 
+def _lag_segments(base: list[int], terms, lagged: list[int] | None = None) -> list[int]:
+    """out(n) = base(n) + sum c*lagged(n - g) over the (g, c) in terms with
+    g <= n, for n < len(base), g increasing and c nonzero.  lagged None
+    stands for out itself, so that out is base / (1 - sum c*q^g), every
+    g >= 1; a product is base 0 with the denser factor lagged.
+
+    Term g's lag, an iterator over lagged, starts at n = g on lagged(0).
+    Between consecutive g the lags are fixed, so each segment of out is one
+    pass at C level.  Lags of c = 1 are summed with base and those of -1
+    subtracted; those of a value two or more terms carry are summed, then
+    scaled once.  Every other lag is scaled alone and summed with base: a
+    group per value adds a map layer per value to every segment (a dense
+    product at order 2000 took 12 times as long).
+    """
+    size = len(base)
+    out = base[:terms[0][0] if terms else size]
+    src = islice(base, len(out), None)
+    lagged = out if lagged is None else lagged
+    count = Counter(c for _, c in terms)
+    plus, minus, groups = [], [], {}
+    for (g, c), (stop, _) in zip(terms, terms[1:] + [(size, 0)]):
+        if g >= size:
+            break
+        lag = iter(lagged)
+        if c == 1:
+            plus.append(lag)
+        elif c == -1:
+            minus.append(lag)
+        elif count[c] > 1:
+            groups.setdefault(c, []).append(lag)
+        else:
+            plus.append(map(mul, lag, repeat(c)))
+        # base leads every zip and map, so no lag is read past the segment
+        segment = map(sum, zip(islice(src, stop - g), *plus))
+        if minus:
+            segment = map(sub, segment, map(sum, zip(*minus)))
+        for value, lags in groups.items():
+            segment = map(add, segment, map(mul, map(sum, zip(*lags)), repeat(value)))
+        out.extend(segment)
+    return out
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Immutable power series known exactly for exponents 0..order."""
@@ -129,23 +172,22 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
-        # iterate over the operand with fewer nonzero terms
+        # the operand with fewer nonzero terms gives the lags
         a, b = self.coeffs, other.coeffs
         if self.nonzero_count() > other.nonzero_count():
             a, b = b, a
-        out = [0] * (n + 1)
-        # each row out[i:] += ai*b runs at C level; map stops at out's end
-        for i in range(min(len(a), n + 1)):
-            ai = a[i]
-            if ai == 0:
-                continue
-            if ai == 1:
-                out[i:] = map(add, out[i:], b)
-            elif ai == -1:
-                out[i:] = map(sub, out[i:], b)
-            else:
-                out[i:] = map(add, out[i:], map(mul, b, repeat(ai)))
-        return TruncatedSeries(tuple(out))
+        terms = [(g, c) for g, c in enumerate(a[:n + 1]) if c]
+        return TruncatedSeries(tuple(_lag_segments([0] * (n + 1), terms, b)))
+
+    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """self / other, other(0) being 1 or -1, by one _lag_segments division."""
+        n = min(self.order, other.order)
+        u = other.coeffs[0]
+        if u not in (1, -1):
+            raise NonUnitConstantTerm(f"constant term {u} is not a unit")
+        terms = [(g, -u * c) for g, c in enumerate(other.coeffs[1:n + 1], 1) if c]
+        base = list(map(mul, self.coeffs[:n + 1], repeat(u)))
+        return TruncatedSeries(tuple(_lag_segments(base, terms)))
 
     def scale(self, c: int) -> "TruncatedSeries":
         return TruncatedSeries(tuple(map(mul, self.coeffs, repeat(c))))
@@ -453,53 +495,23 @@ def _expand_by_recurrence(lead: int, c: list[int]) -> list[int]:
     return out
 
 
-def _divide_run_by_euler(run: list[int]) -> None:
-    """Divide run in place by (x;x)oo, x being the run's variable.
-
-    Euler's pentagonal theorem (x;x)oo = sum_k (-1)^k x^(k(3k-1)/2) turns
-    the division into out(n) = run(n) + sum_{k>=1} (-1)^(k-1) *
-    (out(n - k(3k-1)/2) + out(n - k(3k+1)/2)); on run = [1, 0, ...] this is
-    the p(n) recurrence.  The term with generalized pentagonal number g
-    gets its lag, an iterator over out, at n = g, where it reads out(0) =
-    out(n - g); it then advances with out.  Between consecutive g the set of
-    lags is fixed, so each such segment of out is one pass: the lags of the
-    terms added (k odd) summed with run, minus the sum of those subtracted.
-    """
-    size = len(run)
-    # the generalized pentagonal numbers g, increasing, each with whether its
-    # term is added (k odd) or subtracted (k even)
-    terms = []
-    k = 1
-    while k * (3 * k - 1) // 2 < size:
-        terms += [(k * (3 * k - 1) // 2, k % 2), (k * (3 * k + 1) // 2, k % 2)]
-        k += 1
-    out = run[:1]
-    src = islice(run, 1, None)
-    plus, minus = [], []
-    for (g, added), (stop, _) in zip(terms, terms[1:] + [(size, 0)]):
-        if g >= size:
-            break
-        (plus if added else minus).append(iter(out))
-        segment = map(sum, zip(islice(src, stop - g), *plus))
-        if minus:
-            segment = map(sub, segment, map(sum, zip(*minus)))
-        out.extend(segment)
-    run[:] = out
-
-
 def _divide_by_euler(coeffs: list[int], d: int, times: int) -> None:
     """Divide coeffs in place by (q^d;q^d)oo^times.
 
     Every residue class mod d is a run in x = q^d, divided times over by
-    _divide_run_by_euler.  A run of zeros stays zero and is skipped: a
-    product in q^d has only its class 0 nonzero.
+    (x;x)oo = sum_k (-1)^k x^(k(3k-1)/2) (Euler) in _lag_segments, which on
+    run = [1, 0, ...] is the p(n) recurrence.  A run of zeros stays zero
+    and is skipped: a product in q^d has only its class 0 nonzero.
     """
+    # every k(3k -+ 1)/2 below len(coeffs) has k <= isqrt(len(coeffs))
+    terms = [(k * (3 * k + e) // 2, k % 2 or -1)
+             for k in range(1, isqrt(len(coeffs)) + 1) for e in (-1, 1)]
     for r in range(min(d, len(coeffs))):
         run = coeffs[r::d]
         if not any(run):
             continue
         for _ in range(times):
-            _divide_run_by_euler(run)
+            run = _lag_segments(run, terms)
         coeffs[r::d] = run
 
 
@@ -508,12 +520,10 @@ def _quotient_route(numerators, denominators, order: int):
     numerator / (q^d;q^d)oo^k up to q^order, or None where the binomial
     passes (_expand_by_passes) expand the whole quotient.
 
-    - Every spec finite: None, whatever the net exponent.  A finite product
-      is a few passes.
-    - Otherwise each infinite spec (a*q^o; q^t)oo with o > t is rewritten as
-      (a*q^o'; q^t)oo divided by the finite (a*q^o'; q^t)_j, where
-      o' = o - j*t lies in 1..t.  The infinite specs, written as
-      lead * prod (1 - q^m)^c[m] (_binomial_exponents), give the numerator:
+    - Any spec finite, or none: None, whatever the net exponent.  A finite
+      product is a few passes; no caller mixes finite and infinite specs.
+    - Every spec infinite: the quotient, written as
+      lead * prod (1 - q^m)^c[m] (_binomial_exponents), gives the numerator:
       - net exponent sum(c) >= 0: k = 0, and the numerator is that product,
         expanded by _expand_by_recurrence;
       - net < 0 (a pole at q = 1; coefficients grow like partition
@@ -523,13 +533,10 @@ def _quotient_route(numerators, denominators, order: int):
         binomials with no denominator left, a sparse theta-type series that
         the recurrence expands: (q^2;q^2)oo for 1/(q;q^2)oo, the quintuple
         product of the regime-IV product, (q^4;q^4)oo for
-        (-q^2;q^2)oo/(q^2;q^2)oo, (q^2;q^2)oo for (-q^(n+1);q)oo/(q^n;q)oo.
-        Otherwise None.
-      The finite specs, given and split off, are then applied to the
-      numerator by the passes, one per factor.  The rewriting is what keeps
-      the numerator sparse: unwritten, c of (-q^(n+1);q)oo/(q^n;q)oo is 0
-      below m = n, and the k added there leave the dense (q;q)_(n-1)^2 in
-      the numerator, which the recurrence then expands in O(order^2).
+        (-q^2;q^2)oo/(q^2;q^2)oo.  Otherwise None.
+      A spec (a*q^o; q^t)oo with o > t leaves c at 0 below m = o, and the k
+      added there a dense numerator: theta.gauss_error_tail, whose quotient
+      has that shape, divides by Gauss's theta series instead.
 
     The rule only picks the faster kernel.  It is known to pick the slower
     one for 1/(-q;q)oo, whose net is positive but whose coefficients are all
@@ -541,20 +548,10 @@ def _quotient_route(numerators, denominators, order: int):
     of 3, 2-vCPU VM).
     """
     require_order(order)
-    infinite, finite = ([], []), ([], [])
-    for side, specs in enumerate((numerators, denominators)):
-        for spec in specs:
-            if spec.count is not None:
-                finite[side].append(spec)
-                continue
-            j = max(spec.offset - 1, 0) // spec.step
-            if j:
-                spec = replace(spec, offset=spec.offset - j * spec.step)
-                finite[1 - side].append(replace(spec, count=j))
-            infinite[side].append(spec)
-    if not any(infinite):
+    specs = [*numerators, *denominators]
+    if not specs or any(spec.count is not None for spec in specs):
         return None
-    lead, c = _binomial_exponents(*infinite, order)
+    lead, c = _binomial_exponents(numerators, denominators, order)
     net = sum(c)
     d, k = 1, 0
     if net < 0:
@@ -563,7 +560,7 @@ def _quotient_route(numerators, denominators, order: int):
         c[d::d] = map(add, c[d::d], repeat(k))
         if min(c) < 0:
             return None
-    return _expand_by_passes(_expand_by_recurrence(lead, c), *finite), d, k
+    return _expand_by_recurrence(lead, c), d, k
 
 
 def pochhammer_quotient(numerators, denominators, order: int) -> TruncatedSeries:

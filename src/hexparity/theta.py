@@ -265,9 +265,12 @@ def quintuple_sides(
 # ---------------------------------------------------------------------------
 
 
+GAUSS_THETA = QuadraticExponentFamily(1, 0, 0, s1=1)  # (-1)^n q^(n^2)
+
+
 def gauss_theta_sides(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """sum_n (-1)^n q^(n^2) over n in Z versus (q;q)oo / (-q;q)oo."""
-    lhs = bilateral_sum([QuadraticExponentFamily(1, 0, 0, s1=1)], order)
+    lhs = bilateral_sum([GAUSS_THETA], order)
     rhs = pochhammer_quotient([EULER], [QPochhammerSpec(-1, 1, 1)], order)
     return lhs, rhs
 
@@ -309,11 +312,11 @@ def gauss_error_tail(k: int, order: int) -> TruncatedSeries:
     one pass per factor per summand, about order^2 / (4(k+1)) steps, since
     each division by (1+x^n) is dense.  The first term's quotient
     (-x^(k+2);x)oo / (x^(k+1);x)oo and its lead x^((k+1)^2) are applied to
-    the result once; times_quotient expands the quotient as
-    [(-x;x)oo / (x;x)oo] * (x;x)_k / (-x;x)_(k+1) (_quotient_route): the
-    sparse (x^2;x^2)oo, 2k+1 binomial passes, one multiply by the sum
-    (sparse, its coefficients +-1) and two divisions by (x;x)oo, which
-    together cost less than the sum.
+    the result once: the quotient is (x;x)_k / (-x;x)_(k+1), 2k+1 binomial
+    passes, times (-x;x)oo / (x;x)oo = 1/theta(x), theta(x) = sum_n (-1)^n
+    x^(n^2) by Gauss's identity (gauss_theta_sides, checked by `verify
+    gauss`): one division by the sparse theta.  truncated_gauss_lhs reaches
+    (-x;x)oo / (x;x)oo by the product route of even_gauss_factor.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -324,8 +327,8 @@ def gauss_error_tail(k: int, order: int) -> TruncatedSeries:
         return TruncatedSeries.zero(order)
     horner = _horner_sum(first, lambda n: n * (k + 1), lambda n: ([(-1, n - 1)], [(1, n)]),
                          half - lead)
-    tail = horner.times_quotient([QPochhammerSpec(-1, first + 1, 1)],
-                                 [QPochhammerSpec(1, first, 1)])
+    tail = horner.times_quotient([QPochhammerSpec(1, 1, 1, k)], [QPochhammerSpec(-1, 1, 1, first)])
+    tail /= bilateral_sum([GAUSS_THETA], half - lead)
     return TruncatedSeries((0,) * lead + tail.coeffs).stretch(2, order)
 
 

@@ -404,30 +404,49 @@ def test_cross_validate_failure_reports_every_n(monkeypatch):
 
 
 def test_wrong_euler_division_fails_the_tail_checks(monkeypatch):
-    # the tail's quotient and the left side's even Gauss factor both go
-    # through the Euler division; a wrong division does not cancel between
-    # the sides, since the left side subtracts 1 outside the factor, and
-    # id1's left side does not use it at all
+    # a flipped coefficient in every division of the segment kernel, the
+    # left side's Euler divisions and the tail's division by theta, does
+    # not cancel between the sides, since the left side subtracts 1 outside
+    # the factor, and the left sides of id1 and id2 divide by neither; a
+    # flip in the Euler division alone reaches the left side only
     import hexparity.series as series
 
-    divide = series._divide_run_by_euler
+    kernel, divide = series._lag_segments, series._divide_by_euler
     calls = []
 
-    def flipped(run):
-        divide(run)
-        calls.append(len(run))
-        run[1] ^= 1  # flip one bit of one coefficient
+    def flipped_kernel(base, terms, lagged=None):
+        out = kernel(base, terms, lagged)
+        if lagged is None and len(out) > 1:
+            calls.append(len(out))
+            out[1] ^= 1  # flip one bit of one coefficient
+        return out
 
-    monkeypatch.setattr(series, "_divide_run_by_euler", flipped)
+    def flipped_euler(coeffs, d, times):
+        divide(coeffs, d, times)
+        calls.append(len(coeffs))
+        coeffs[d] ^= 1
+
     order = 200
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_lag_segments", flipped_kernel)
+        for k in (1, 2, 3):
+            for side in (truncated_gauss_lhs, truncated_gauss_rhs):
+                calls.clear()
+                side(k, order)
+                assert calls, (side.__name__, k)
+            assert check_truncated_gauss(k, order).status == "FAIL", k
+            for s in (2, 4):
+                assert check_identity_id1(s, k, order).status == "FAIL", (s, k)
+            for s in (1, 3):
+                assert check_identity_id2(s, k, order).status == "FAIL", (s, k)
+    monkeypatch.setattr(series, "_divide_by_euler", flipped_euler)
     for k in (1, 2, 3):
-        for side in (truncated_gauss_lhs, truncated_gauss_rhs):
-            calls.clear()
-            side(k, order)
-            assert calls, (side.__name__, k)
+        calls.clear()
+        truncated_gauss_rhs(k, order)
+        assert not calls, k
+        truncated_gauss_lhs(k, order)
+        assert calls, k
         assert check_truncated_gauss(k, order).status == "FAIL", k
-        for s in (2, 4):
-            assert check_identity_id1(s, k, order).status == "FAIL", (s, k)
 
 
 def _counting(monkeypatch, module, names):

@@ -31,6 +31,7 @@ from hexparity.series import (
     mul_binomial,
     pochhammer_quotient,
 )
+from hexparity.theta import GAUSS_THETA, bilateral_sum, even_gauss_factor
 
 from oracles import div_binomial_bits, inverse, mul_binomial_bits
 
@@ -133,6 +134,73 @@ def test_mul_matches_oracle():
         want = poly_mul_oracle(list(a.coeffs), list(b.coeffs), n)
         assert list((a * b).coeffs) == want
         assert list((b * a).coeffs) == want
+
+
+def kernel_operand(rng: random.Random, order: int, pool) -> list[int]:
+    """Coefficients from pool (None: all distinct, none of them +-1) at a
+    random density, the first nonzero one past position 0 (for order >= 1)
+    and one at the last position."""
+    lead = rng.randint(1, order) if order else 0
+    density = rng.random()
+    if pool is None:
+        values = rng.sample(range(2, 10 * order + 10), order + 1 - lead)
+        return [0] * lead + [rng.choice((1, -1)) * v for v in values]
+    out = [0] * (order + 1)
+    for g in range(lead, order + 1):
+        if g in (lead, order) or rng.random() < density:
+            out[g] = rng.choice(pool)
+    return out
+
+
+def test_products_through_the_segment_kernel_match_the_schoolbook():
+    # the sparser operand's coefficients in {1, -1} (summed and subtracted
+    # lags), in {+-1, +-2} (the +-2 lags one scaled group each) or all
+    # distinct (dense times dense: every lag scaled on its own), times a
+    # denser multi-limb operand, both ways round; orders 0, 1, 2 and up to
+    # 300
+    rng = random.Random(89)
+    grouped = False
+    for order in [0, 1, 2] + [rng.randint(3, 300) for _ in range(12)] + [300]:
+        for pool in ((1, -1), (1, -1, 2, -2), None):
+            a = kernel_operand(rng, order, pool)
+            b = [rng.choice((1, -1)) * rng.randint(1, 2**70) for _ in range(order + 1)]
+            want = poly_mul_oracle(a, b, order)
+            x, y = TruncatedSeries(tuple(a)), TruncatedSeries(tuple(b))
+            assert list((x * y).coeffs) == want, (order, pool)
+            assert list((y * x).coeffs) == want, (order, pool)
+            grouped |= max(a.count(2), a.count(-2)) > 1
+    assert grouped
+
+
+def test_division_through_the_segment_kernel_matches_the_inverse():
+    # a random series over a random sparse one with constant term 1 (and
+    # -1), against the schoolbook product with the schoolbook inverse; the
+    # divisor's terms in {+-1}, {+-1, +-2} or all distinct, its first one
+    # past q^0 and one at the last position; unequal orders give the lesser
+    rng = random.Random(97)
+    for order in [0, 1, 2] + [rng.randint(3, 300) for _ in range(12)] + [300]:
+        for pool in ((1, -1), (1, -1, 2, -2), None):
+            for unit in (1, -1):
+                a = sparse_series(rng, order + rng.randint(0, 2))
+                b = TruncatedSeries((unit,) + tuple(kernel_operand(rng, order, pool)[1:]))
+                want = poly_mul_oracle(list(a.coeffs), list(inverse(b).coeffs), order)
+                assert list((a / b).coeffs) == want, (order, pool, unit)
+    for c in (0, 2, -3):
+        with pytest.raises(NonUnitConstantTerm):
+            TruncatedSeries.one(4) / TruncatedSeries((c, 1, 1))
+
+
+def test_division_by_theta_is_the_even_gauss_factor():
+    # Gauss: 1/theta(x), theta(x) = sum_n (-1)^n x^(n^2), is
+    # (-x;x)oo / (x;x)oo, which is even_gauss_factor (the recurrence and
+    # Euler divisions) read at its even positions; to x^(10^4), and at the
+    # orders around the first squares
+    order = 10**4
+    theta = bilateral_sum([GAUSS_THETA], order)
+    factor = even_gauss_factor(2 * order).coeffs
+    for n in [0, 1, 2, 3, 4, 5, 8, 9, 10, 100, order]:
+        got = TruncatedSeries.one(n) / TruncatedSeries(theta.coeffs[:n + 1])
+        assert got.coeffs == factor[:2 * n + 1:2], n
 
 
 def test_inverse_of_partition_product():
@@ -430,8 +498,8 @@ def test_divisor_sums_match_per_m_loop():
 
 def test_list_iterator_yields_items_extend_appends():
     # both divisions extend a list through maps whose lag operands are
-    # iterators over that same list, made before the extend (the Euler
-    # division keeps them across several extends); they rely on a list
+    # iterators over that same list, made before the extend (the segment
+    # kernel keeps them across several extends); they rely on a list
     # iterator yielding the items appended after it was made
     out = [0, 1]
     lag2, lag1 = iter(out), iter(out)
@@ -515,13 +583,14 @@ def test_division_kernel_matches_binomial_passes():
 
 
 def test_offsets_above_the_step_match_binomial_passes():
-    # infinite specs (sign*q^o; q^t)oo with o > t, which _quotient_route
-    # rewrites as (sign*q^o'; q^t)oo / (sign*q^o'; q^t)_j, o' in 1..t: o a
-    # multiple of t and not, both signs, t = 1..5, alone on either side,
-    # beside a partition-type denominator (net < 0), beside a finite spec,
-    # and in the tail's shape (-q^(o+t);q^t)oo / (q^o;q^t)oo; orders 0, 1,
-    # t, o - 1, o, o + 1 and one up to 200.  pochhammer_quotient and
-    # times_quotient against the binomial passes on the specs as given
+    # infinite specs (sign*q^o; q^t)oo with o > t, whose exponents c[m]
+    # are 0 below m = o, so that the numerator the recurrence expands can
+    # be dense: o a multiple of t and not, both signs, t = 1..5, alone on
+    # either side, beside a partition-type denominator (net < 0), beside a
+    # finite spec (the passes), and in the shape (-q^(o+t);q^t)oo /
+    # (q^o;q^t)oo; orders 0, 1, t, o - 1, o, o + 1 and one up to 200.
+    # pochhammer_quotient and times_quotient against the binomial passes on
+    # the specs as given
     rng = random.Random(67)
     seen = set()
     for t in range(1, 6):
@@ -554,32 +623,10 @@ def test_offsets_above_the_step_match_binomial_passes():
     assert seen == {"passes", "net < 0", "net >= 0"}, seen
 
 
-def test_tail_quotient_takes_the_sparse_numerator(monkeypatch):
-    # (-q^(n+1);q)oo / (q^n;q)oo is [(-q;q)oo / (q;q)oo] (q;q)_(n-1) /
-    # (-q;q)_n: the recurrence expands the sparse (q^2;q^2)oo, and two
-    # divisions by (q;q)oo follow
-    import hexparity.series as series
-
-    order = 400
-    expanded = []
-
-    def recurrence(lead, c):
-        expanded.append(_expand_by_recurrence(lead, c))
-        return expanded[-1]
-
-    monkeypatch.setattr(series, "_expand_by_recurrence", recurrence)
-    theta_numerator = _expand_by_passes([1] + [0] * order, [QPochhammerSpec(1, 2, 2)], [])
-    for n in (1, 2, 5, 10):
-        numerators = [QPochhammerSpec(-1, n + 1, 1)]
-        denominators = [QPochhammerSpec(1, n, 1)]
-        _, d, k = _quotient_route(numerators, denominators, order)
-        assert (d, k) == (1, 2)
-        assert expanded.pop() == theta_numerator
-
-
 def test_all_finite_lists_take_the_passes():
     # a list of finite specs goes to the passes whatever its net exponent,
-    # the tail's (q;q)_k / (-q;q)_(k+1) (net k >= 0) included
+    # the tail's (q;q)_k / (-q;q)_(k+1) (net k >= 0) included, and so does
+    # a list with one finite spec beside infinite ones
     for k in (1, 2, 5):
         numerators = [QPochhammerSpec(1, 1, 1, k)]
         denominators = [QPochhammerSpec(-1, 1, 1, k + 1)]
@@ -591,6 +638,7 @@ def test_all_finite_lists_take_the_passes():
     assert _quotient_route([], [], 10) is None
     assert _quotient_route([QPochhammerSpec(-1, 2, 2, 3)], [QPochhammerSpec(1, 2, 2, 3)],
                            10) is None
+    assert _quotient_route([QPochhammerSpec(1, 1, 1, 2)], [QPochhammerSpec(1, 1, 1)], 10) is None
 
 
 def test_recurrence_remainder_raises():
