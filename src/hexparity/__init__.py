@@ -20,7 +20,6 @@ from .partitions import (
 )
 from .report import CheckReport, Violation
 from .series import (
-    INFINITE,
     DegenerateFactor,
     NonUnitConstantTerm,
     OrderExceeded,

@@ -5,7 +5,7 @@ fixed inclusive order N: coefficients of q^0 .. q^N are tracked exactly as
 Python ints, everything above is discarded.  Binary operations return the
 minimum of the operand orders, so long identity pipelines compose without
 bookkeeping.  A GF(2) mirror (ParitySeries) stores the coefficients mod 2
-packed into a single int, which keeps parity scans at order ~10^5 cheap.
+packed into a single int, which keeps parity scans at order ~10^7 cheap.
 
 No floating point is used anywhere.
 """
@@ -202,8 +202,8 @@ class TruncatedSeries:
         return TruncatedSeries((0,) * min(m, n + 1) + self.coeffs[: max(n + 1 - m, 0)])
 
     def times_quotient(self, numerators, denominators) -> "TruncatedSeries":
-        """self * prod(numerators) / prod(denominators), by the kernel
-        pochhammer_quotient would pick for the quotient alone."""
+        """self * prod(numerators) / prod(denominators), by the route of
+        pochhammer_quotient (_quotient_times)."""
         return _quotient_times(self, numerators, denominators, self.order)
 
     def stretch(self, factor: int, order: int) -> "TruncatedSeries":
@@ -241,22 +241,18 @@ class TruncatedSeries:
 # q-Pochhammer products
 # ---------------------------------------------------------------------------
 
-INFINITE = None  # count marker for (a;q)_infinity
-
 
 @dataclass(frozen=True)
 class QPochhammerSpec:
-    """The product (sign*q^offset; q^step)_count, count=None meaning infinite.
+    """The infinite product (sign*q^offset; q^step)oo.
 
     Factor k is (1 - sign*q^(offset + k*step)).  The degenerate case
-    sign=+1, offset=0 with at least one factor contains (1 - 1) and is
-    rejected at construction.
+    sign=+1, offset=0 contains (1 - 1) and is rejected at construction.
     """
 
     sign: int
     offset: int
     step: int
-    count: int | None = INFINITE
 
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
@@ -265,38 +261,8 @@ class QPochhammerSpec:
             raise ValueError("offset must be nonnegative")
         if self.step < 1:
             raise ValueError("step must be positive")
-        if self.count is not None and self.count < 0:
-            raise ValueError("count must be nonnegative or INFINITE")
-        if self.sign == 1 and self.offset == 0 and self.count != 0:
+        if self.sign == 1 and self.offset == 0:
             raise DegenerateFactor("(+q^0; ...) contains the zero factor 1-1")
-
-    def factor_exponents(self, order: int):
-        """Exponents of the factors that can affect coefficients 0..order."""
-        k = 0
-        while self.count is None or k < self.count:
-            e = self.offset + k * self.step
-            if e > order:
-                return
-            yield e
-            k += 1
-
-
-def _expand_by_passes(coeffs: list[int], numerators, denominators) -> list[int]:
-    """coeffs times prod(numerators) / prod(denominators), one binomial pass
-    per factor (1 - sign*q^e), linear per factor.
-
-    Returns the list the passes build and leaves coeffs as it is.
-    Denominator factors must have exponent >= 1 so the quotient stays in
-    Z[[q]].
-    """
-    order = len(coeffs) - 1
-    for spec in numerators:
-        for e in spec.factor_exponents(order):
-            coeffs = mul_binomial(coeffs, -spec.sign, e)
-    for spec in denominators:
-        for e in spec.factor_exponents(order):
-            coeffs = div_binomial(coeffs, -spec.sign, e)
-    return coeffs
 
 
 def _binomial_exponents(numerators, denominators, order: int) -> tuple[int, list[int]]:
@@ -311,21 +277,17 @@ def _binomial_exponents(numerators, denominators, order: int) -> tuple[int, list
     lead = 1
     for d, specs in ((1, numerators), (-1, denominators)):
         for spec in specs:
-            if spec.count == 0:
-                continue
             e, step = spec.offset, spec.step
-            stop = None if spec.count is None else e + spec.count * step
             if spec.sign == 1:
-                c[e:stop:step] = map(add, c[e:stop:step], repeat(d))
+                c[e::step] = map(add, c[e::step], repeat(d))
                 continue
             if e == 0:
                 if d < 0:
                     raise ValueError("cannot divide by a constant binomial factor")
                 lead *= 2
             # the two updates of c[0] cancel when e = 0
-            c[e:stop:step] = map(sub, c[e:stop:step], repeat(d))
-            stop = None if stop is None else 2 * stop
-            c[2 * e:stop:2 * step] = map(add, c[2 * e:stop:2 * step], repeat(d))
+            c[e::step] = map(sub, c[e::step], repeat(d))
+            c[2 * e::2 * step] = map(add, c[2 * e::2 * step], repeat(d))
     return lead, c
 
 
@@ -515,61 +477,11 @@ def _divide_by_euler(coeffs: list[int], d: int, times: int) -> None:
         coeffs[r::d] = run
 
 
-def _quotient_route(numerators, denominators, order: int):
-    """(numerator, d, k) with prod(numerators) / prod(denominators) equal to
-    numerator / (q^d;q^d)oo^k up to q^order, or None where the binomial
-    passes (_expand_by_passes) expand the whole quotient.
-
-    - Any spec finite, or none: None, whatever the net exponent.  A finite
-      product is a few passes; no caller mixes finite and infinite specs.
-    - Every spec infinite: the quotient, written as
-      lead * prod (1 - q^m)^c[m] (_binomial_exponents), gives the numerator:
-      - net exponent sum(c) >= 0: k = 0, and the numerator is that product,
-        expanded by _expand_by_recurrence;
-      - net < 0 (a pole at q = 1; coefficients grow like partition
-        numbers): d is the gcd of the m with c[m] != 0, and k the least
-        count that, added to c at every multiple of d, makes the net >= 0.
-        If every exponent is then >= 0, the numerator is a product of
-        binomials with no denominator left, a sparse theta-type series that
-        the recurrence expands: (q^2;q^2)oo for 1/(q;q^2)oo, the quintuple
-        product of the regime-IV product, (q^4;q^4)oo for
-        (-q^2;q^2)oo/(q^2;q^2)oo.  Otherwise None.
-      A spec (a*q^o; q^t)oo with o > t leaves c at 0 below m = o, and the k
-      added there a dense numerator: theta.gauss_error_tail, whose quotient
-      has that shape, divides by Gauss's theta series instead.
-
-    The rule only picks the faster kernel.  It is known to pick the slower
-    one for 1/(-q;q)oo, whose net is positive but whose coefficients are all
-    nonzero and grow (its pole is at q = -1): 93 ms at order 3000.  So it
-    does for the literal q^2 reading of eq42_sides (first_decade_exponent=2
-    in place of the first numerator of theta.r_factors): its net is >= 0
-    with (q;q)oo left in the denominator, so the recurrence runs on a dense
-    series, 45-48 ms against 3-4 ms for the q^s reading at order 3000 (best
-    of 3, 2-vCPU VM).
-    """
-    require_order(order)
-    specs = [*numerators, *denominators]
-    if not specs or any(spec.count is not None for spec in specs):
-        return None
-    lead, c = _binomial_exponents(numerators, denominators, order)
-    net = sum(c)
-    d, k = 1, 0
-    if net < 0:
-        d = gcd(*(m for m, cm in enumerate(c) if cm))
-        k = -(net // (order // d))  # ceil(-net / number of multiples of d)
-        c[d::d] = map(add, c[d::d], repeat(k))
-        if min(c) < 0:
-            return None
-    return _expand_by_recurrence(lead, c), d, k
-
-
 def pochhammer_quotient(numerators, denominators, order: int) -> TruncatedSeries:
     """Expand prod(numerators) / prod(denominators) up to q^order.
 
     The one expansion entry point for q-Pochhammer products, with its method
-    form TruncatedSeries.times_quotient.  The kernel is picked from the spec
-    list alone by the rule of _quotient_route; every kernel is exact on
-    every input.
+    form TruncatedSeries.times_quotient; both run _quotient_times.
     """
     return _quotient_times(None, numerators, denominators, order)
 
@@ -577,14 +489,40 @@ def pochhammer_quotient(numerators, denominators, order: int) -> TruncatedSeries
 def _quotient_times(start: TruncatedSeries | None, numerators, denominators,
                     order: int) -> TruncatedSeries:
     """start * prod(numerators) / prod(denominators) up to q^order, start
-    None standing for 1, by the kernel _quotient_route picks: on the
-    recurrence routes a sparse multiply of start by the numerator, then the
-    divisions by (q^d;q^d)oo."""
-    route = _quotient_route(numerators, denominators, order)
-    if route is None:
-        out = [1] + [0] * order if start is None else list(start.coeffs)
-        return TruncatedSeries(tuple(_expand_by_passes(out, numerators, denominators)))
-    out, d, k = route
+    None standing for 1, by one route for every spec list.
+
+    The quotient, written as lead * prod (1 - q^m)^c[m]
+    (_binomial_exponents), is split into numerator / (q^d;q^d)oo^k:
+    - net exponent sum(c) >= 0: k = 0, and the numerator is the quotient;
+    - net < 0 (a pole at q = 1; coefficients grow like partition numbers):
+      d is the gcd of the m with c[m] != 0, and k the least count that,
+      added to c at every multiple of d, makes the net >= 0.  Where every
+      exponent is then >= 0, the numerator is a sparse theta-type series:
+      (q^2;q^2)oo for 1/(q;q^2)oo, the quintuple product of the regime-IV
+      product, (q^4;q^4)oo for (-q^2;q^2)oo/(q^2;q^2)oo.
+    _expand_by_recurrence expands the numerator, start is multiplied by it
+    (a sparse multiply), and _divide_by_euler divides by (q^d;q^d)oo^k.
+
+    Every step is exact on every input; the route is fast where the
+    numerator is sparse.  It is not for 1/(-q;q)oo, whose net is positive
+    but whose coefficients are all nonzero and grow (its pole is at
+    q = -1): 93 ms at order 3000.  Nor for the literal q^2 reading of
+    eq42_sides (first_decade_exponent=2 in place of the first numerator of
+    theta.r_factors): its net is >= 0 with (q;q)oo left in the denominator,
+    so the recurrence runs on a dense series, 45-48 ms against 3-4 ms for
+    the q^s reading at order 3000 (best of 3, 2-vCPU VM).  A spec
+    (a*q^o; q^t)oo with o > t leaves c at 0 below m = o, and the k added
+    there a dense numerator: theta.truncated_gauss_rhs, whose quotient has
+    that shape, divides by Gauss's theta series instead.
+    """
+    lead, c = _binomial_exponents(numerators, denominators, order)
+    net = sum(c)
+    d, k = 1, 0
+    if net < 0:
+        d = gcd(*(m for m, cm in enumerate(c) if cm))
+        k = -(net // (order // d))  # ceil(-net / number of multiples of d)
+        c[d::d] = map(add, c[d::d], repeat(k))
+    out = _expand_by_recurrence(lead, c)
     if start is not None:
         out = list((start * TruncatedSeries(tuple(out))).coeffs)
     if k:

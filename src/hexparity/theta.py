@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .series import (
-    INFINITE,
     ParitySeries,
     QPochhammerSpec,
     TruncatedSeries,
@@ -291,45 +290,13 @@ def partial_theta(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
+# (numerators, denominators) of the even Gauss factor (-q^2;q^2)oo / (q^2;q^2)oo
+EVEN_GAUSS_FACTORS = ((QPochhammerSpec(-1, 2, 2),), (QPochhammerSpec(1, 2, 2),))
+
+
 def even_gauss_factor(order: int) -> TruncatedSeries:
     """(-q^2;q^2)oo / (q^2;q^2)oo."""
-    return pochhammer_quotient(*even_binomial_factors(INFINITE), order)
-
-
-def even_binomial_factors(k: int | None) -> tuple[list[QPochhammerSpec], list[QPochhammerSpec]]:
-    """(numerators, denominators) of (-q^2;q^2)_k / (q^2;q^2)_k; with
-    k = INFINITE, of the even Gauss factor (-q^2;q^2)oo / (q^2;q^2)oo."""
-    return [QPochhammerSpec(-1, 2, 2, k)], [QPochhammerSpec(1, 2, 2, k)]
-
-
-def gauss_error_tail(k: int, order: int) -> TruncatedSeries:
-    """sum_{n>k} q^(2n(k+1)) (-q^(2n+2);q^2)oo / ((1-q^(2n)) (q^(2n+2);q^2)oo).
-
-    Every exponent is even, so the sum is built in x = q^2 to order
-    order // 2 and stretched.  From the first summand n = k+1 on,
-    consecutive terms differ by a shift of k+1 in x, a multiplication by
-    (1-x^(n-1)) and a division by (1+x^n): _horner_sum folds them in at
-    one pass per factor per summand, about order^2 / (4(k+1)) steps, since
-    each division by (1+x^n) is dense.  The first term's quotient
-    (-x^(k+2);x)oo / (x^(k+1);x)oo and its lead x^((k+1)^2) are applied to
-    the result once: the quotient is (x;x)_k / (-x;x)_(k+1), 2k+1 binomial
-    passes, times (-x;x)oo / (x;x)oo = 1/theta(x), theta(x) = sum_n (-1)^n
-    x^(n^2) by Gauss's identity (gauss_theta_sides, checked by `verify
-    gauss`): one division by the sparse theta.  truncated_gauss_lhs reaches
-    (-x;x)oo / (x;x)oo by the product route of even_gauss_factor.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    half = require_order(order) // 2
-    first = k + 1
-    lead = first * (k + 1)
-    if lead > half:
-        return TruncatedSeries.zero(order)
-    horner = _horner_sum(first, lambda n: n * (k + 1), lambda n: ([(-1, n - 1)], [(1, n)]),
-                         half - lead)
-    tail = horner.times_quotient([QPochhammerSpec(1, 1, 1, k)], [QPochhammerSpec(-1, 1, 1, first)])
-    tail /= bilateral_sum([GAUSS_THETA], half - lead)
-    return TruncatedSeries((0,) * lead + tail.coeffs).stretch(2, order)
+    return pochhammer_quotient(*EVEN_GAUSS_FACTORS, order)
 
 
 def truncated_gauss_lhs(k: int, order: int,
@@ -346,12 +313,35 @@ def truncated_gauss_lhs(k: int, order: int,
 
 
 def truncated_gauss_rhs(k: int, order: int) -> TruncatedSeries:
-    """2 * (-q^2;q^2)_k / (q^2;q^2)_k * gauss_error_tail(k), the ratio
-    (even_binomial_factors(k)) applied to the tail as its 2k binomial
-    passes."""
+    """2 * (-q^2;q^2)_k / (q^2;q^2)_k times the tail
+    sum_{n>k} q^(2n(k+1)) (-q^(2n+2);q^2)oo / ((1-q^(2n)) (q^(2n+2);q^2)oo).
+
+    Every exponent is even, so the side is built in x = q^2 to order
+    order // 2 and stretched.  From the first summand n = k+1 on,
+    consecutive terms differ by a shift of k+1 in x, a multiplication by
+    (1-x^(n-1)) and a division by (1+x^n): _horner_sum folds them in at
+    one pass per factor per summand, about order^2 / (4(k+1)) steps, since
+    each division by (1+x^n) is dense.  The first term's quotient
+    (-x^(k+2);x)oo / (x^(k+1);x)oo is (x;x)_k / (-x;x)_(k+1) times
+    (-x;x)oo / (x;x)oo, and the ratio (-x;x)_k / (x;x)_k cancels its finite
+    part down to 1/(1+x^(k+1)): one binomial division.  (-x;x)oo / (x;x)oo
+    is 1/theta(x), theta(x) = sum_n (-1)^n x^(n^2) by Gauss's identity
+    (gauss_theta_sides, checked by `verify gauss`): one division by the
+    sparse theta.  The lead x^((k+1)^2) is applied last.
+    truncated_gauss_lhs reaches (-x;x)oo / (x;x)oo by the product route of
+    even_gauss_factor.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return gauss_error_tail(k, order).times_quotient(*even_binomial_factors(k)).scale(2)
+    half = require_order(order) // 2
+    lead = (k + 1) ** 2
+    if lead > half:
+        return TruncatedSeries.zero(order)
+    horner = _horner_sum(k + 1, lambda n: n * (k + 1), lambda n: ([(-1, n - 1)], [(1, n)]),
+                         half - lead)
+    tail = TruncatedSeries(tuple(div_binomial(horner.scale(2).coeffs, 1, k + 1)))
+    tail /= bilateral_sum([GAUSS_THETA], half - lead)
+    return TruncatedSeries((0,) * lead + tail.coeffs).stretch(2, order)
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +577,9 @@ def regime4_product(s: int, order: int) -> TruncatedSeries:
 def _rho_sides(s: int, order: int, numerators, denominators):
     """bilateral_sum(rho_families(s)) versus the product numerators /
     denominators times (q^2;q^2)oo / (-q^2;q^2)oo."""
-    gauss_numerators, gauss_denominators = even_binomial_factors(INFINITE)
+    gauss_numerators, gauss_denominators = EVEN_GAUSS_FACTORS
     return bilateral_sum(rho_families(s), order), pochhammer_quotient(
-        numerators + gauss_denominators, denominators + gauss_numerators, order)
+        [*numerators, *gauss_denominators], [*denominators, *gauss_numerators], order)
 
 
 def eq41_sides(s: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:

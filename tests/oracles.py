@@ -2,15 +2,16 @@
 
 Each is the plain, obviously correct form of what the package computes by
 a faster route: square detection by integer square root, the series
-inverse by the schoolbook recurrence, and the GF(2) binomial passes on raw
-bit ints (bit n holding the parity of q^n).
+inverse by the schoolbook recurrence, q-Pochhammer quotients by one
+binomial pass per factor, and the GF(2) binomial passes on raw bit ints
+(bit n holding the parity of q^n).
 """
 
 from __future__ import annotations
 
 import math
 
-from hexparity.series import NonUnitConstantTerm, TruncatedSeries
+from hexparity.series import NonUnitConstantTerm, TruncatedSeries, div_binomial, mul_binomial
 from hexparity.squares import SquareProgression
 
 
@@ -44,6 +45,24 @@ def inverse(series: TruncatedSeries) -> TruncatedSeries:
                 acc += a[k] * out[i - k]
         out[i] = -u * acc
     return TruncatedSeries(tuple(out))
+
+
+def expand_by_passes(coeffs: list[int], numerators, denominators) -> list[int]:
+    """coeffs times prod(numerators) / prod(denominators), q-Pochhammer
+    specs, one binomial pass per factor (1 - sign*q^e) with e <= order.
+
+    Returns the list the passes build and leaves coeffs as it is.
+    Denominator factors must have exponent >= 1 so the quotient stays in
+    Z[[q]]; div_binomial raises ValueError otherwise.
+    """
+    order = len(coeffs) - 1
+    for spec in numerators:
+        for e in range(spec.offset, order + 1, spec.step):
+            coeffs = mul_binomial(coeffs, -spec.sign, e)
+    for spec in denominators:
+        for e in range(spec.offset, order + 1, spec.step):
+            coeffs = div_binomial(coeffs, -spec.sign, e)
+    return coeffs
 
 
 def mul_binomial_bits(bits: int, m: int, order: int) -> int:

@@ -220,13 +220,13 @@ def test_allowed_parts_match_the_predicate():
 
 
 def test_gf_route_is_reciprocal_of_spec_product():
-    from hexparity.series import INFINITE, QPochhammerSpec, pochhammer_quotient
+    from hexparity.series import QPochhammerSpec, pochhammer_quotient
 
     product = pochhammer_quotient(
         [
-            QPochhammerSpec(1, 1, 2, INFINITE),
-            QPochhammerSpec(1, 2, 10, INFINITE),
-            QPochhammerSpec(1, 8, 10, INFINITE),
+            QPochhammerSpec(1, 1, 2),
+            QPochhammerSpec(1, 2, 10),
+            QPochhammerSpec(1, 8, 10),
         ],
         [],
         40,

@@ -11,7 +11,6 @@ from operator import add, mul, sub
 import pytest
 
 from hexparity.series import (
-    INFINITE,
     DegenerateFactor,
     NonUnitConstantTerm,
     OrderExceeded,
@@ -21,10 +20,8 @@ from hexparity.series import (
     _binomial_exponents,
     _divide_by_euler,
     _divisor_sums,
-    _expand_by_passes,
     _expand_by_recurrence,
     _pack,
-    _quotient_route,
     _unpack,
     _widen,
     div_binomial,
@@ -33,7 +30,7 @@ from hexparity.series import (
 )
 from hexparity.theta import GAUSS_THETA, bilateral_sum, even_gauss_factor
 
-from oracles import div_binomial_bits, inverse, mul_binomial_bits
+from oracles import div_binomial_bits, expand_by_passes, inverse, mul_binomial_bits
 
 
 def poly_mul_oracle(a: list[int], b: list[int], order: int) -> list[int]:
@@ -45,8 +42,9 @@ def poly_mul_oracle(a: list[int], b: list[int], order: int) -> list[int]:
     return out
 
 
-def poch_oracle(sign: int, offset: int, step: int, count, order: int) -> list[int]:
-    """Multiply out (sign*q^offset; q^step)_count factor by factor."""
+def poch_oracle(sign: int, offset: int, step: int, order: int, count=None) -> list[int]:
+    """Multiply out (sign*q^offset; q^step)_count factor by factor, count
+    None meaning infinite."""
     out = [1] + [0] * order
     k = 0
     while (count is None or k < count):
@@ -205,7 +203,7 @@ def test_division_by_theta_is_the_even_gauss_factor():
 
 def test_inverse_of_partition_product():
     # 1/(q;q)oo starts 1, 1, 2, 3, 5, 7: the count of 5 is 7
-    inv = inverse(pochhammer_quotient([QPochhammerSpec(1, 1, 1, INFINITE)], [], 6))
+    inv = inverse(pochhammer_quotient([QPochhammerSpec(1, 1, 1)], [], 6))
     assert inv.coefficient(5) == 7
 
 
@@ -227,14 +225,15 @@ def test_inverse_roundtrip_on_random_units():
 
 
 def test_pochhammer_pentagonal_pattern():
-    s = pochhammer_quotient([QPochhammerSpec(1, 1, 1, INFINITE)], [], 7)
+    s = pochhammer_quotient([QPochhammerSpec(1, 1, 1)], [], 7)
     assert s.coeffs == (1, -1, -1, 0, 0, 1, 0, 1)
-    assert list(s.coeffs) == poch_oracle(1, 1, 1, None, 7)
+    assert list(s.coeffs) == poch_oracle(1, 1, 1, 7)
 
 
 def test_pochhammer_small_cases():
-    assert pochhammer_quotient([QPochhammerSpec(1, 2, 3, 0)], [], 5) == TruncatedSeries.one(5)
-    assert pochhammer_quotient([QPochhammerSpec(-1, 1, 1, 1)], [], 3).coeffs == (1, 1, 0, 0)
+    # no factor at or below the order, and (-q;q)oo = 1 + q + q^2 + 2q^3
+    assert pochhammer_quotient([QPochhammerSpec(1, 6, 3)], [], 5) == TruncatedSeries.one(5)
+    assert pochhammer_quotient([QPochhammerSpec(-1, 1, 1)], [], 3).coeffs == (1, 1, 1, 2)
 
 
 def test_pochhammer_matches_oracle_randomized():
@@ -243,50 +242,47 @@ def test_pochhammer_matches_oracle_randomized():
         sign = rng.choice([1, -1])
         offset = rng.randint(0, 6)
         step = rng.randint(1, 5)
-        count = rng.choice([None, 0, 1, 2, 5])
-        if sign == 1 and offset == 0 and count != 0:
+        if sign == 1 and offset == 0:
             continue
         order = rng.randint(0, 30)
-        spec = QPochhammerSpec(sign, offset, step, count)
+        spec = QPochhammerSpec(sign, offset, step)
         assert list(pochhammer_quotient([spec], [], order).coeffs) == poch_oracle(
-            sign, offset, step, count, order
+            sign, offset, step, order
         )
 
 
 def test_pochhammer_infinite_equals_finite_window():
     # factors beyond the order are provably irrelevant
     order = 24
-    inf = pochhammer_quotient([QPochhammerSpec(1, 2, 3, INFINITE)], [], order)
+    inf = pochhammer_quotient([QPochhammerSpec(1, 2, 3)], [], order)
     needed = (order - 2) // 3 + 1
-    fin = pochhammer_quotient([QPochhammerSpec(1, 2, 3, needed)], [], order)
-    assert inf == fin
+    assert list(inf.coeffs) == poch_oracle(1, 2, 3, order, needed)
 
 
 def test_degenerate_factor_rejected():
     with pytest.raises(DegenerateFactor):
-        QPochhammerSpec(1, 0, 1, INFINITE)
+        QPochhammerSpec(1, 0, 1)
     with pytest.raises(DegenerateFactor):
-        QPochhammerSpec(1, 0, 2, 3)
-    QPochhammerSpec(1, 0, 2, 0)  # empty product is fine
-    QPochhammerSpec(-1, 0, 2, 3)  # (-q^0; ...) factors are 2, not 0
+        QPochhammerSpec(1, 0, 2)
+    QPochhammerSpec(-1, 0, 2)  # (-q^0; ...) factors are 2, not 0
 
 
 def test_product_of_empty_and_square():
     assert pochhammer_quotient([], [], 6) == TruncatedSeries.one(6)
-    spec = QPochhammerSpec(1, 1, 1, INFINITE)
+    spec = QPochhammerSpec(1, 1, 1)
     square = pochhammer_quotient([spec, spec], [], 10)
     single = list(pochhammer_quotient([spec], [], 10).coeffs)
     assert list(square.coeffs) == poly_mul_oracle(single, single, 10)
 
 
 def random_specs(rng: random.Random, min_offset: int) -> list[tuple]:
-    """Up to three (sign, offset, step, count) tuples, none degenerate."""
+    """Up to three (sign, offset, step) tuples, none degenerate."""
     specs, count = [], rng.randint(0, 3)
     while len(specs) < count:
         sign, offset = rng.choice([1, -1]), rng.randint(min_offset, 6)
         if sign == 1 and offset == 0:
             continue
-        specs.append((sign, offset, rng.randint(1, 5), rng.choice([None, 0, 1, 2, 4])))
+        specs.append((sign, offset, rng.randint(1, 5)))
     return specs
 
 
@@ -299,8 +295,8 @@ def schoolbook(specs, order: int) -> TruncatedSeries:
 
 
 def test_pochhammer_quotient_matches_inverse():
-    num = [QPochhammerSpec(-1, 1, 2, INFINITE)]
-    den = [QPochhammerSpec(1, 1, 1, INFINITE), QPochhammerSpec(1, 3, 4, 2)]
+    num = [QPochhammerSpec(-1, 1, 2)]
+    den = [QPochhammerSpec(1, 1, 1), QPochhammerSpec(1, 3, 4)]
     q = pochhammer_quotient(num, den, 20)
     direct = pochhammer_quotient(num, [], 20) * inverse(pochhammer_quotient(den, [], 20))
     assert q == direct
@@ -318,14 +314,14 @@ def test_pochhammer_quotient_matches_inverse():
 def test_recurrence_matches_binomial_passes():
     # the recurrence helper, called directly whatever the net exponent,
     # against the binomial passes, and at orders <= 40 against schoolbook
-    # products and the series inverse; pochhammer_quotient must agree too,
-    # whichever kernel it picks
+    # products and the series inverse; pochhammer_quotient, which divides
+    # by (q;q)oo where the net is < 0, must agree too
     named = [
-        ([], [(-1, 1, 1, None)], 300),  # 1/(-q;q)oo: net >= 0, dense
-        ([], [(-1, 1, 1, None)] * 6, 300),  # net >= 0, multi-limb
-        ([(-1, 0, 2, 4), (1, 1, 1, None)], [], 300),  # constant factor 2
-        ([(1, 1, 1, None)], [(-1, 1, 1, None)], 300),  # Gauss
-        ([], [(1, 1, 1, None)] * 2, 300),  # net < 0, multi-limb
+        ([], [(-1, 1, 1)], 300),  # 1/(-q;q)oo: net >= 0, dense
+        ([], [(-1, 1, 1)] * 6, 300),  # net >= 0, multi-limb
+        ([(-1, 0, 2), (1, 1, 1)], [], 300),  # constant factor 2
+        ([(1, 1, 1)], [(-1, 1, 1)], 300),  # Gauss
+        ([], [(1, 1, 1)] * 2, 300),  # net < 0, multi-limb
     ]
     rng = random.Random(53)
     cases = named + [
@@ -339,8 +335,7 @@ def test_recurrence_matches_binomial_passes():
         denominators = [QPochhammerSpec(*a) for a in den]
         lead, c = _binomial_exponents(numerators, denominators, order)
         got = _expand_by_recurrence(lead, c)
-        want = [1] + [0] * order
-        want = _expand_by_passes(want, numerators, denominators)
+        want = expand_by_passes([1] + [0] * order, numerators, denominators)
         assert got == want, (num, den, order)
         assert pochhammer_quotient(numerators, denominators, order).coeffs == tuple(want)
         if order <= 40:
@@ -349,13 +344,11 @@ def test_recurrence_matches_binomial_passes():
         seen.add("net >= 0" if net >= 0 else "net < 0")
         if lead > 1:
             seen.add("constant factor")
-        if any(a[3] not in (None, 0) for a in num + den):
-            seen.add("finite count")
         if net >= 0 and max(map(abs, got)).bit_length() > 64:
             seen.add("multi-limb, net >= 0")
         if net < 0 and max(map(abs, got)).bit_length() > 64:
             seen.add("multi-limb, net < 0")
-    assert len(seen) == 6, seen
+    assert len(seen) == 5, seen
 
 
 def _list_recurrence(lead: int, c: list[int]) -> list[int]:
@@ -397,12 +390,12 @@ def packed_recurrence_cases(rng: random.Random):
     """(numerators, denominators, order) for the recurrence: named products
     at the window orders, then random spec lists at random orders <= 600."""
     named = [
-        ([(1, 1, 1, None)], [(-1, 1, 1, None)]),  # Gauss: f and g of both signs
-        ([(-1, 0, 2, 4), (1, 1, 1, None)], []),  # lead = 2
-        ([(-1, 0, 1, 3), (-1, 0, 5, 2), (1, 2, 2, None)], []),  # lead = 2^5
-        ([], [(-1, 1, 1, None)] * 6),  # dense, multi-limb
-        ([(1, 1, 10, None), (1, 9, 10, None), (1, 10, 10, None),
-          (1, 8, 20, None), (1, 12, 20, None)], []),  # quintuple numerator
+        ([(1, 1, 1)], [(-1, 1, 1)]),  # Gauss: f and g of both signs
+        ([(-1, 0, 2), (1, 1, 1)], []),  # lead = 2
+        ([(-1, 0, 1), (-1, 0, 5), (-1, 0, 3), (1, 2, 2)], []),  # lead = 2^3
+        ([], [(-1, 1, 1)] * 6),  # dense, multi-limb
+        ([(1, 1, 10), (1, 9, 10), (1, 10, 10),
+          (1, 8, 20), (1, 12, 20)], []),  # quintuple numerator
     ]
     for num, den in named:
         for order in WINDOW_ORDERS:
@@ -434,7 +427,7 @@ def test_packed_recurrence_matches_list_oracle(monkeypatch):
         widths.clear()
         got = _expand_by_recurrence(lead, c)
         assert got == _list_recurrence(lead, c), (num, den, order)
-        assert got == _expand_by_passes([1] + [0] * order, numerators, denominators)
+        assert got == expand_by_passes([1] + [0] * order, numerators, denominators)
         if min(got) < 0 and order >= 128:
             seen.add("negative, packed")
         if lead > 2:
@@ -515,130 +508,149 @@ def test_list_iterator_yields_items_extend_appends():
 PENTAGONAL = (1, 2, 5, 7, 12, 15, 117, 126, 145)
 
 
-def test_division_kernel_matches_binomial_passes():
+def euler_divisions(monkeypatch) -> list[tuple[int, int]]:
+    """The (d, k) of every division by (q^d;q^d)oo^k that the quotient
+    route makes from here on, in call order."""
+    import hexparity.series as series
+
+    calls, divide = [], series._divide_by_euler
+
+    def spy(coeffs, d, times):
+        calls.append((d, times))
+        divide(coeffs, d, times)
+
+    monkeypatch.setattr(series, "_divide_by_euler", spy)
+    return calls
+
+
+def test_division_kernel_matches_binomial_passes(monkeypatch):
     # the division by (q^d;q^d)oo^k against the binomial passes, on
     # [1, 0, ...] and on random start lists: spec lists in q^d for d = 1, 2
-    # and 5 (pochhammer_quotient and times_quotient, whichever route they
-    # pick) and the division alone, at orders 0..3 and g - 1, g and g + 1
+    # and 5 (pochhammer_quotient and times_quotient, whether or not they
+    # divide) and the division alone, at orders 0..3 and g - 1, g and g + 1
     # for pentagonal numbers g, where the Euler division takes on a lag and
     # starts a new segment; the division alone also at 300
     orders = sorted({0, 1, 2, 3} | {g + e for g in PENTAGONAL for e in (-1, 0, 1)})
     named = [
-        ([], [(1, 1, 1, None)]),  # 1/(q;q)oo
-        ([(1, 1, 10, None), (1, 9, 10, None), (1, 10, 10, None),
-          (1, 8, 20, None), (1, 12, 20, None)], [(1, 1, 1, None)]),  # regime IV
-        ([(-1, 2, 2, None)], [(1, 2, 2, None)]),  # (-q^2;q^2)oo/(q^2;q^2)oo, k = 2
-        ([(1, 5, 10, None)], [(1, 5, 5, None)] * 2),  # d = 5
-        ([(-1, 0, 3, None)], [(1, 1, 1, None)]),  # constant factor 2
-        ([], [(1, 1, 1, None)] * 4),  # multi-limb
-        ([], [(1, 1, 1, 5), (1, 2, 2, None)]),  # finite count
+        ([], [(1, 1, 1)]),  # 1/(q;q)oo
+        ([(1, 1, 10), (1, 9, 10), (1, 10, 10),
+          (1, 8, 20), (1, 12, 20)], [(1, 1, 1)]),  # regime IV
+        ([(-1, 2, 2)], [(1, 2, 2)]),  # (-q^2;q^2)oo/(q^2;q^2)oo, k = 2
+        ([(1, 5, 10)], [(1, 5, 5)] * 2),  # d = 5
+        ([(-1, 0, 3)], [(1, 1, 1)]),  # constant factor 2
+        ([], [(1, 1, 1)] * 4),  # multi-limb
     ]
     rng = random.Random(59)
     cases = [(num, den, order) for num, den in named for order in orders]
     for i in range(140):
         d = (1, 2, 5)[i % 3]
-        num = [(sg, d * o, d * st, n) for sg, o, st, n in random_specs(rng, 0)]
-        den = [(sg, d * o, d * st, n) for sg, o, st, n in random_specs(rng, 1)]
-        den.append((1, d * rng.randint(1, 3), d * rng.randint(1, 2), None))
+        num = [(sg, d * o, d * st) for sg, o, st in random_specs(rng, 0)]
+        den = [(sg, d * o, d * st) for sg, o, st in random_specs(rng, 1)]
+        den.append((1, d * rng.randint(1, 3), d * rng.randint(1, 2)))
         cases.append((num, den, rng.choice(orders + [rng.randint(4, 300)])))
+    divisions = euler_divisions(monkeypatch)
     seen = set()
     for num, den, order in cases:
         numerators = [QPochhammerSpec(*a) for a in num]
         denominators = [QPochhammerSpec(*a) for a in den]
-        want = [1] + [0] * order
-        want = _expand_by_passes(want, numerators, denominators)
+        divisions.clear()
+        want = expand_by_passes([1] + [0] * order, numerators, denominators)
         assert pochhammer_quotient(numerators, denominators, order).coeffs == tuple(want)
         start = sparse_series(rng, order)
-        want_times = list(start.coeffs)
-        want_times = _expand_by_passes(want_times, numerators, denominators)
+        want_times = expand_by_passes(list(start.coeffs), numerators, denominators)
         got_times = start.times_quotient(numerators, denominators)
         assert got_times.coeffs == tuple(want_times), (num, den, order)
-        if any(a[3] not in (None, 0) for a in num + den):
-            seen.add("finite count")  # its finite specs go to the passes
-        route = _quotient_route(numerators, denominators, order)
-        if route is None:
-            seen.add("passes")
+        if not divisions:
             continue
-        _, d, k = route
-        if k == 0:
-            continue
+        d, _ = divisions[0]
         seen |= {f"d = {d}", f"order {order}"}
         if _binomial_exponents(numerators, denominators, order)[0] > 1:
             seen.add("constant factor")
         if max(map(abs, want)).bit_length() > 64:
             seen.add("multi-limb")
     # at order 0 there is no factor, so the net is 0 and nothing is divided
-    assert seen >= {"d = 1", "d = 2", "d = 5", "constant factor", "multi-limb",
-                    "finite count", "passes"} | {f"order {n}" for n in orders[1:]}, seen
+    assert seen >= {"d = 1", "d = 2", "d = 5", "constant factor", "multi-limb"} | {
+        f"order {n}" for n in orders[1:]}, seen
 
     # the division alone on random start lists, d and k from 1 to 3
     for order in orders + [300]:
         for d in (1, 2, 5):
             for k in (1, 2, 3):
                 got = list(sparse_series(rng, order).coeffs)
-                want = got[:]
-                want = _expand_by_passes(want, [], [QPochhammerSpec(1, d, d)] * k)
+                want = expand_by_passes(got[:], [], [QPochhammerSpec(1, d, d)] * k)
                 _divide_by_euler(got, d, k)
                 assert got == want, (order, d, k)
 
 
-def test_offsets_above_the_step_match_binomial_passes():
+def test_offsets_above_the_step_match_binomial_passes(monkeypatch):
     # infinite specs (sign*q^o; q^t)oo with o > t, whose exponents c[m]
     # are 0 below m = o, so that the numerator the recurrence expands can
     # be dense: o a multiple of t and not, both signs, t = 1..5, alone on
-    # either side, beside a partition-type denominator (net < 0), beside a
-    # finite spec (the passes), and in the shape (-q^(o+t);q^t)oo /
-    # (q^o;q^t)oo; orders 0, 1, t, o - 1, o, o + 1 and one up to 200.
-    # pochhammer_quotient and times_quotient against the binomial passes on
-    # the specs as given
+    # either side, beside a partition-type denominator (net < 0), and in
+    # the shape (-q^(o+t);q^t)oo / (q^o;q^t)oo; orders 0, 1, t, o - 1, o,
+    # o + 1 and one up to 200.  pochhammer_quotient and times_quotient
+    # against the binomial passes on the specs as given
     rng = random.Random(67)
+    divisions = euler_divisions(monkeypatch)
     seen = set()
     for t in range(1, 6):
         for o in sorted({t + 1, 2 * t, 2 * t + 1, 3 * t, 4 * t - 1} - {t}):
             for sign in (1, -1):
-                spec = (sign, o, t, None)
+                spec = (sign, o, t)
                 cases = [
                     ([spec], []),
                     ([], [spec]),
-                    ([spec], [(1, 1, 1, None)]),
-                    ([spec, (1, 1, 1, 3)], [(1, 1, 1, None)]),
-                    ([(-1, o + t, t, None)], [(1, o, t, None)]),
+                    ([spec], [(1, 1, 1)]),
+                    ([(-1, o + t, t)], [(1, o, t)]),
                 ]
                 for num, den in cases:
                     numerators = [QPochhammerSpec(*a) for a in num]
                     denominators = [QPochhammerSpec(*a) for a in den]
                     for order in sorted({0, 1, t, o - 1, o, o + 1, rng.randint(2, 200)}):
-                        want = _expand_by_passes([1] + [0] * order, numerators, denominators)
+                        divisions.clear()
+                        want = expand_by_passes([1] + [0] * order, numerators, denominators)
                         got = pochhammer_quotient(numerators, denominators, order)
                         assert got.coeffs == tuple(want), (num, den, order)
+                        seen.add("net < 0" if divisions else "net >= 0")
                         start = sparse_series(rng, order)
-                        want = _expand_by_passes(list(start.coeffs), numerators, denominators)
+                        want = expand_by_passes(list(start.coeffs), numerators, denominators)
                         got = start.times_quotient(numerators, denominators)
                         assert got.coeffs == tuple(want), (num, den, order)
-                        route = _quotient_route(numerators, denominators, order)
-                        if route is None:
-                            seen.add("passes")
-                        else:
-                            seen.add("net < 0" if route[2] else "net >= 0")
-    assert seen == {"passes", "net < 0", "net >= 0"}, seen
+    assert seen == {"net < 0", "net >= 0"}, seen
 
 
-def test_all_finite_lists_take_the_passes():
-    # a list of finite specs goes to the passes whatever its net exponent,
-    # the tail's (q;q)_k / (-q;q)_(k+1) (net k >= 0) included, and so does
-    # a list with one finite spec beside infinite ones
-    for k in (1, 2, 5):
-        numerators = [QPochhammerSpec(1, 1, 1, k)]
-        denominators = [QPochhammerSpec(-1, 1, 1, k + 1)]
-        for order in (0, 1, k, 60):
-            assert sum(_binomial_exponents(numerators, denominators, order)[1]) >= 0
-            assert _quotient_route(numerators, denominators, order) is None
-            want = _expand_by_passes([1] + [0] * order, numerators, denominators)
-            assert pochhammer_quotient(numerators, denominators, order).coeffs == tuple(want)
-    assert _quotient_route([], [], 10) is None
-    assert _quotient_route([QPochhammerSpec(-1, 2, 2, 3)], [QPochhammerSpec(1, 2, 2, 3)],
-                           10) is None
-    assert _quotient_route([QPochhammerSpec(1, 1, 1, 2)], [QPochhammerSpec(1, 1, 1)], 10) is None
+def test_exponents_left_negative_run_the_recurrence(monkeypatch):
+    # all-infinite quotients whose exponents c[m] stay negative at some m
+    # after the Euler count is added at the multiples of d, so that the
+    # recurrence expands a numerator with a denominator still in it before
+    # the Euler divisions; against the binomial passes at orders 0, 1, 130
+    # and 600
+    import hexparity.series as series
+
+    shapes = [
+        ([], [(1, 1, 2)] + [(1, 2, 2)] * 3),  # 1/((q;q^2)oo (q^2;q^2)oo^3)
+        ([], [(1, 1, 1)] + [(1, 3, 3)] * 4),  # 1/((q;q)oo (q^3;q^3)oo^4)
+        ([(1, 2, 2)] * 2, [(1, 1, 1)] + [(1, 5, 5)] * 3),  # (q^2;q^2)oo^2 / ((q;q)oo (q^5;q^5)oo^3)
+    ]
+    recurrence, lowest = series._expand_by_recurrence, []
+
+    def spy(lead, c):
+        lowest.append(min(c))
+        return recurrence(lead, c)
+
+    monkeypatch.setattr(series, "_expand_by_recurrence", spy)
+    divisions = euler_divisions(monkeypatch)
+    for num, den in shapes:
+        numerators = [QPochhammerSpec(*a) for a in num]
+        denominators = [QPochhammerSpec(*a) for a in den]
+        for order in (0, 1, 130, 600):
+            lowest.clear()
+            divisions.clear()
+            want = expand_by_passes([1] + [0] * order, numerators, denominators)
+            got = pochhammer_quotient(numerators, denominators, order)
+            assert got.coeffs == tuple(want), (num, den, order)
+            if order >= 130:
+                assert lowest[0] < 0 and divisions, (num, den, order)
 
 
 def test_recurrence_remainder_raises():
@@ -649,10 +661,10 @@ def test_recurrence_remainder_raises():
 
 def test_both_kernels_share_the_error_contract():
     # a denominator factor at exponent 0 (the constant 2) and a negative
-    # order raise the same ValueError whichever kernel the net exponent
-    # picks, as the binomial pass itself does
+    # order raise the same ValueError whether the net exponent is >= 0 or
+    # < 0, as the binomial pass itself does
     with pytest.raises(ValueError) as passes:
-        _expand_by_passes([1, 0, 0], [], [QPochhammerSpec(-1, 0, 1)])
+        expand_by_passes([1, 0, 0], [], [QPochhammerSpec(-1, 0, 1)])
     for extra in ([], [QPochhammerSpec(1, 1, 1)] * 3):  # net >= 0, net < 0
         denominators = [QPochhammerSpec(-1, 0, 1)] + extra
         assert (sum(_binomial_exponents([], extra, 30)[1]) >= 0) == (not extra)
@@ -670,7 +682,7 @@ def test_both_kernels_share_the_error_contract():
 
 
 def test_coefficient_access():
-    inv = inverse(pochhammer_quotient([QPochhammerSpec(1, 1, 1, INFINITE)], [], 10))
+    inv = inverse(pochhammer_quotient([QPochhammerSpec(1, 1, 1)], [], 10))
     assert inv.coefficient(5) == 7
     assert pochhammer_quotient([], [], 4).coefficient(0) == 1
     assert TruncatedSeries.zero(4).coefficient(3) == 0
@@ -773,10 +785,10 @@ def test_binomial_passes_return_a_new_list():
                 assert coeffs == before and quotient is not coeffs
                 assert len(quotient) == length
                 assert TruncatedSeries(tuple(quotient)) * binomial == TruncatedSeries(tuple(coeffs))
-        # the passes kernel, which chains them, leaves its input as it is too
-        num, den = [(1, 1, 1, 3)], [(-1, 2, 3, None), (1, 1, 2, None)]
-        product = _expand_by_passes(coeffs, [QPochhammerSpec(*a) for a in num],
-                                    [QPochhammerSpec(*a) for a in den])
+        # the passes oracle, which chains them, leaves its input as it is too
+        num, den = [(1, 1, 1)], [(-1, 2, 3), (1, 1, 2)]
+        product = expand_by_passes(coeffs, [QPochhammerSpec(*a) for a in num],
+                                   [QPochhammerSpec(*a) for a in den])
         assert coeffs == before
         assert TruncatedSeries(tuple(product)) == (TruncatedSeries(tuple(coeffs))
                                                    * schoolbook(num, order)
@@ -875,9 +887,11 @@ def test_reciprocal_bits_matches_exact_quotient():
         exponent_lists.append([rng.choice(pool) for _ in range(rng.randint(1, 25))])
     tops = [0, 1, 2] + [2**j + d for j in range(1, 11) for d in (-1, 1)]
     for exponents in exponent_lists:
-        denominators = [QPochhammerSpec(1, m, 1, 1) for m in exponents]
         for top in tops:
-            exact = pochhammer_quotient([], denominators, top).reduce_mod2()
+            exact = [1] + [0] * top
+            for m in exponents:
+                exact = div_binomial(exact, -1, m)
+            exact = TruncatedSeries(tuple(exact)).reduce_mod2()
             top_down = int(format(exact.bits, f"0{top + 1}b")[::-1], 2)
             assert ParitySeries.reciprocal_bits(exponents, top) == top_down, (exponents, top)
     with pytest.raises(ValueError):

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from hexparity.series import (
-    INFINITE,
     DegenerateFactor,
     ParitySeries,
     QPochhammerSpec,
@@ -29,9 +29,7 @@ from hexparity.theta import (
     decomposition_families,
     eq41_sides,
     eq42_sides,
-    even_binomial_factors,
     eq41_families,
-    gauss_error_tail,
     gauss_theta_sides,
     jtp_sides,
     partial_theta,
@@ -81,7 +79,7 @@ def pentagonal_family() -> QuadraticExponentFamily:
 def test_bilateral_pentagonal_matches_pochhammer():
     fam = pentagonal_family()
     assert bilateral_sum([fam], 7).coeffs == (1, -1, -1, 0, 0, 1, 0, 1)
-    oracle = pochhammer_quotient([QPochhammerSpec(1, 1, 1, INFINITE)], [], 60)
+    oracle = pochhammer_quotient([QPochhammerSpec(1, 1, 1)], [], 60)
     assert bilateral_sum([fam], 60) == oracle
 
 
@@ -339,54 +337,37 @@ def test_truncated_gauss_identity():
     ).coefficient(2)
 
 
-def test_truncated_gauss_rhs_matches_schoolbook_product():
-    # the ratio applied to the tail by binomial passes against the
-    # schoolbook product of the two expanded series
-    rng = random.Random(59)
-    for k, order in [(1, 0), (10, 1500)] + [(rng.randint(1, 10), rng.randint(0, 1500))
-                                           for _ in range(5)]:
-        schoolbook = (pochhammer_quotient(*even_binomial_factors(k), order).scale(2)
-                      * gauss_error_tail(k, order))
-        assert truncated_gauss_rhs(k, order) == schoolbook, (k, order)
-
-
-def test_even_binomial_factors_infinite_is_the_limit():
-    # the factors of (-q^2;q^2)_k / (q^2;q^2)_k are those of the even Gauss
-    # factor below q^(2k+2), so the two expand alike up to q^(2k+1) and
-    # differ from there
-    for k in (1, 2, 5):
-        for order in (0, 1, 2, 2 * k - 1, 2 * k, 2 * k + 1, 2 * k + 2):
-            finite = pochhammer_quotient(*even_binomial_factors(k), order)
-            infinite = pochhammer_quotient(*even_binomial_factors(INFINITE), order)
-            assert (finite == infinite) == (order <= 2 * k + 1), (k, order)
-
-
-def test_gauss_error_tail_leading_exponent():
-    for k in (1, 2, 3):
-        tail = gauss_error_tail(k, 120)
-        lead = 2 * (k + 1) ** 2
-        assert all(c == 0 for c in tail.coeffs[:lead])
-        assert tail.coefficient(lead) == 1
-
-
-def test_gauss_error_tail_matches_per_term_oracle():
-    # every term q^(2n(k+1)) (-q^(2n+2);q^2)oo / (q^(2n);q^2)oo expanded in
-    # q on its own at the full order, against the sum built in q^2 with
-    # truncated terms; odd and even orders, and orders at which a term's
-    # lead lands on the order or next to it
+def test_truncated_gauss_rhs_matches_per_term_oracle():
+    # 2 (-q^2;q^2)_k / (q^2;q^2)_k, built here by 2k binomial passes, times
+    # the tail with every term q^(2n(k+1)) (-q^(2n+2);q^2)oo / (q^(2n);q^2)oo
+    # expanded on its own (in x = q^2) and shifted into place; k = 1..10 at
+    # orders 0, 1 and 2, at each of the first four terms' leads -1, 0 and
+    # +1, and at a random order up to 1500, each a truncation of the oracle
+    # built once at the largest.  The side is 0 below q^(2(k+1)^2) and 2
+    # there
     rng = random.Random(61)
-    for k in (1, 2, 3, 5):
+    for k in range(1, 11):
         leads = [2 * n * (k + 1) for n in range(k + 1, k + 5)]
-        orders = [0, 1, 2, rng.randint(3, 400), rng.randint(3, 400)]
-        for order in orders + [e + d for e in leads for d in (-1, 0, 1)]:
-            oracle = TruncatedSeries.zero(order)
-            n = k + 1
-            while 2 * n * (k + 1) <= order:
-                term = pochhammer_quotient([QPochhammerSpec(-1, 2 * n + 2, 2)],
-                                           [QPochhammerSpec(1, 2 * n, 2)], order)
-                oracle = oracle + term.shift(2 * n * (k + 1))
-                n += 1
-            assert gauss_error_tail(k, order) == oracle, (k, order)
+        orders = [0, 1, 2] + [e + d for e in leads for d in (-1, 0, 1)]
+        orders.append(rng.randint(3, 1500))
+        top = max(orders)
+        ratio = [1] + [0] * top
+        for j in range(1, k + 1):
+            ratio = div_binomial(mul_binomial(ratio, 1, 2 * j), -1, 2 * j)
+        tail = [0] * (top + 1)
+        n = k + 1
+        while 2 * n * (k + 1) <= top:
+            lead = 2 * n * (k + 1)
+            term = pochhammer_quotient([QPochhammerSpec(-1, n + 1, 1)],
+                                       [QPochhammerSpec(1, n, 1)], (top - lead) // 2)
+            tail[lead:] = map(add, tail[lead:], term.stretch(2, top - lead).coeffs)
+            n += 1
+        oracle = (TruncatedSeries(tuple(ratio)).scale(2) * TruncatedSeries(tuple(tail))).coeffs
+        for order in orders:
+            assert truncated_gauss_rhs(k, order).coeffs == oracle[:order + 1], (k, order)
+        first = 2 * (k + 1) ** 2
+        got = truncated_gauss_rhs(k, top).coeffs
+        assert not any(got[:first]) and got[first] == 2, k
 
 
 def horner_oracle(first: int, exponent, factors, order: int) -> TruncatedSeries:
@@ -440,7 +421,7 @@ def test_horner_sum_matches_term_by_term_oracle():
 
 
 def test_gauss_tail_horner_sum_matches_closed_form(monkeypatch):
-    # the Horner result V of gauss_error_tail, in x = q^2 and taken to
+    # the Horner result V of truncated_gauss_rhs, in x = q^2 and taken to
     # x^600, against V = (1 + x^(k+1)) sum_{j>=0} (-1)^j x^(j(j+2k+2)).
     # That closed form is the truncated Gauss identity rearranged, so it
     # serves only as an extra oracle for the sum, never in its place
@@ -455,7 +436,7 @@ def test_gauss_tail_horner_sum_matches_closed_form(monkeypatch):
 
     monkeypatch.setattr(theta, "_horner_sum", recording)
     for k in (1, 2, 3, 5):
-        gauss_error_tail(k, 2 * (top + (k + 1) ** 2))
+        truncated_gauss_rhs(k, 2 * (top + (k + 1) ** 2))
         closed = [0] * (top + 1)
         j = 0
         while j * (j + 2 * k + 2) <= top:
@@ -572,22 +553,26 @@ def test_regime_parity_sums_match_forward_division_walk():
 
 def regime_sum_oracle(regime: int, s: int, order: int) -> TruncatedSeries:
     """The regime III or IV sum with each summand expanded on its own by
-    pochhammer_quotient at the full order and shifted into place."""
+    binomial passes at the full order and shifted into place."""
     acc = TruncatedSeries.zero(order)
     n = 0
     while True:
         if regime == 3:
             e = n * (3 * n + s - 1) // 2
-            numerators = [QPochhammerSpec(-1, 1, 1, n)]  # (-q;q)_n
+            plus = n  # (-q;q)_n
             count = 2 * n + 1
         else:
             e = n * (n + 1)
-            numerators = []
+            plus = 0
             count = 2 * n + (s - 1) // 2
         if e > order:
             return acc
-        summand = pochhammer_quotient(numerators, [QPochhammerSpec(1, 1, 1, count)], order)
-        acc = acc + summand.shift(e)
+        summand = [1] + [0] * order
+        for m in range(1, plus + 1):
+            summand = mul_binomial(summand, 1, m)
+        for m in range(1, count + 1):
+            summand = div_binomial(summand, -1, m)
+        acc = acc + TruncatedSeries(tuple(summand)).shift(e)
         n += 1
 
 
@@ -664,6 +649,60 @@ def test_eq42_literal_q2_reading_fails():
         assert lhs != rhs, s
 
 
+def test_products_take_no_binomial_pass(monkeypatch):
+    # every spec list the package builds runs the one quotient route (the
+    # recurrence, a sparse multiply, the Euler divisions), never a binomial
+    # pass: mul_binomial and div_binomial, in every module that holds them,
+    # record any call made while pochhammer_quotient or times_quotient
+    # runs.  Each builder below enters the route at least once
+    import hexparity.series as series
+    from hexparity import partitions
+
+    route, depth, passes, entries = series._quotient_times, [], [], []
+
+    def tracked(*args):
+        entries.append(1)
+        depth.append(1)
+        try:
+            return route(*args)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(series, "_quotient_times", tracked)
+    for module in (series, theta, partitions):
+        for name in ("mul_binomial", "div_binomial"):
+            if hasattr(module, name):
+                def spy(*args, kernel=getattr(module, name), name=name):
+                    if depth:
+                        passes.append(name)
+                    return kernel(*args)
+                monkeypatch.setattr(module, name, spy)
+    order = 300
+    builders = [
+        *(lambda s=s: pochhammer_quotient(*r_factors(s), order) for s in (1, 2, 3, 4)),
+        *(lambda s=s: eq41_sides(s, order) for s in (2, 4)),
+        *(lambda s=s: eq42_sides(s, order) for s in (1, 3)),
+        *(lambda s=s: eq42_sides(s, order, first_decade_exponent=2) for s in (1, 3)),
+        *(lambda s=s: regime3_product(s, order) for s in (2, 4)),
+        *(lambda s=s: partitions.r_gf(partitions.regime4_rule(s), order) for s in (1, 3)),
+        # the substitutions of the acceptance suite
+        *(lambda a=a: jtp_sides(-1, a, -1, 5, order) for a in (1, 3)),
+        *(lambda a=a: jtp_sides(1, a, 1, 10, order) for a in (2, 4)),
+        *(lambda z=z: quintuple_sides(z, Monomial(-1, 5), order)
+          for z in (Monomial(1, 2), Monomial(-1, 1))),
+        *(lambda s=s: quintuple_sides(Monomial(1, s), Monomial(1, 10), order) for s in (1, 3)),
+        lambda: gauss_theta_sides(order),
+        lambda: theta.even_gauss_factor(order),
+        lambda: truncated_gauss_lhs(2, order),
+        lambda: rr_G(order),
+        lambda: rr_H(order),
+    ]
+    for build in builders:
+        entries.clear()
+        build()
+        assert entries and not passes, (build, passes)
+
+
 def test_eq41_bilateral_mod2_is_exponent_indicator():
     for s in (2, 4):
         series = bilateral_sum(eq41_families(s), 10_000)
@@ -680,7 +719,6 @@ def test_partial_theta_structure():
     assert p2.coefficient(0) == 1
     assert p2.coefficient(2) == -2
     assert p2.coefficient(8) == 2
-    assert pochhammer_quotient(*even_binomial_factors(0), 10) == TruncatedSeries.one(10)
 
 
 def test_pair_walk_matches_lone_walks():
