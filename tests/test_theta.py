@@ -370,6 +370,72 @@ def test_truncated_gauss_rhs_matches_per_term_oracle():
         assert not any(got[:first]) and got[first] == 2, k
 
 
+def even_gauss_ratio(k: int, order: int, inverse: bool = False) -> list[int]:
+    """(-q^2;q^2)_k / (q^2;q^2)_k up to q^order, or its inverse, by one
+    binomial pass per factor."""
+    ratio = [1] + [0] * order
+    for j in range(1, k + 1):
+        if inverse:
+            ratio = div_binomial(mul_binomial(ratio, -1, 2 * j), 1, 2 * j)
+        else:
+            ratio = div_binomial(mul_binomial(ratio, 1, 2 * j), -1, 2 * j)
+    return ratio
+
+
+def tail_of_rhs(k: int, order: int) -> TruncatedSeries:
+    """The tail sum_{n>k} q^(2n(k+1)) (-q^(2n+2);q^2)oo / (q^(2n);q^2)oo
+    read back from truncated_gauss_rhs: the side times the inverse ratio,
+    which is twice the tail, halved."""
+    twice = (truncated_gauss_rhs(k, order)
+             * TruncatedSeries(tuple(even_gauss_ratio(k, order, inverse=True))))
+    assert all(c % 2 == 0 for c in twice.coeffs), (k, order)
+    return TruncatedSeries(tuple(c // 2 for c in twice.coeffs))
+
+
+def tail_oracle(k: int, order: int) -> TruncatedSeries:
+    """Every term q^(2n(k+1)) (-q^(2n+2);q^2)oo / (q^(2n);q^2)oo expanded in
+    q on its own at the full order, shifted into place and added."""
+    oracle = TruncatedSeries.zero(order)
+    n = k + 1
+    while 2 * n * (k + 1) <= order:
+        term = pochhammer_quotient([QPochhammerSpec(-1, 2 * n + 2, 2)],
+                                   [QPochhammerSpec(1, 2 * n, 2)], order)
+        oracle = oracle + term.shift(2 * n * (k + 1))
+        n += 1
+    return oracle
+
+
+def test_truncated_gauss_rhs_matches_schoolbook_product():
+    # 2 (-q^2;q^2)_k / (q^2;q^2)_k by binomial passes against the schoolbook
+    # product with the tail built term by term in q
+    rng = random.Random(59)
+    for k, order in [(1, 0), (10, 1500)] + [(rng.randint(1, 10), rng.randint(0, 1500))
+                                           for _ in range(5)]:
+        schoolbook = (TruncatedSeries(tuple(even_gauss_ratio(k, order))).scale(2)
+                      * tail_oracle(k, order))
+        assert truncated_gauss_rhs(k, order) == schoolbook, (k, order)
+
+
+def test_gauss_error_tail_leading_exponent():
+    for k in (1, 2, 3):
+        tail = tail_of_rhs(k, 120)
+        lead = 2 * (k + 1) ** 2
+        assert all(c == 0 for c in tail.coeffs[:lead])
+        assert tail.coefficient(lead) == 1
+
+
+def test_gauss_error_tail_matches_per_term_oracle():
+    # the tail read back from the right side against the per-term oracle;
+    # odd and even orders, and orders at which a term's lead lands on the
+    # order or next to it
+    rng = random.Random(61)
+    for k in (1, 2, 3, 5):
+        leads = [2 * n * (k + 1) for n in range(k + 1, k + 5)]
+        orders = [0, 1, 2, rng.randint(3, 400), rng.randint(3, 400)]
+        for order in orders + [e + d for e in leads for d in (-1, 0, 1)]:
+            assert tail_of_rhs(k, order) == tail_oracle(k, order), (k, order)
+
+
 def horner_oracle(first: int, exponent, factors, order: int) -> TruncatedSeries:
     """sum_{n>=first} q^(e(n)-e(first)) h_(first+1)...h_n term by term:
     each summand kept at the full order, built by one mul_binomial or
