@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
+from operator import add
 
 from .series import (
     TruncatedSeries,
     _divide_by_euler,
-    div_binomial,
     pochhammer_quotient,
     require_order,
 )
@@ -142,22 +143,22 @@ def p_bruteforce(n: int) -> int:
 def count_restricted(rule: PartResidueRule, n_max: int) -> PartitionTable:
     """Restricted partition counts by unbounded-knapsack DP.
 
-    Admitting a part m divides by (1 - q^m), i.e. values[i] += values[i - m]
-    for i = m, m+1, ...: one series.div_binomial pass, which reads the
-    values it has just finished.  A part m with 2m > n_max fits at most
-    once and never beside another such part, so admitting all of those to
-    [1, 0, ...] just sets values[m] = 1; the other parts follow largest
-    first, which keeps most values counted so far small.  The DP never
-    reaches the division kernel behind r_gf and p_table.
+    Admitting a part m divides by (1 - q^m): out[i] = values[i] + out[i - m].
+    Parts are admitted largest first, so before m every admitted part
+    exceeds m and values[1..m] are 0.  Then out[m] = 1, out[i] = values[i]
+    for m < i < 2m, and the lagged pass runs only from 2m on, in place: the
+    tail from 2m is cut off and appended back with its lag, an iterator over
+    values that reads out[i - m] when out[i] is appended (for 2m > n_max the
+    tail is empty).  The DP never reaches the division kernel behind r_gf
+    and p_table.
     """
     values = [0] * (require_order(n_max, "n_max") + 1)
     values[0] = 1
-    half = n_max // 2
     for part in rule.allowed_parts(n_max)[::-1]:
-        if part > half:
-            values[part] = 1
-        else:
-            values = div_binomial(values, -1, part)
+        values[part] = 1
+        tail = values[2 * part:]
+        del values[2 * part:]
+        values.extend(map(add, tail, islice(values, part, None)))
     return PartitionTable(n_max, tuple(values), rule)
 
 

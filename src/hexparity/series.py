@@ -549,9 +549,8 @@ _REVERSE_BYTE = bytes(_NIBBLE_REVERSE[v & 15] << 4 | _NIBBLE_REVERSE[v >> 4] for
 class ParitySeries:
     """Coefficients mod 2, bit n of `bits` being the parity of q^n.
 
-    Multiplication is carry-less and squaring is a bit spread.  The static
-    kernels work on raw bit ints, where multiplying by (1 + q^m) is one
-    shifted XOR, so congruence checks scale to order ~10^7.
+    The static kernels work on raw bit ints, where multiplying by (1 + q^m)
+    is one shifted XOR, so congruence checks scale to order ~10^7.
     """
 
     order: int
@@ -572,22 +571,6 @@ class ParitySeries:
             if 0 <= n <= order:
                 buf[n >> 3] |= 1 << (n & 7)
         return ParitySeries(order, int.from_bytes(buf, "little"))
-
-    def _mask(self, order: int) -> int:
-        return (1 << (order + 1)) - 1
-
-    def __mul__(self, other: "ParitySeries") -> "ParitySeries":
-        n = min(self.order, other.order)
-        m = self._mask(n)
-        a, b = self.bits & m, other.bits & m
-        if a.bit_count() > b.bit_count():
-            a, b = b, a
-        acc = 0
-        while a:
-            low = a & -a
-            acc ^= b << (low.bit_length() - 1)
-            a ^= low
-        return ParitySeries(n, acc & m)
 
     @staticmethod
     def spread_bits(bits: int) -> int:
@@ -654,26 +637,6 @@ class ParitySeries:
         for m in odd:
             bits ^= bits >> m
         return bits
-
-    def square(self) -> "ParitySeries":
-        """Frobenius: squaring mod 2 doubles every exponent."""
-        low = self.bits & self._mask(self.order // 2)
-        return ParitySeries(self.order, self.spread_bits(low))
-
-    def inverse(self) -> "ParitySeries":
-        """Newton inversion over GF(2): x -> a*x^2 doubles the precision.
-
-        Each step runs at the precision it reaches, 2*top + 1 from an x
-        exact up to q^top (capped at the order): self masked there times
-        x^2.
-        """
-        if not self.bits & 1:
-            raise NonUnitConstantTerm("constant term is 0 mod 2")
-        x = ParitySeries(0, 1)
-        while x.order < self.order:
-            top = min(2 * x.order + 1, self.order)
-            x = ParitySeries(top, self.bits & self._mask(top)) * ParitySeries(top, x.bits).square()
-        return x
 
     def __repr__(self) -> str:
         return f"ParitySeries(order={self.order}, weight={self.bits.bit_count()})"

@@ -194,7 +194,7 @@ def test_dp_route_does_not_use_the_division_kernel(monkeypatch):
 def test_restricted_dp_matches_gf_at_every_order():
     # every size from 1 to 151 passes the perfect squares, so that each
     # part m meets sizes below, at and above m*m, and the sizes 2m - 1, 2m
-    # and 2m + 1, where m leaves or joins the DP's closed start
+    # and 2m + 1, where the lagged pass of m starts or stays empty
     for rule in ALL_RULES:
         for n_max in range(151):
             table = count_restricted(rule, n_max)
@@ -202,8 +202,8 @@ def test_restricted_dp_matches_gf_at_every_order():
 
 
 def test_restricted_dp_matches_gf_on_multi_limb_counts():
-    # at 2000 the counts run to several limbs, and the DP's closed start
-    # (every part above 1000 set to 1) and its largest-first passes are
+    # at 2000 the counts run to several limbs, and the DP's largest-first
+    # passes (every part above 1000 only setting its own count to 1) are
     # checked against the product route
     for rule in ALL_RULES:
         table = count_restricted(rule, 2000)

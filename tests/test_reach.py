@@ -3,8 +3,8 @@
 Every REGISTRY entry and every expand target runs in process at a small
 order under a profiler, and every public function and method defined in
 `src/hexparity` must be entered, apart from ALLOWED: names kept for the
-acceptance suite, the benchmark workloads or a planned route.  A
-reference implementation that only tests call belongs beside those tests.
+acceptance suite or the benchmark workloads.  A reference implementation
+that only tests call belongs beside those tests.
 Dunder methods implement Python's data model (operators, hooks, repr), not
 named API, and are not counted.
 """
@@ -27,7 +27,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(hexparity.__file__).resolve().parent
 ACCEPTANCE = "tests/test_acceptance.py"
 WORKLOADS = "perfbench/workloads.py"
-ROADMAP_3 = "ROADMAP item 3: the Euler route to p(n) mod 2"
 
 # name -> (why it stays, the name through which that file reaches it)
 ALLOWED = {
@@ -44,8 +43,6 @@ ALLOWED = {
     "theta.quintuple_sum_families": (WORKLOADS, "quintuple_sides"),
     "theta.rr_G": (ACCEPTANCE, "rr_G"),
     "theta.rr_H": (ACCEPTANCE, "rr_H"),
-    "series.ParitySeries.inverse": (ROADMAP_3, None),
-    "series.ParitySeries.square": (ROADMAP_3, None),
 }
 
 
@@ -112,6 +109,5 @@ def test_every_public_function_is_reached_by_a_command():
     assert not ALLOWED.keys() & reached, f"reached, so not needed in ALLOWED: " \
                                          f"{sorted(ALLOWED.keys() & reached)}"
     for name, (reason, used) in ALLOWED.items():
-        if used is not None:
-            text = (ROOT / reason).read_text()
-            assert re.search(rf"\b{used}\b", text), f"{reason} does not use {used} ({name})"
+        text = (ROOT / reason).read_text()
+        assert re.search(rf"\b{used}\b", text), f"{reason} does not use {used} ({name})"
