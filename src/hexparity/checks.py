@@ -24,7 +24,7 @@ from .partitions import (
 )
 from .report import CheckReport, Stopwatch, Violation, empirical_report, proved_report
 from .series import ParitySeries, TruncatedSeries, require_order
-from .squares import SquareProgression, index_set, indicator_bits, verify_set_equivalence
+from .squares import SquareProgression, index_set, verify_set_equivalence
 from .theta import (
     PART_S,
     _require_s,
@@ -63,14 +63,14 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def theorem1_progression(part: int, s: int) -> SquareProgression:
-    if part == 1:
+def theorem1_progression(s: int) -> SquareProgression:
+    if part_of(s) == 1:
         return SquareProgression(120, (3 * s - 5) ** 2)
     return SquareProgression(40, s * s)
 
 
-def corollary2_progression(part: int, s: int) -> SquareProgression:
-    if part == 1:
+def corollary2_progression(s: int) -> SquareProgression:
+    if part_of(s) == 1:
         return SquareProgression(20, (s - 1) ** 2)
     return SquareProgression(15, (s + 1) ** 2 // 4)
 
@@ -85,14 +85,6 @@ def _counts(rule: PartResidueRule, order: int) -> PartitionTable:
     """The counts rule admits, to order, read off the generating function
     (r_gf)."""
     return PartitionTable(order, r_gf(rule, order).coeffs, rule)
-
-
-def _require_table(table: PartitionTable, rule: PartResidueRule | None,
-                   order: int) -> None:
-    """A supplied table must count what the check needs, up to its order."""
-    _require(table.rule == rule,
-             f"table counts {table.rule or 'p(n)'}, this check needs {rule or 'p(n)'}")
-    _require(table.n_max >= order, "table shorter than requested order")
 
 
 def _require_input(name: str, series, order: int) -> None:
@@ -111,23 +103,26 @@ def check_theorem1(part: int, s: int, order: int,
     _validate_part_s(part, s)
     watch = Stopwatch()
     if use_parity_fastpath:
-        lhs = (parities or regime_sum_parities((s,), order))[s]
+        parities = parities or regime_sum_parities((s,), order)
+        _require(s in parities, f"parities holds no series for s = {s}")
+        lhs = parities[s]
         _require_input("parities", lhs, order)
     else:
         lhs = regime_sum(s, order).reduce_mod2()
-    rhs_bits = indicator_bits(theorem1_progression(part, s), order)
     return proved_report(
         f"theorem1.part{part}.s{s}",
         {"part": part, "s": s, "order": order,
          "path": "parity" if use_parity_fastpath else "bigint"},
-        _bit_violations(lhs.bits, rhs_bits, order),
+        _bit_violations(lhs.bits, theorem1_progression(s), order),
         watch.elapsed_ms(),
     )
 
 
-def _bit_violations(lhs: int, rhs: int, order: int) -> list[Violation]:
-    """A Violation(n, lhs bit, rhs bit) for each n <= order where the packed
-    parity series lhs, cut to order, and rhs differ, in increasing n."""
+def _bit_violations(lhs: int, target: SquareProgression, order: int) -> list[Violation]:
+    """A Violation(n, lhs bit, target bit) for each n <= order where the
+    packed parity series lhs, cut to order, and the indicator of target
+    differ, in increasing n."""
+    rhs = ParitySeries.from_bit_positions(order, index_set(target, order)).bits
     lhs &= (1 << (order + 1)) - 1
     if lhs == rhs:
         return []
@@ -140,19 +135,23 @@ def _bit_violations(lhs: int, rhs: int, order: int) -> list[Violation]:
     return violations
 
 
-def _parity_sum_violations(p: PartitionTable, ks: list[int],
+def _parity_sum_violations(p: PartitionTable | None, shifts: SquareProgression,
                            target: SquareProgression, order: int) -> list[Violation]:
-    """Points n <= order where the parity of sum_{k in ks} p(n-k) is not
-    the truth of target at n.
+    """Points n <= order where the parity of sum p(n-k), over the k with
+    shifts true at k, is not the truth of target at n; p, when given, is
+    a p(n) table to order or beyond, else p_table(order) is built.
 
-    Mod 2 the sums are one GF(2) product: the indicator of ks times
+    Mod 2 the sums are one GF(2) product: the indicator of shifts times
     sum (p(n) mod 2) q^n, i.e. the XOR of the shifted parity bits.
     """
+    if p is None:
+        p = p_table(order)
+    p.require(None, order)
     parity = TruncatedSeries(p.values[: order + 1]).reduce_mod2().bits
     lhs = 0
-    for k in ks:
+    for k in index_set(shifts, order):
         lhs ^= parity << k
-    return _bit_violations(lhs, indicator_bits(target, order), order)
+    return _bit_violations(lhs, target, order)
 
 
 def check_corollary2(part: int, s: int, order: int,
@@ -161,14 +160,10 @@ def check_corollary2(part: int, s: int, order: int,
     associated progression value is a perfect square."""
     _validate_part_s(part, s)
     watch = Stopwatch()
-    if p is None:
-        p = p_table(order)
-    _require_table(p, None, order)
-    ks = index_set(corollary2_progression(part, s), order)
     return proved_report(
         f"corollary2.part{part}.s{s}",
         {"part": part, "s": s, "order": order},
-        _parity_sum_violations(p, ks, theorem1_progression(part, s), order),
+        _parity_sum_violations(p, corollary2_progression(s), theorem1_progression(s), order),
         watch.elapsed_ms(),
     )
 
@@ -179,14 +174,10 @@ def check_s_pair(a: int, b: int, order: int, p: PartitionTable | None = None):
     S set; controls outside S are expected to fail, at every n recorded."""
     _require(a >= 1 and b >= 1, "a and b must be positive")
     watch = Stopwatch()
-    if p is None:
-        p = p_table(order)
-    _require_table(p, None, order)
-    ks = index_set(SquareProgression(a, 1), order)
     return empirical_report(
         f"spair.a{a}.b{b}",
         {"a": a, "b": b, "order": order, "in_s_set": (a, b) in S_PAIRS},
-        _parity_sum_violations(p, ks, SquareProgression(b, 1), order),
+        _parity_sum_violations(p, SquareProgression(a, 1), SquareProgression(b, 1), order),
         watch.elapsed_ms(),
     )
 
@@ -232,11 +223,10 @@ def check_truncated_gauss(k: int, order: int, factor: TruncatedSeries | None = N
 def check_set_equivalence(s: int, statement: str, bound: int):
     """The exponent set behind theorem1 (the rho families) or corollary2
     (the decomposition families) against its square progression."""
-    part = part_of(s)
     if statement == "theorem1":
-        families, prog = rho_families(s), theorem1_progression(part, s)
+        families, prog = rho_families(s), theorem1_progression(s)
     elif statement == "corollary2":
-        families, prog = decomposition_families(s), corollary2_progression(part, s)
+        families, prog = decomposition_families(s), corollary2_progression(s)
     else:
         raise ValueError(f"unknown statement {statement!r}")
     return verify_set_equivalence(families, prog, bound,
@@ -347,9 +337,13 @@ def check_conjecture2(part: int, s: int, k: int, order: int,
     """
     _validate_part_s(part, s)
     _require(k >= 1, "k must be >= 1")
+    for reading in readings:
+        _require(reading in READINGS["both"],
+                 f"readings must be {INNER_SIGN_ALTERNATING!r} or "
+                 f"{INNER_SIGN_LITERAL!r}, got {reading!r}")
     rule = PartResidueRule(s)
     tables = tables or _counts(rule, order)
-    _require_table(tables, rule, order)
+    tables.require(rule, order)
     rho = bilateral_sum(rho_families(s), order)
     outer = 1 if k % 2 == 0 else -1
 

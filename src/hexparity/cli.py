@@ -32,7 +32,7 @@ from . import (
 from .checks import READINGS, REGISTRY, run_check, theorem1_progression
 from .report import Stopwatch
 from .series import require_order
-from .theta import PART_S, part_of, rho_families, rogers_ramanujan_sum
+from .theta import PART_S, rho_families, rogers_ramanujan_sum
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -106,8 +106,8 @@ EXPAND_TARGETS = {
     "regime4": (PART_S[2], lambda s, n: regime4_sum(s, n).coeffs),
     "eq41": (PART_S[1], lambda s, n: bilateral_sum(rho_families(s), n).coeffs),
     "eq42": (PART_S[2], lambda s, n: bilateral_sum(rho_families(s), n).coeffs),
-    "indicator": (PART_S[1] + PART_S[2], lambda s, n: indicator_series(
-        theorem1_progression(part_of(s), s), n).coeffs),
+    "indicator": (PART_S[1] + PART_S[2],
+                  lambda s, n: indicator_series(theorem1_progression(s), n).coeffs),
 }
 
 

@@ -34,7 +34,7 @@ class OracleBoundExceeded(ValueError):
 
 
 class TableTooSmall(ValueError):
-    """A decomposition needs p(n) values beyond the supplied table."""
+    """A check or route needs counts beyond the supplied table."""
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,14 @@ class PartitionTable:
     def __getitem__(self, n: int) -> int:
         return self.values[n]
 
+    def require(self, rule: PartResidueRule | None, order: int) -> None:
+        """A table handed to a check or route must count what it needs,
+        rule (None for p(n)), up to order."""
+        if self.rule != rule:
+            raise ValueError(f"table counts {self.rule or 'p(n)'}, need {rule or 'p(n)'}")
+        if self.n_max < order:
+            raise TableTooSmall(f"table stops at {self.n_max}, need {order}")
+
 
 def p_table(n_max: int) -> PartitionTable:
     """p(0..n_max): [1, 0, ...] divided by (q;q)oo.
@@ -171,10 +179,7 @@ def r_gf(rule: PartResidueRule, order: int) -> TruncatedSeries:
 def r_decomposed(rule: PartResidueRule, order: int, p: PartitionTable) -> TruncatedSeries:
     """Decomposition route: the restricted counts to `order` as one product
     of the families' bilateral theta series with the p(n) table."""
-    if p.rule is not None:
-        raise ValueError(f"decomposition needs a p(n) table, got counts for {p.rule}")
-    if p.n_max < order:
-        raise TableTooSmall(f"table stops at {p.n_max}, need {order}")
+    p.require(None, order)
     theta = bilateral_sum(decomposition_families(rule.s), order)
     return theta * TruncatedSeries(p.values[: order + 1])
 

@@ -201,11 +201,6 @@ class TruncatedSeries:
         n = self.order
         return TruncatedSeries((0,) * min(m, n + 1) + self.coeffs[: max(n + 1 - m, 0)])
 
-    def times_quotient(self, numerators, denominators) -> "TruncatedSeries":
-        """self * prod(numerators) / prod(denominators), by the route of
-        pochhammer_quotient (_quotient_times)."""
-        return _quotient_times(self, numerators, denominators, self.order)
-
     def stretch(self, factor: int, order: int) -> "TruncatedSeries":
         """Substitute q -> q^factor, returning a series of the given order.
 
@@ -477,19 +472,12 @@ def _divide_by_euler(coeffs: list[int], d: int, times: int) -> None:
         coeffs[r::d] = run
 
 
-def pochhammer_quotient(numerators, denominators, order: int) -> TruncatedSeries:
-    """Expand prod(numerators) / prod(denominators) up to q^order.
-
-    The one expansion entry point for q-Pochhammer products, with its method
-    form TruncatedSeries.times_quotient; both run _quotient_times.
-    """
-    return _quotient_times(None, numerators, denominators, order)
-
-
-def _quotient_times(start: TruncatedSeries | None, numerators, denominators,
-                    order: int) -> TruncatedSeries:
+def pochhammer_quotient(numerators, denominators, order: int,
+                        start: TruncatedSeries | None = None) -> TruncatedSeries:
     """start * prod(numerators) / prod(denominators) up to q^order, start
-    None standing for 1, by one route for every spec list.
+    None standing for 1: the one expansion entry point for q-Pochhammer
+    products, by one route for every spec list.  A start shorter than order
+    raises OrderExceeded.
 
     The quotient, written as lead * prod (1 - q^m)^c[m]
     (_binomial_exponents), is split into numerator / (q^d;q^d)oo^k:
@@ -515,6 +503,8 @@ def _quotient_times(start: TruncatedSeries | None, numerators, denominators,
     there a dense numerator: theta.truncated_gauss_rhs, whose quotient has
     that shape, divides by Gauss's theta series instead.
     """
+    if start is not None and start.order < order:
+        raise OrderExceeded(f"start stops at {start.order}, need {order}")
     lead, c = _binomial_exponents(numerators, denominators, order)
     net = sum(c)
     d, k = 1, 0

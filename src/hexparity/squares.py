@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .report import Stopwatch, Violation, proved_report
-from .series import ParitySeries, TruncatedSeries, require_order
+from .series import TruncatedSeries, require_order
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,6 @@ def indicator_series(p: SquareProgression, order: int) -> TruncatedSeries:
     for k in index_set(p, order):
         out[k] = 1
     return TruncatedSeries(tuple(out))
-
-
-def indicator_bits(p: SquareProgression, order: int) -> int:
-    """The indicator packed as an int, for parity-path comparisons."""
-    return ParitySeries.from_bit_positions(order, index_set(p, order)).bits
 
 
 def multiplicity_map(families, bound: int) -> dict[int, int]:

@@ -544,7 +544,7 @@ def regime3_product(s: int, order: int) -> TruncatedSeries:
     regime3_sum is a genuinely independent route."""
     _require_s(s, 1)
     half = rogers_ramanujan_sum(0 if s == 2 else 1, (order + 1) // 2)
-    return half.stretch(2, order).times_quotient([], [ODD_PARTS])
+    return pochhammer_quotient([], [ODD_PARTS], order, half.stretch(2, order))
 
 
 def r_factors(s: int) -> tuple[list[QPochhammerSpec], list[QPochhammerSpec]]:

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from hexparity.checks import (
+    INNER_SIGN_LITERAL,
     S_PAIRS,
     _parity_sum_violations,
     check_conjecture1,
@@ -29,8 +30,10 @@ from hexparity.checks import (
 from hexparity.partitions import (
     PartResidueRule,
     PartitionTable,
+    TableTooSmall,
     count_restricted,
     p_table,
+    r_decomposed,
     regime3_rule,
     regime4_rule,
 )
@@ -187,8 +190,8 @@ def parity_sum_violations_oracle(p, ks, target, order):
 def parity_scans():
     """(index progression, target) of every corollary2 instance, every
     S-pair and the failing controls."""
-    scans = [(corollary2_progression(part, s), theorem1_progression(part, s))
-             for part, s in ALL_INSTANCES]
+    scans = [(corollary2_progression(s), theorem1_progression(s))
+             for _, s in ALL_INSTANCES]
     scans += [(SquareProgression(a, 1), SquareProgression(b, 1))
               for a, b in S_PAIRS + S_PAIR_CONTROLS]
     return scans
@@ -199,9 +202,8 @@ def test_parity_sum_violations_match_double_loop():
     for order in (0, 1, 7, 8, 9, 17, 1200):
         p = p_table(order)
         for index_prog, target in parity_scans():
-            ks = index_set(index_prog, order)
-            got = _parity_sum_violations(p, ks, target, order)
-            want = parity_sum_violations_oracle(p, ks, target, order)
+            got = _parity_sum_violations(p, index_prog, target, order)
+            want = parity_sum_violations_oracle(p, index_set(index_prog, order), target, order)
             assert got == want, (index_prog, target, order)
     p = p_table(1200)
     for a, b in S_PAIR_CONTROLS:
@@ -217,9 +219,9 @@ def test_parity_sum_violations_dense_tables():
         table = PartitionTable(order, tuple(rng.randint(-2**70, 2**70)
                                             for _ in range(order + 1)))
         for index_prog, target in parity_scans():
-            ks = index_set(index_prog, order)
-            got = _parity_sum_violations(table, ks, target, order)
-            want = parity_sum_violations_oracle(table, ks, target, order)
+            got = _parity_sum_violations(table, index_prog, target, order)
+            want = parity_sum_violations_oracle(table, index_set(index_prog, order),
+                                                target, order)
             assert got == want, (index_prog, target, order)
 
 
@@ -593,6 +595,48 @@ def test_p_table_checks_reject_count_tables():
     with pytest.raises(ValueError):
         check_s_pair(6, 8, 50, p=counts)
     assert check_corollary2(1, 2, 50, p=p_table(50)).status == "PASS"
+
+
+def test_table_users_share_one_table_rule():
+    # r_decomposed and the three checks that take a table refuse a count
+    # table for another rule, and a table too short, with the error and
+    # message of PartitionTable.require itself
+    order = 50
+    users = [
+        (None, lambda t: r_decomposed(regime3_rule(2), order, t)),
+        (None, lambda t: check_corollary2(1, 2, order, p=t)),
+        (None, lambda t: check_s_pair(6, 8, order, p=t)),
+        (regime3_rule(2), lambda t: check_conjecture2(1, 2, 1, order, tables=t)),
+    ]
+    for rule, call in users:
+        right = p_table if rule is None else lambda n, rule=rule: count_restricted(rule, n)
+        for table in (count_restricted(regime4_rule(1), order), right(order - 1)):
+            with pytest.raises(ValueError) as want:
+                table.require(rule, order)
+            with pytest.raises(ValueError) as got:
+                call(table)
+            assert type(got.value) is type(want.value), (rule, table.rule)
+            assert str(got.value) == str(want.value), (rule, table.rule)
+        call(right(order))
+    with pytest.raises(TableTooSmall, match="^table stops at 49, need 50$"):
+        p_table(49).require(None, order)
+    with pytest.raises(ValueError, match=r"^table counts PartResidueRule\(s=1\), need p\(n\)$"):
+        count_restricted(regime4_rule(1), order).require(None, order)
+
+
+def test_conjecture2_rejects_an_unknown_reading():
+    # a reading outside READINGS["both"] is refused by name, not scored as
+    # the literal one
+    with pytest.raises(ValueError, match="got 'bogus'"):
+        check_conjecture2(1, 2, 1, 50, readings=("bogus",))
+    with pytest.raises(ValueError, match="got 'j'"):
+        check_conjecture2(1, 2, 1, 50, readings=(INNER_SIGN_LITERAL, "j"))
+
+
+def test_theorem1_parities_without_its_s_raise_by_name():
+    # parities walked for the other part hold no series for s
+    with pytest.raises(ValueError, match="^parities holds no series for s = 2$"):
+        check_theorem1(1, 2, 60, True, parities=regime_sum_parities((1, 3), 60))
 
 
 def test_theorem1_pair_walk_is_built_only_for_both_instances(monkeypatch):

@@ -526,8 +526,8 @@ def euler_divisions(monkeypatch) -> list[tuple[int, int]]:
 def test_division_kernel_matches_binomial_passes(monkeypatch):
     # the division by (q^d;q^d)oo^k against the binomial passes, on
     # [1, 0, ...] and on random start lists: spec lists in q^d for d = 1, 2
-    # and 5 (pochhammer_quotient and times_quotient, whether or not they
-    # divide) and the division alone, at orders 0..3 and g - 1, g and g + 1
+    # and 5 (pochhammer_quotient without and with a start, whether or not
+    # they divide) and the division alone, at orders 0..3 and g - 1, g and g + 1
     # for pentagonal numbers g, where the Euler division takes on a lag and
     # starts a new segment; the division alone also at 300
     orders = sorted({0, 1, 2, 3} | {g + e for g in PENTAGONAL for e in (-1, 0, 1)})
@@ -558,7 +558,7 @@ def test_division_kernel_matches_binomial_passes(monkeypatch):
         assert pochhammer_quotient(numerators, denominators, order).coeffs == tuple(want)
         start = sparse_series(rng, order)
         want_times = expand_by_passes(list(start.coeffs), numerators, denominators)
-        got_times = start.times_quotient(numerators, denominators)
+        got_times = pochhammer_quotient(numerators, denominators, order, start)
         assert got_times.coeffs == tuple(want_times), (num, den, order)
         if not divisions:
             continue
@@ -588,7 +588,7 @@ def test_offsets_above_the_step_match_binomial_passes(monkeypatch):
     # be dense: o a multiple of t and not, both signs, t = 1..5, alone on
     # either side, beside a partition-type denominator (net < 0), and in
     # the shape (-q^(o+t);q^t)oo / (q^o;q^t)oo; orders 0, 1, t, o - 1, o,
-    # o + 1 and one up to 200.  pochhammer_quotient and times_quotient
+    # o + 1 and one up to 200.  pochhammer_quotient without and with a start
     # against the binomial passes on the specs as given
     rng = random.Random(67)
     divisions = euler_divisions(monkeypatch)
@@ -614,7 +614,7 @@ def test_offsets_above_the_step_match_binomial_passes(monkeypatch):
                         seen.add("net < 0" if divisions else "net >= 0")
                         start = sparse_series(rng, order)
                         want = expand_by_passes(list(start.coeffs), numerators, denominators)
-                        got = start.times_quotient(numerators, denominators)
+                        got = pochhammer_quotient(numerators, denominators, order, start)
                         assert got.coeffs == tuple(want), (num, den, order)
     assert seen == {"net < 0", "net >= 0"}, seen
 
@@ -673,12 +673,25 @@ def test_both_kernels_share_the_error_contract():
         assert type(routed.value) is ValueError
         assert str(routed.value) == str(passes.value)
         with pytest.raises(ValueError) as routed:
-            TruncatedSeries.one(30).times_quotient([], denominators)
+            pochhammer_quotient([], denominators, 30, TruncatedSeries.one(30))
         assert str(routed.value) == str(passes.value)
         with pytest.raises(ValueError):
             pochhammer_quotient(extra, [], -1)
     with pytest.raises(ValueError):
         _binomial_exponents([], [], -1)
+
+
+def test_start_must_reach_the_order():
+    # a start shorter than the order raises, where the product with it
+    # would cut the result to the start's order; a longer one is cut to
+    # the order
+    specs = ([QPochhammerSpec(1, 2, 3)], [QPochhammerSpec(1, 1, 1)])
+    for order in (0, 1, 40):
+        with pytest.raises(OrderExceeded):
+            pochhammer_quotient(*specs, order + 1, TruncatedSeries.one(order))
+        want = pochhammer_quotient(*specs, order)
+        assert pochhammer_quotient(*specs, order, TruncatedSeries.one(order)) == want
+        assert pochhammer_quotient(*specs, order, TruncatedSeries.one(order + 9)) == want
 
 
 def test_coefficient_access():

@@ -719,12 +719,13 @@ def test_products_take_no_binomial_pass(monkeypatch):
     # every spec list the package builds runs the one quotient route (the
     # recurrence, a sparse multiply, the Euler divisions), never a binomial
     # pass: mul_binomial and div_binomial, in every module that holds them,
-    # record any call made while pochhammer_quotient or times_quotient
-    # runs.  Each builder below enters the route at least once
+    # record any call made while pochhammer_quotient runs, spied on in each
+    # module that binds it.  Each builder below enters the route at least
+    # once
     import hexparity.series as series
     from hexparity import partitions
 
-    route, depth, passes, entries = series._quotient_times, [], [], []
+    route, depth, passes, entries = series.pochhammer_quotient, [], [], []
 
     def tracked(*args):
         entries.append(1)
@@ -734,7 +735,8 @@ def test_products_take_no_binomial_pass(monkeypatch):
         finally:
             depth.pop()
 
-    monkeypatch.setattr(series, "_quotient_times", tracked)
+    for module in (series, theta, partitions):
+        monkeypatch.setattr(module, "pochhammer_quotient", tracked)
     for module in (series, theta, partitions):
         for name in ("mul_binomial", "div_binomial"):
             if hasattr(module, name):
@@ -745,7 +747,7 @@ def test_products_take_no_binomial_pass(monkeypatch):
                 monkeypatch.setattr(module, name, spy)
     order = 300
     builders = [
-        *(lambda s=s: pochhammer_quotient(*r_factors(s), order) for s in (1, 2, 3, 4)),
+        *(lambda s=s: series.pochhammer_quotient(*r_factors(s), order) for s in (1, 2, 3, 4)),
         *(lambda s=s: eq41_sides(s, order) for s in (2, 4)),
         *(lambda s=s: eq42_sides(s, order) for s in (1, 3)),
         *(lambda s=s: eq42_sides(s, order, first_decade_exponent=2) for s in (1, 3)),
