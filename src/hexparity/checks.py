@@ -15,6 +15,8 @@ from operator import add, mul
 from typing import Callable
 
 from .partitions import (
+    REGIME_III,
+    REGIME_IV,
     PartResidueRule,
     PartitionTable,
     count_restricted,
@@ -23,7 +25,7 @@ from .partitions import (
     r_gf,
 )
 from .report import CheckReport, Stopwatch, Violation, empirical_report, proved_report
-from .series import ParitySeries, TruncatedSeries, require_order
+from .series import ParitySeries, TruncatedSeries, require_order, require_reach
 from .squares import SquareProgression, index_set, verify_set_equivalence
 from .theta import (
     PART_S,
@@ -87,13 +89,6 @@ def _counts(rule: PartResidueRule, order: int) -> PartitionTable:
     return PartitionTable(order, r_gf(rule, order).coeffs, rule)
 
 
-def _require_input(name: str, series, order: int) -> None:
-    """A supplied TruncatedSeries or ParitySeries must reach the check's
-    order; the check cuts a longer one to it."""
-    _require(series is None or series.order >= order,
-             f"{name} shorter than requested order")
-
-
 def check_theorem1(part: int, s: int, order: int,
                    use_parity_fastpath: bool = False,
                    parities: dict[int, ParitySeries] | None = None):
@@ -106,7 +101,7 @@ def check_theorem1(part: int, s: int, order: int,
         parities = parities or regime_sum_parities((s,), order)
         _require(s in parities, f"parities holds no series for s = {s}")
         lhs = parities[s]
-        _require_input("parities", lhs, order)
+        require_reach("parities", lhs, order)
     else:
         lhs = regime_sum(s, order).reduce_mod2()
     return proved_report(
@@ -195,9 +190,9 @@ def check_rogers(s: int, order: int):
     _require_s(s, 1, 2)
     watch = Stopwatch()
     if part_of(s) == 1:
-        kind, lhs, rhs = "regime3", regime3_sum(s, order), regime3_product(s, order)
+        kind, lhs, rhs = REGIME_III, regime3_sum(s, order), regime3_product(s, order)
     else:
-        kind, lhs, rhs = "regime4", regime4_sum(s, order), regime4_product(s, order)
+        kind, lhs, rhs = REGIME_IV, regime4_sum(s, order), regime4_product(s, order)
     return _compare_series(f"rogers.{kind}.s{s}", {"s": s, "order": order},
                            lhs, rhs, watch)
 
@@ -212,8 +207,6 @@ def check_gauss(order: int):
 def check_truncated_gauss(k: int, order: int, factor: TruncatedSeries | None = None):
     """The truncated Gauss identity at truncation index k >= 1; factor, when
     given, is even_gauss_factor to order or beyond."""
-    _require(k >= 1, "k must be >= 1")
-    _require_input("factor", factor, order)
     watch = Stopwatch()
     lhs, rhs = truncated_gauss_lhs(k, order, factor), truncated_gauss_rhs(k, order)
     return _compare_series(f"truncated_gauss.k{k}", {"k": k, "order": order},
@@ -241,7 +234,7 @@ def _check_identity(part: int, s: int, k: int, order: int,
     the regime sum and truncated_gauss_rhs(k), to order or beyond."""
     _validate_part_s(part, s)
     _require(k >= 1, "k must be >= 1")
-    _require_input("tail", tail, order)
+    require_reach("tail", tail, order)
     watch = Stopwatch()
     if tail is None:
         tail = truncated_gauss_rhs(k, order)
@@ -270,7 +263,7 @@ def conjecture1_difference(part: int, s: int, k: int, order: int,
     """partial_theta(k) * regime sum - bilateral series: the object whose
     coefficient signs the first conjecture predicts."""
     _validate_part_s(part, s)
-    _require_input("regime", regime, order)
+    require_reach("regime", regime, order)
     if regime is None:
         regime = regime_sum(s, order)
     return partial_theta(k, order) * regime - bilateral_sum(rho_families(s), order)
@@ -507,7 +500,7 @@ def run_check(command: str, name: str, order: int | None = None,
     if order is None:
         order = entry.parity_order if fast_parity else entry.default_order
     require_order(order)
-    ks = list(ks or entry.default_ks) if entry.default_ks else []
+    ks = list(ks or entry.default_ks)
     _require(all(k >= 1 for k in ks), "k must be >= 1")
     selected = [i for i in entry.instances
                 if all(i[key] == value for key, value in flags.items()

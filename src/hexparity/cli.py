@@ -144,35 +144,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_flags(p, with_part=True, with_k=False):
+    # with reports, also the flags of the commands that print check reports
+    def common_flags(p, reports=True):
         p.add_argument("--s", type=int, default=None,
                        help="residue parameter (2 or 4 for regime III, 1 or 3 for regime IV)")
-        if with_part:
-            p.add_argument("--part", type=int, choices=(1, 2), default=None,
-                           help="statement part: 1 = regime III, 2 = regime IV")
-        if with_k:
-            p.add_argument("--k", dest="k_list", type=_k_list, metavar="K", default=None,
-                           help="truncation index k, a single value or a range like 1..5")
         p.add_argument("--order", "-N", type=int, default=None,
                        help="truncation order (defaults depend on the check)")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--all-violations", action="store_true",
-                       help="print every violation in text output instead of the first "
-                            f"{TEXT_VIOLATION_LIMIT}")
+        if reports:
+            p.add_argument("--part", type=int, choices=(1, 2), default=None,
+                           help="statement part: 1 = regime III, 2 = regime IV")
+            p.add_argument("--k", dest="k_list", type=_k_list, metavar="K", default=None,
+                           help="truncation index k, a single value or a range like 1..5")
+            p.add_argument("--all-violations", action="store_true",
+                           help="print every violation in text output instead of the first "
+                                f"{TEXT_VIOLATION_LIMIT}")
 
     p_expand = sub.add_parser("expand", help="print series coefficients 0..N")
     p_expand.add_argument("target", choices=tuple(EXPAND_TARGETS))
-    common_flags(p_expand, with_part=False)
+    common_flags(p_expand, reports=False)
 
     p_verify = sub.add_parser("verify", help="run proved-statement checks")
     p_verify.add_argument("check", choices=tuple(REGISTRY["verify"]))
-    common_flags(p_verify, with_k=True)
+    common_flags(p_verify)
     p_verify.add_argument("--fast-parity", action="store_true",
                           help="use the GF(2) bit-block path (theorem1 only)")
 
     p_conj = sub.add_parser("conjecture", help="run empirical conjecture scans")
     p_conj.add_argument("which", choices=tuple(REGISTRY["conjecture"]))
-    common_flags(p_conj, with_k=True)
+    common_flags(p_conj)
     p_conj.add_argument("--reading", choices=tuple(READINGS), default=None,
                         help="inner sign reading for conjecture 2 "
                              "(j = alternating (-1)^j, literal = as displayed; "

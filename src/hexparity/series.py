@@ -39,6 +39,12 @@ def require_order(order: int, what: str = "order") -> int:
     return order
 
 
+def require_reach(name: str, series, order: int) -> None:
+    """Raise OrderExceeded, by name, for a supplied series short of order."""
+    if series is not None and series.order < order:
+        raise OrderExceeded(f"{name} stops at {series.order}, need {order}")
+
+
 # ---------------------------------------------------------------------------
 # binomial passes on coefficient lists
 #
@@ -503,8 +509,7 @@ def pochhammer_quotient(numerators, denominators, order: int,
     there a dense numerator: theta.truncated_gauss_rhs, whose quotient has
     that shape, divides by Gauss's theta series instead.
     """
-    if start is not None and start.order < order:
-        raise OrderExceeded(f"start stops at {start.order}, need {order}")
+    require_reach("start", start, order)
     lead, c = _binomial_exponents(numerators, denominators, order)
     net = sum(c)
     d, k = 1, 0

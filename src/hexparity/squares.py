@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .report import Stopwatch, Violation, proved_report
 from .series import TruncatedSeries, require_order
+from .theta import NegativeExponent
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,14 @@ def indicator_series(p: SquareProgression, order: int) -> TruncatedSeries:
 
 
 def multiplicity_map(families, bound: int) -> dict[int, int]:
-    """How many (family, k) pairs land on each value in [0, bound]."""
+    """How many (family, k) pairs land on each value in [0, bound]; a
+    value below 0 raises NegativeExponent, as in bilateral_sum."""
     hits: Counter[int] = Counter()
     for f in families:
-        hits.update([e for e in map(f.exponent, f.indices_within(bound)) if e >= 0])
+        values = list(map(f.exponent, f.indices_within(bound)))
+        if min(values, default=0) < 0:
+            raise NegativeExponent(f"{f} takes the value {min(values)} < 0")
+        hits.update(values)
     return hits
 
 

@@ -22,6 +22,7 @@ from .series import (
     mul_binomial,
     pochhammer_quotient,
     require_order,
+    require_reach,
 )
 
 
@@ -302,13 +303,13 @@ def even_gauss_factor(order: int) -> TruncatedSeries:
 def truncated_gauss_lhs(k: int, order: int,
                         factor: TruncatedSeries | None = None) -> TruncatedSeries:
     """(-1)^k * (even_gauss_factor * partial_theta(k) - 1); factor, when
-    given, is even_gauss_factor(order)."""
+    given, is even_gauss_factor to order or beyond."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    require_reach("factor", factor, order)
     if factor is None:
         factor = even_gauss_factor(order)
-    prod = factor * partial_theta(k, order)
-    shifted = prod - TruncatedSeries.one(order)
+    shifted = factor * partial_theta(k, order) - TruncatedSeries.one(order)
     return shifted if k % 2 == 0 else -shifted
 
 
@@ -502,24 +503,23 @@ def _backward_parity_walk(schedules, order: int) -> list[ParitySeries]:
     order//2, one half-width shift per step.  Each sum is a backward Horner
     accumulator T = T_e(x) + q T_o(x): a read XORs Y, shifted, into the part
     of the exponent's parity, and an odd step 2k + 1 sets T_e += x^(k+1) T_o
-    and T_o += x^k T_e from the old values.  The parts are then interleaved
-    and multiplied by the odd steps below the first read.  All ints are
-    top-down (x^j at bit order//2 - j), so a right shift drops exactly the
-    terms past the top; at even orders T_o's last term lies past q^order,
-    and the interleave drops it.
+    and T_o += x^k T_e from the old values, down to p = 0 (so also below the
+    first read).  The parts are then interleaved.  All ints are top-down
+    (x^j at bit order//2 - j), so a right shift drops exactly the terms past
+    the top; at even orders T_o's last term lies past q^order, and the
+    interleave drops it.
     """
     steps = max((c for c, _ in schedules), key=len)
     if any(steps[:len(c)] != c for c, _ in schedules):
         raise ValueError("the schedules walk different steps")
-    low = min(p for _, reads in schedules for p in reads)
     halved = [m if m & 1 else m >> 1 for m in steps]
     base = ParitySeries.reciprocal_bits(halved, require_order(order) // 2)
     parts = [[0, 0] for _ in schedules]
-    for p in range(len(steps), low - 1, -1):
+    for p in range(len(steps), -1, -1):
         for part, (_, reads) in zip(parts, schedules):
             if p in reads:
                 part[reads[p] & 1] ^= base >> (reads[p] >> 1)
-        if p > low:
+        if p:
             base ^= base >> halved[p - 1]
             if steps[p - 1] & 1:
                 k = steps[p - 1] >> 1
@@ -531,9 +531,6 @@ def _backward_parity_walk(schedules, order: int) -> list[ParitySeries]:
     for even, odd in parts:
         even, odd = ParitySeries.spread_bits(even), ParitySeries.spread_bits(odd)
         bits = (even << 1) ^ odd if order & 1 else even ^ (odd >> 1)
-        for m in steps[:low]:
-            if m & 1:
-                bits ^= bits >> m
         sums.append(ParitySeries(order, ParitySeries.reverse_bits(bits, order)))
     return sums
 

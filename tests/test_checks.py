@@ -38,7 +38,7 @@ from hexparity.partitions import (
     regime4_rule,
 )
 from hexparity.report import CheckReport, Violation
-from hexparity.series import TruncatedSeries
+from hexparity.series import OrderExceeded, TruncatedSeries
 from hexparity.squares import SquareProgression, index_set, indicator_series
 from hexparity.theta import (
     bilateral_sum,
@@ -571,17 +571,21 @@ def test_conjecture2_rejects_table_for_another_rule():
     (check_truncated_gauss, (1,), {}, "factor", even_gauss_factor),
     (check_theorem1, (1, 2), {"use_parity_fastpath": True}, "parities",
      lambda n: regime_sum_parities((2, 4), n)),
+    # the side itself, which reads the factor
+    (truncated_gauss_lhs, (2,), {}, "factor", even_gauss_factor),
 ], ids=["id1-regime", "id2-tail", "conjecture1-regime", "truncated-gauss-factor",
-        "theorem1-parities"])
+        "theorem1-parities", "truncated-gauss-lhs-factor"])
 def test_supplied_inputs_must_reach_the_order(check, args, flags, keyword, build):
     # an input shorter than the order raises and names itself, where it
     # would shorten the comparison; a longer one is cut to the order, where
     # it would compare points past it
     order = 120
-    with pytest.raises(ValueError, match=f"^{keyword} shorter than requested order"):
+    with pytest.raises(OrderExceeded, match=f"^{keyword} stops at {order - 1}, need {order}$"):
         check(*args, order, **flags, **{keyword: build(order - 1)})
 
     def fields(r):
+        if isinstance(r, TruncatedSeries):
+            return r
         return r.check_id, r.status, r.params, r.violations
 
     want = check(*args, order, **flags)

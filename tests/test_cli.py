@@ -62,6 +62,20 @@ def test_expand_requires_s(capsys):
     assert "requires --s" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("expand p --all-violations", "--all-violations"),
+    ("expand R --s 2 --part 1", "--part 1"),
+    ("expand G --k 1", "--k 1"),
+])
+def test_expand_refuses_the_flags_of_report_commands(capsys, argv, flag):
+    # expand reads --s, --order and --format only; a flag it would drop
+    # is an argparse usage error
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == cli.EXIT_USAGE == 2
+    assert out == ""
+    assert err.endswith(f"error: unrecognized arguments: {flag}\n")
+
+
 def test_expand_records_the_order_used(capsys):
     code, out, _ = run_cli(capsys, "expand", "G", "--format", "json")
     assert code == 0

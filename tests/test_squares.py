@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import math
 import random
+import re
+
+import pytest
 
 from hexparity.squares import (
     SquareProgression,
@@ -14,6 +17,7 @@ from hexparity.squares import (
     verify_set_equivalence,
 )
 from hexparity.theta import (
+    NegativeExponent,
     QuadraticExponentFamily,
     eq41_families,
     r_decomposition_family,
@@ -162,9 +166,9 @@ def set_equivalence_oracle(families, prog, bound):
 
 def test_set_equivalence_failures_report_every_value():
     # collisions (a family twice, k^2 hit from +-k, two families landing on
-    # one value), missing values (one of two families dropped, a wrong
-    # progression) and values below 0 that must be ignored: the report's
-    # violations, histogram and collisions against the oracle's
+    # one value) and missing values (one of two families dropped, a wrong
+    # progression): the report's violations, histogram and collisions
+    # against the oracle's
     square = QuadraticExponentFamily(1, 0, 0)
     cases = [
         (eq41_families(2) * 2, SquareProgression(120, 1)),
@@ -172,7 +176,6 @@ def test_set_equivalence_failures_report_every_value():
         ([square], SquareProgression(1, 0)),
         ([r_decomposition_family(2)], SquareProgression(20, 9)),
         ([r_decomposition_family(2), r_decomposition_family(4)], SquareProgression(20, 1)),
-        ([QuadraticExponentFamily(1, -5, 0)], SquareProgression(3, 1)),
         (rstar_families(1), SquareProgression(15, 1)),
     ]
     for families, prog in cases:
@@ -186,3 +189,15 @@ def test_set_equivalence_failures_report_every_value():
             assert report.status == ("FAIL" if violations else "PASS")
     # the last case is a true equivalence, the others fail at bound 300
     assert [verify_set_equivalence(f, p, 300).status for f, p in cases].count("PASS") == 1
+    # a family with a value below 0 raises, as bilateral_sum does, at every
+    # bound: k(k-5) (e(1..4) < 0), and pentagonal minus 1 (e(0) = -1), whose
+    # values at or above 0 alone would pass against 24n + 25
+    negative = [
+        (QuadraticExponentFamily(1, -5, 0), SquareProgression(3, 1), -6),
+        (QuadraticExponentFamily(3, -1, -2, den=2), SquareProgression(24, 25), -1),
+    ]
+    for family, prog, low in negative:
+        for bound in (0, 1, 40, 10**4):
+            with pytest.raises(NegativeExponent,
+                               match=f"^{re.escape(repr(family))} takes the value {low} < 0$"):
+                verify_set_equivalence([family], prog, bound)
