@@ -142,7 +142,7 @@ def _parity_sum_violations(p: PartitionTable | None, shifts: SquareProgression,
     if p is None:
         p = p_table(order)
     p.require(None, order)
-    parity = TruncatedSeries(p.values[: order + 1]).reduce_mod2().bits
+    parity = p.parity_bits & ((1 << (order + 1)) - 1)
     lhs = 0
     for k in index_set(shifts, order):
         lhs ^= parity << k
@@ -241,7 +241,7 @@ def _check_identity(part: int, s: int, k: int, order: int,
     rhs = tail * bilateral_sum(rho_families(s), order)
     return _compare_series(
         f"id{part}.s{s}.k{k}", {"s": s, "k": k, "order": order},
-        conjecture1_difference(part, s, k, order, regime),
+        _conjecture1_difference(s, k, order, regime),
         -rhs if k % 2 == 1 else rhs, watch,
     )
 
@@ -263,6 +263,13 @@ def conjecture1_difference(part: int, s: int, k: int, order: int,
     """partial_theta(k) * regime sum - bilateral series: the object whose
     coefficient signs the first conjecture predicts."""
     _validate_part_s(part, s)
+    return _conjecture1_difference(s, k, order, regime)
+
+
+def _conjecture1_difference(s: int, k: int, order: int,
+                            regime: TruncatedSeries | None) -> TruncatedSeries:
+    """conjecture1_difference once part and s are validated: the one
+    validation on each check's path is its own."""
     require_reach("regime", regime, order)
     if regime is None:
         regime = regime_sum(s, order)
@@ -276,7 +283,7 @@ def check_conjecture1(part: int, s: int, k: int, order: int,
     _validate_part_s(part, s)
     _require(k >= 1, "k must be >= 1")
     watch = Stopwatch()
-    diff = conjecture1_difference(part, s, k, order, regime)
+    diff = _conjecture1_difference(s, k, order, regime)
     want_sign = 1 if k % 2 == 0 else -1
     return empirical_report(
         f"conjecture1.part{part}.s{s}.k{k}",

@@ -41,21 +41,39 @@ EXIT_INTERNAL = 3
 
 TEXT_VIOLATION_LIMIT = 10
 
+EXPAND_DEFAULT_ORDER = 20
 
-def _document(command: list[str], watch: Stopwatch, **payload) -> dict:
-    doc = {"version": __version__, "command": " ".join(command)}
-    doc.update(payload)
-    doc["total_elapsed_ms"] = watch.elapsed_ms()
-    return doc
+# expand rows per json.dumps call in JSON output: one call per row is slow,
+# one per table holds the whole table's encoding at once
+JSON_ROW_SLICE = 1024
+
+
+def _write_json(command: list[str], watch: Stopwatch, payload: dict, chunks) -> None:
+    """Write json.dumps of {version, command, **payload, total_elapsed_ms}
+    to stdout, one chunk at a time, so no copy of the whole document is
+    held.  The last value of payload ends in the empty list the chunks
+    fill: each chunk is the encoding of one or more of its items, joined
+    by ", ".  total_elapsed_ms is read after the last chunk is written.
+    """
+    # on one line: json's C encoder serves only unindented output, and
+    # `python -m json.tool` indents it for reading
+    text = json.dumps({"version": __version__, "command": " ".join(command), **payload})
+    head, _, tail = text.rpartition("[]")
+    write = sys.stdout.write
+    write(head + "[")
+    sep = ""
+    for chunk in chunks:
+        write(sep)
+        write(chunk)
+        sep = ", "
+    write(f']{tail[:-1]}, "total_elapsed_ms": {watch.elapsed_ms()}}}\n')
 
 
 def _emit_reports(doc_reports, args, command, watch) -> None:
     doc_reports = sorted(doc_reports, key=lambda r: (r.check_id, sorted(r.params.items(), key=str)))
     if args.format == "json":
-        doc = _document(command, watch, reports=[r.to_json_dict() for r in doc_reports])
-        # on one line: json's C encoder serves only unindented output, and
-        # `python -m json.tool` indents it for reading
-        print(json.dumps(doc))
+        _write_json(command, watch, {"reports": []},
+                    (json.dumps(r.to_json_dict()) for r in doc_reports))
         return
     if args.format == "csv":
         print("check_id,status,violations,elapsed_ms")
@@ -76,21 +94,26 @@ def _emit_reports(doc_reports, args, command, watch) -> None:
                 print(f"    collisions: {collisions[:10]}")
 
 
-def _emit_table(rows, args, command, watch, target_params) -> None:
+def _row_slices(coefficients):
+    """The rows {n, coefficient} of coefficients 0.., JSON_ROW_SLICE at a
+    time, each slice encoded as its items joined by ", "."""
+    for lo in range(0, len(coefficients), JSON_ROW_SLICE):
+        rows = [{"n": n, "coefficient": str(c)}
+                for n, c in enumerate(coefficients[lo:lo + JSON_ROW_SLICE], lo)]
+        yield json.dumps(rows)[1:-1]
+
+
+def _emit_table(coefficients, args, command, watch, target_params) -> None:
     if args.format == "json":
-        doc = _document(
-            command, watch,
-            table={"params": target_params,
-                   "rows": [{"n": n, "coefficient": str(c)} for n, c in rows]},
-        )
-        print(json.dumps(doc))
+        _write_json(command, watch, {"table": {"params": target_params, "rows": []}},
+                    _row_slices(coefficients))
         return
     if args.format == "csv":
         print("n,coefficient")
-        for n, c in rows:
+        for n, c in enumerate(coefficients):
             print(f"{n},{c}")
         return
-    for n, c in rows:
+    for n, c in enumerate(coefficients):
         print(f"{n}\t{c}")
 
 
@@ -111,17 +134,18 @@ EXPAND_TARGETS = {
 }
 
 
-def _expand_series(args) -> tuple[list[tuple[int, int]], dict]:
-    """The rows of an expand target and the params they were computed with."""
+def _expand_series(args) -> tuple[tuple[int, ...], dict]:
+    """The coefficients 0..order of an expand target and the params they
+    were computed with."""
     target = args.target
-    order = require_order(args.order if args.order is not None else 20)
+    order = require_order(args.order)
     valid, coefficients = EXPAND_TARGETS[target]
     if valid is None and args.s is not None:
         raise ValueError(f"expand {target} takes no --s")
     if valid is not None and args.s not in valid:
         raise ValueError(f"expand {target} requires --s in {sorted(valid)}")
     params = {"target": target, "s": args.s, "order": order}
-    return list(enumerate(coefficients(args.s, order))), params
+    return coefficients(args.s, order), params
 
 
 def _k_list(text: str) -> list[int]:
@@ -148,8 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common_flags(p, reports=True):
         p.add_argument("--s", type=int, default=None,
                        help="residue parameter (2 or 4 for regime III, 1 or 3 for regime IV)")
-        p.add_argument("--order", "-N", type=int, default=None,
-                       help="truncation order (defaults depend on the check)")
+        p.add_argument("--order", "-N", type=int,
+                       default=None if reports else EXPAND_DEFAULT_ORDER,
+                       help="truncation order (defaults depend on the check)" if reports
+                       else "truncation order (default %(default)s)")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         if reports:
             p.add_argument("--part", type=int, choices=(1, 2), default=None,
@@ -190,8 +216,8 @@ def main(argv: list[str] | None = None) -> int:
     status = EXIT_PASS
     try:
         if args.command == "expand":
-            rows, params = _expand_series(args)
-            _emit_table(rows, args, command, watch, params)
+            coefficients, params = _expand_series(args)
+            _emit_table(coefficients, args, command, watch, params)
         else:
             name = args.check if args.command == "verify" else args.which
             reports, gating = run_check(args.command, name, args.order, args.part,

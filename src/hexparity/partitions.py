@@ -11,7 +11,7 @@ decompositions into shifted p(n) values.  All three must agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import islice
 from operator import add
 
@@ -105,6 +105,12 @@ class PartitionTable:
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]
+
+    @cached_property
+    def parity_bits(self) -> int:
+        """The values mod 2 as one packed int, value n at bit n; reduced
+        once per table, however many scans read it."""
+        return TruncatedSeries(self.values).reduce_mod2().bits
 
     def require(self, rule: PartResidueRule | None, order: int) -> None:
         """A table handed to a check or route must count what it needs,

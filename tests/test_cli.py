@@ -14,6 +14,7 @@ import pytest
 
 from hexparity import cli
 from hexparity.checks import REGISTRY
+from hexparity.report import Stopwatch
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +95,65 @@ def test_json_output_round_trips(capsys):
     assert parsed["reports"][0]["check_id"] == "cross_validate.regime3.s2"
     assert parsed["reports"][0]["status"] == "PASS"
     assert "total_elapsed_ms" in parsed
+    # the streamed document is the one json.dumps gives: a report scan with
+    # a violation list per report, and expand tables of every slice count
+    # around the slice length L (L - 1, L and L + 1 rows, then 2L + 1)
+    slice_rows = cli.JSON_ROW_SLICE
+    code, out, _ = run_cli(capsys, "conjecture", "2", "--order", "300",
+                           "--reading", "literal", "--format", "json")
+    assert code == cli.EXIT_COUNTEREXAMPLE
+    assert json.dumps(json.loads(out)) + "\n" == out
+    for rows in (slice_rows - 1, slice_rows, slice_rows + 1, 2 * slice_rows + 1):
+        code, out, _ = run_cli(capsys, "expand", "p", "--order", str(rows - 1),
+                               "--format", "json")
+        assert code == 0
+        assert json.dumps(json.loads(out)) + "\n" == out, rows
+        assert [row["n"] for row in json.loads(out)["table"]["rows"]] == list(range(rows))
+    # no command expands to 0 rows; the table writer gets them directly
+    args = argparse.Namespace(format="json")
+    cli._emit_table((), args, ["hexparity"], Stopwatch(), {"target": "p"})
+    out = capsys.readouterr().out
+    assert json.loads(out)["table"]["rows"] == []
+    assert json.dumps(json.loads(out)) + "\n" == out
+
+
+class CountingSink(list):
+    """A stdout that keeps each write as one item."""
+
+    def write(self, text: str) -> int:
+        self.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("argv, items", [
+    ("conjecture 2 --order 300 --reading literal", "reports"),
+    ("expand p --order 3000", "rows"),
+])
+def test_json_is_written_one_item_at_a_time(monkeypatch, argv, items):
+    # no single write holds more than the document head and one report's
+    # encoding, or one slice of rows: the whole document is never one string
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    code = cli.main(argv.split() + ["--format", "json"])
+    monkeypatch.undo()
+    assert code in (cli.EXIT_PASS, cli.EXIT_COUNTEREXAMPLE)
+    out = "".join(sink)
+    doc = json.loads(out)
+    opening = f'"{items}": ['
+    head = out[:out.index(opening) + len(opening)]
+    if items == "reports":
+        encodings = [json.dumps(r) for r in doc["reports"]]
+    else:
+        rows = doc["table"]["rows"]
+        encodings = [json.dumps(rows[lo:lo + cli.JSON_ROW_SLICE])[1:-1]
+                     for lo in range(0, len(rows), cli.JSON_ROW_SLICE)]
+    assert len(encodings) > 2
+    longest = max(map(len, sink))
+    assert longest <= len(head) + max(map(len, encodings))
+    assert longest < len(out) // 2
 
 
 def test_verify_theorem1_pass(capsys):
@@ -290,17 +350,20 @@ def test_closed_stdout_is_not_an_internal_error(unbuffered):
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    proc = subprocess.Popen(
-        [sys.executable, "-c",
-         "import sys; from hexparity.cli import main; sys.exit(main(sys.argv[1:]))",
-         "conjecture", "1", "--order", "20", "--format", "csv"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) in (cli.EXIT_PASS, cli.EXIT_COUNTEREXAMPLE)
-    assert "internal error" not in err
-    assert "Traceback" not in err
+    # csv, then a JSON table written in several slices
+    for argv in ("conjecture 1 --order 20 --format csv",
+                 "expand p --order 3000 --format json"):
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from hexparity.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv.split()],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in (cli.EXIT_PASS, cli.EXIT_COUNTEREXAMPLE), argv
+        assert "internal error" not in err, argv
+        assert "Traceback" not in err, argv
 
 
 def test_verify_choices_are_the_registry():

@@ -30,6 +30,7 @@ WORKLOADS = "perfbench/workloads.py"
 
 # name -> (why it stays, the name through which that file reaches it)
 ALLOWED = {
+    "checks.conjecture1_difference": (ACCEPTANCE, "conjecture1_difference"),
     "partitions.p_bruteforce": (ACCEPTANCE, "p_bruteforce"),
     "partitions.r_s_decomposed": (ACCEPTANCE, "r_s_decomposed"),
     "partitions.r_star_decomposed": (ACCEPTANCE, "r_star_decomposed"),
