@@ -6,6 +6,7 @@ GF(2) fast path for parity statements.  The verifier tier re-derives each
 congruence and identity endpoint by at least two independent routes.
 """
 
+from .checks import verify_set_equivalence
 from .partitions import (
     PartitionTable,
     PartResidueRule,
@@ -28,12 +29,7 @@ from .series import (
     TruncatedSeries,
     pochhammer_quotient,
 )
-from .squares import (
-    SquareProgression,
-    index_set,
-    indicator_series,
-    verify_set_equivalence,
-)
+from .squares import SquareProgression, index_set, indicator_series
 from .theta import (
     Monomial,
     NegativeExponent,

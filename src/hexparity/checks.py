@@ -26,7 +26,7 @@ from .partitions import (
 )
 from .report import CheckReport, Stopwatch, Violation, empirical_report, proved_report
 from .series import ParitySeries, TruncatedSeries, require_order, require_reach
-from .squares import SquareProgression, index_set, verify_set_equivalence
+from .squares import SquareProgression, index_set, multiplicity_map
 from .theta import (
     PART_S,
     _require_s,
@@ -213,16 +213,45 @@ def check_truncated_gauss(k: int, order: int, factor: TruncatedSeries | None = N
                            lhs, rhs, watch)
 
 
-def check_set_equivalence(s: int, statement: str, bound: int):
+def verify_set_equivalence(families, p: SquareProgression, bound: int,
+                           check_id: str = "set_equivalence"):
+    """Check that the union of family values equals the progression's
+    index set, every value being hit exactly once.
+
+    Disagreements are reported, not raised: the report lists, in
+    increasing order, each value hit other than exactly once or seen by
+    only one side, and all multiplicity collisions.
+    """
+    require_order(bound, "bound")
+    watch = Stopwatch()
+    families = list(families)
+    hits = multiplicity_map(families, bound)
+    expected = set(index_set(p, bound))
+    collisions = sorted(v for v, m in hits.items() if m > 1)
+    bad = sorted(hits.keys() ^ expected | set(collisions))
+    violations = [Violation(v, hits.get(v, 0), 1 if v in expected else 0) for v in bad]
+    histogram = {str(m): n for m, n in Counter(hits.values()).items()}
+    details = {
+        "bound": bound,
+        "values_hit": len(hits),
+        "multiplicity_histogram": histogram,
+        "collisions": collisions,
+    }
+    params = {"a": p.a, "c": p.c, "bound": bound, "families": len(families)}
+    return proved_report(check_id, params, violations, watch.elapsed_ms(), details)
+
+
+def check_set_equivalence(s: int, statement: str, order: int):
     """The exponent set behind theorem1 (the rho families) or corollary2
-    (the decomposition families) against its square progression."""
+    (the decomposition families) against its square progression, for
+    values up to order."""
     if statement == "theorem1":
         families, prog = rho_families(s), theorem1_progression(s)
     elif statement == "corollary2":
         families, prog = decomposition_families(s), corollary2_progression(s)
     else:
         raise ValueError(f"unknown statement {statement!r}")
-    return verify_set_equivalence(families, prog, bound,
+    return verify_set_equivalence(families, prog, order,
                                   f"set_equivalence.mod{prog.a}.s{s}")
 
 
@@ -456,8 +485,7 @@ REGISTRY: dict[str, dict[str, RegisteredCheck]] = {
             DEFAULT_BOUND_SET_EQUIVALENCE,
             tuple({"s": i["s"], "statement": statement} for i in S_VALUES
                   for statement in ("theorem1", "corollary2")),
-            lambda s, statement, order: check_set_equivalence(s, statement, order),
-        ),
+            check_set_equivalence),
         "cross-validate": RegisteredCheck(
             DEFAULT_ORDER_CONJECTURE, S_VALUES,
             lambda s, order, p=None: cross_validate(PartResidueRule(s), order, p), (P_TABLE,)),

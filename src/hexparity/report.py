@@ -14,7 +14,7 @@ PROVED_STATUSES = (PASS, FAIL)
 EMPIRICAL_STATUSES = (EMPIRICAL_PASS, EMPIRICAL_COUNTEREXAMPLE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One point of disagreement: position n, left value, right value."""
 

@@ -1,11 +1,11 @@
-"""Squares in arithmetic progressions and exponent-set equivalences.
+"""Squares in arithmetic progressions and the values of exponent families.
 
 The congruence theorems identify {n : a*n + c is a perfect square} with the
 value sets of explicit integer quadratics.  This module builds index sets
-(exactly, by integer square roots) and indicator series, and
-machine-checks those set equivalences with multiplicity tracking: the
-mod-2 reading of the theorems needs every qualifying value to be hit by
-exactly one (family, k) pair, so collisions are part of the report.
+(exactly, by integer square roots) and indicator series, and counts how
+many (family, k) pairs land on each value: the mod-2 reading of the
+theorems needs every qualifying value hit exactly once, which
+checks.verify_set_equivalence reports.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .report import Stopwatch, Violation, proved_report
 from .series import TruncatedSeries, require_order
-from .theta import NegativeExponent
 
 
 @dataclass(frozen=True)
@@ -62,39 +60,8 @@ def indicator_series(p: SquareProgression, order: int) -> TruncatedSeries:
 
 def multiplicity_map(families, bound: int) -> dict[int, int]:
     """How many (family, k) pairs land on each value in [0, bound]; a
-    value below 0 raises NegativeExponent, as in bilateral_sum."""
+    family with a value below 0 raises NegativeExponent."""
     hits: Counter[int] = Counter()
     for f in families:
-        values = list(map(f.exponent, f.indices_within(bound)))
-        if min(values, default=0) < 0:
-            raise NegativeExponent(f"{f} takes the value {min(values)} < 0")
-        hits.update(values)
+        hits.update(e for _, e in f.exponents_within(bound))
     return hits
-
-
-def verify_set_equivalence(families, p: SquareProgression, bound: int,
-                           check_id: str = "set_equivalence"):
-    """Check that the union of family values equals the progression's
-    index set, every value being hit exactly once.
-
-    Disagreements are reported, not raised: the report lists, in
-    increasing order, each value hit other than exactly once or seen by
-    only one side, and all multiplicity collisions.
-    """
-    require_order(bound, "bound")
-    watch = Stopwatch()
-    families = list(families)
-    hits = multiplicity_map(families, bound)
-    expected = set(index_set(p, bound))
-    collisions = sorted(v for v, m in hits.items() if m > 1)
-    bad = sorted(hits.keys() ^ expected | set(collisions))
-    violations = [Violation(v, hits.get(v, 0), 1 if v in expected else 0) for v in bad]
-    histogram = {str(m): n for m, n in Counter(hits.values()).items()}
-    details = {
-        "bound": bound,
-        "values_hit": len(hits),
-        "multiplicity_histogram": histogram,
-        "collisions": collisions,
-    }
-    params = {"a": p.a, "c": p.c, "bound": bound, "families": len(families)}
-    return proved_report(check_id, params, violations, watch.elapsed_ms(), details)

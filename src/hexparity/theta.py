@@ -95,15 +95,22 @@ class QuadraticExponentFamily:
         pivot = min(max(-(self.a1 // twice), lo), hi + 1)
         return chain(range(pivot, hi + 1), range(pivot - 1, lo - 1, -1))
 
+    def exponents_within(self, bound: int) -> list[tuple[int, int]]:
+        """(k, e(k)) for each k of indices_within(bound), in its order.
+        Raises NegativeExponent if some e(k) < 0: the window then holds
+        the vertex, so its least e(k) is the family's least value."""
+        pairs = [(k, self.exponent(k)) for k in self.indices_within(bound)]
+        least = min((e for _, e in pairs), default=0)
+        if least < 0:
+            raise NegativeExponent(f"{self} takes the value {least} < 0")
+        return pairs
+
 
 def bilateral_sum(families, order: int) -> TruncatedSeries:
     """Sum of sign(k)*q^e(k) over k in Z for each family, truncated."""
     out = [0] * (require_order(order) + 1)
     for fam in families:
-        for k in fam.indices_within(order):
-            e = fam.exponent(k)
-            if e < 0:
-                raise NegativeExponent(f"e({k}) = {e} < 0")
+        for k, e in fam.exponents_within(order):
             out[e] += fam.sign(k)
     return TruncatedSeries(tuple(out))
 

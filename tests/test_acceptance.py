@@ -20,6 +20,7 @@ from hexparity.checks import (
     check_theorem1,
     conjecture1_difference,
     cross_validate,
+    verify_set_equivalence,
 )
 from hexparity.partitions import (
     count_restricted,
@@ -31,7 +32,7 @@ from hexparity.partitions import (
     regime3_rule,
     regime4_rule,
 )
-from hexparity.squares import SquareProgression, verify_set_equivalence
+from hexparity.squares import SquareProgression
 from hexparity.theta import (
     Monomial,
     eq41_sides,

@@ -66,6 +66,17 @@ def test_report_invariants():
         CheckReport("x", {}, "MAYBE")
 
 
+def test_violation_has_slots_and_same_json():
+    # a scan can hold ~10^5 violations: no per-instance __dict__, and the
+    # JSON form is unchanged, big integers as decimal strings
+    v = Violation(7, -2**70, 0)
+    assert not hasattr(v, "__dict__")
+    assert v.to_json_dict() == {"n": 7, "lhs": str(-2**70), "rhs": "0"}
+    assert v == Violation(7, -2**70, 0) and hash(v) == hash(Violation(7, -2**70, 0))
+    with pytest.raises(AttributeError):
+        v.n = 8
+
+
 def test_theorem1_trivial_head():
     report = check_theorem1(1, 2, 0)
     assert report.status == "PASS"  # q^0: both sides are 1

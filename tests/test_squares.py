@@ -9,16 +9,17 @@ import re
 
 import pytest
 
+from hexparity.checks import verify_set_equivalence
 from hexparity.squares import (
     SquareProgression,
     index_set,
     indicator_series,
     multiplicity_map,
-    verify_set_equivalence,
 )
 from hexparity.theta import (
     NegativeExponent,
     QuadraticExponentFamily,
+    bilateral_sum,
     eq41_families,
     r_decomposition_family,
     rstar_families,
@@ -189,15 +190,25 @@ def test_set_equivalence_failures_report_every_value():
             assert report.status == ("FAIL" if violations else "PASS")
     # the last case is a true equivalence, the others fail at bound 300
     assert [verify_set_equivalence(f, p, 300).status for f, p in cases].count("PASS") == 1
-    # a family with a value below 0 raises, as bilateral_sum does, at every
-    # bound: k(k-5) (e(1..4) < 0), and pentagonal minus 1 (e(0) = -1), whose
-    # values at or above 0 alone would pass against 24n + 25
+    # a family with a value below 0 raises at every bound, with one message
+    # from bilateral_sum, multiplicity_map and verify_set_equivalence:
+    # k(k-5) (e(1..4) < 0), pentagonal minus 1 (e(0) = -1), whose values at
+    # or above 0 alone would pass against 24n + 25, k^2 - 4 (least at the
+    # vertex), k(k+7) (least at k = -3 and -4, left of 0) and a signed
+    # family over den 2, least at k = 0
     negative = [
         (QuadraticExponentFamily(1, -5, 0), SquareProgression(3, 1), -6),
         (QuadraticExponentFamily(3, -1, -2, den=2), SquareProgression(24, 25), -1),
+        (QuadraticExponentFamily(1, 0, -4), SquareProgression(1, 4), -4),
+        (QuadraticExponentFamily(1, 7, 0), SquareProgression(4, 49), -12),
+        (QuadraticExponentFamily(5, -1, -2, s2=1, s1=1, den=2), SquareProgression(40, 1), -1),
     ]
     for family, prog, low in negative:
+        message = f"^{re.escape(repr(family))} takes the value {low} < 0$"
         for bound in (0, 1, 40, 10**4):
-            with pytest.raises(NegativeExponent,
-                               match=f"^{re.escape(repr(family))} takes the value {low} < 0$"):
-                verify_set_equivalence([family], prog, bound)
+            for call in (lambda: bilateral_sum([family], bound),
+                         lambda: multiplicity_map([family], bound),
+                         lambda: verify_set_equivalence([family], prog, bound),
+                         lambda: verify_set_equivalence([square, family], prog, bound)):
+                with pytest.raises(NegativeExponent, match=message):
+                    call()

@@ -4,6 +4,7 @@ partition DPs as independent oracles where the coefficients count things."""
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from operator import add
 
@@ -20,6 +21,7 @@ from hexparity.series import (
 )
 import hexparity.theta as theta
 from hexparity.theta import (
+    GAUSS_THETA,
     Monomial,
     _horner_sum,
     monomial_pochhammer,
@@ -49,6 +51,7 @@ from hexparity.theta import (
     truncated_gauss_lhs,
     truncated_gauss_rhs,
 )
+from hexparity.checks import verify_set_equivalence
 from hexparity.squares import SquareProgression, index_set, multiplicity_map
 
 from oracles import div_binomial_bits, mul_binomial_bits
@@ -220,11 +223,28 @@ def test_indices_within_matches_exhaustive_scan():
 
 
 def test_negative_exponent_raises():
-    fam = QuadraticExponentFamily(1, -5, 0)  # e(1) = -4
-    with pytest.raises(NegativeExponent):
-        bilateral_sum([fam], 10)
-    with pytest.raises(NegativeExponent):
-        jtp_sides(1, 3, 1, 1, 10)  # q/z has exponent 1-3 < 0
+    # one message, naming the family and its least value, from the window
+    # walk and from each reader of it; e(k) = k(k-5) is least at k = 2, 3,
+    # (n^2+5n)/2 at n = -2, -3, and (3k^2-k-2)/2 at k = 0
+    cases = [
+        (QuadraticExponentFamily(1, -5, 0), -6),
+        (QuadraticExponentFamily(1, 5, 0, s1=2, den=2), -3),
+        (QuadraticExponentFamily(3, -1, -2, den=2), -1),
+    ]
+    for fam, low in cases:
+        message = f"^{re.escape(repr(fam))} takes the value {low} < 0$"
+        for order in (0, 10, 500):
+            for call in (lambda: fam.exponents_within(order),
+                         lambda: bilateral_sum([fam], order),
+                         lambda: bilateral_sum([GAUSS_THETA, fam], order),
+                         lambda: multiplicity_map([fam], order),
+                         lambda: verify_set_equivalence([fam], SquareProgression(1, 0), order)):
+                with pytest.raises(NegativeExponent, match=message):
+                    call()
+    # the sum side (n^2+5n)/2 of z -> q^3 raises before q/z's base exponent
+    # 1 - 3 < 0 is reached
+    with pytest.raises(NegativeExponent, match=re.escape(repr(cases[1][0]))):
+        jtp_sides(1, 3, 1, 1, 10)
 
 
 def test_monomial_pochhammer_matches_schoolbook_binomials():
@@ -865,8 +885,8 @@ def test_backward_parity_walk_matches_division_oracle_on_random_schedules():
 def test_indices_within_runs_outward_from_the_vertex():
     # the interval read off by isqrt, in the order of a scan that rises from
     # the ceiling of the vertex and then falls below it until e(k) passes
-    # the bound: bilateral_sum names the first negative exponent it meets
-    # and multiplicity_map's keys come in this order
+    # the bound: exponents_within walks it in this order, so
+    # multiplicity_map's keys come in this order
     def scan(fam, bound):
         pivot = -(fam.a1 // (2 * fam.a2))
         k = pivot
