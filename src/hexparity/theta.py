@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 from .series import (
     ParitySeries,
@@ -132,51 +132,34 @@ def _require_s(s: int, *parts: int) -> None:
         raise ValueError(f"s must be {', '.join(map(str, rest))} or {last}")
 
 
-def eq41_families(s: int) -> list[QuadraticExponentFamily]:
-    """The two families k(15k+3s-5)/2 and (3k-s/2)(5k-3+s/2)/2, both with
-    sign (-1)^(k((s-1)k-1)/2), for s in {2, 4}; the second expands to
-    (15k^2-(9+s)k+2)/2, since (6s-s^2)/4 = 2 at both s."""
-    _require_s(s, 1)
+def rho_families(s: int) -> list[QuadraticExponentFamily]:
+    """The families of the bilateral series rho.
+
+    s in {2, 4} (eq. 4.1): k(15k+3s-5)/2 and (3k-s/2)(5k-3+s/2)/2, both
+    with sign (-1)^(k((s-1)k-1)/2); the second expands to
+    (15k^2-(9+s)k+2)/2, since (6s-s^2)/4 = 2 at both s.
+    s in {1, 3} (eq. 4.2): k(5k-s)/2 with sign (-1)^(k(k+s)/2).
+    """
+    _require_s(s, 1, 2)
+    if part_of(s) == 2:
+        return [QuadraticExponentFamily(5, -s, 0, s2=1, s1=s, den=2)]
     return [
         QuadraticExponentFamily(15, 3 * s - 5, 0, s2=s - 1, s1=-1, den=2),
         QuadraticExponentFamily(15, -(9 + s), 2, s2=s - 1, s1=-1, den=2),
     ]
 
 
-def eq42_family(s: int) -> QuadraticExponentFamily:
-    """e(k) = k(5k-s)/2 with sign (-1)^(k(k+s)/2), for s in {1, 3}."""
-    _require_s(s, 2)
-    return QuadraticExponentFamily(5, -s, 0, s2=1, s1=s, den=2)
-
-
-def rstar_families(s: int) -> list[QuadraticExponentFamily]:
-    """15k^2-(5-3s)k with sign +1 and 15k^2+(5+3s)k+s with sign -1."""
-    _require_s(s, 2)
+def decomposition_families(s: int) -> list[QuadraticExponentFamily]:
+    """The families whose theta series times sum p(n) q^n generates R_s
+    (s in {2, 4}: k(5k+1-s) with sign (-1)^k) or R*_s (s in {1, 3}:
+    15k^2-(5-3s)k with sign +1 and 15k^2+(5+3s)k+s with sign -1)."""
+    _require_s(s, 1, 2)
+    if part_of(s) == 1:
+        return [QuadraticExponentFamily(5, 1 - s, 0, s1=1)]
     return [
         QuadraticExponentFamily(15, -(5 - 3 * s), 0),
         QuadraticExponentFamily(15, 5 + 3 * s, s, base_sign=-1),
     ]
-
-
-def r_decomposition_family(s: int) -> QuadraticExponentFamily:
-    """e(k) = k(5k+1-s) with sign (-1)^k, for s in {2, 4}."""
-    _require_s(s, 1)
-    return QuadraticExponentFamily(5, 1 - s, 0, s1=1)
-
-
-def rho_families(s: int) -> list[QuadraticExponentFamily]:
-    """The families of the bilateral series rho: eq41_families(s) for
-    s in {2, 4}, eq42_family(s) for s in {1, 3}."""
-    _require_s(s, 1, 2)
-    return eq41_families(s) if part_of(s) == 1 else [eq42_family(s)]
-
-
-def decomposition_families(s: int) -> list[QuadraticExponentFamily]:
-    """The families whose theta series times sum p(n) q^n generates R_s
-    (s in {2, 4}: r_decomposition_family) or R*_s (s in {1, 3}:
-    rstar_families)."""
-    _require_s(s, 1, 2)
-    return [r_decomposition_family(s)] if part_of(s) == 1 else rstar_families(s)
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +437,8 @@ def _horner_sum(first: int, exponent, factors, order: int) -> TruncatedSeries:
     last summand M with exponent(M)-exponent(first) <= order: V_M = 1 and
     V_(n-1) = 1 + q^(exponent(n)-exponent(n-1)) h_n V_n, where V_n is needed
     only to q^(order-exponent(n)+exponent(first)).  Each summand costs one
-    binomial pass per factor.  The shift and the "1 +" stay a chain over
-    the previous list, which the next summand's first division reads once,
-    in order, so the shift builds no list of its own.  The divisions run
-    before the multiplications (exact passes commute), since a
-    multiplication reads its input twice and needs a list.
+    binomial pass per factor, and the shift and the "1 +" build one new
+    list, so every pass reads a list.
     """
     top = require_order(order) + exponent(first)
     last = _last_index(exponent, first, top)
@@ -468,12 +448,10 @@ def _horner_sum(first: int, exponent, factors, order: int) -> TruncatedSeries:
         numerators, denominators = factors(n)
         for c, m in denominators:
             v = div_binomial(v, c, m)
-        if numerators and not isinstance(v, list):
-            v = list(v)
         for c, m in numerators:
             v = mul_binomial(v, c, m)
         prev = exponent(n - 1)
-        v = chain((1,), repeat(0, e - prev - 1), v)
+        v = [1] + [0] * (e - prev - 1) + v
         e = prev
     return TruncatedSeries(tuple(v))
 

@@ -35,21 +35,19 @@ from hexparity.partitions import (
 from hexparity.squares import SquareProgression
 from hexparity.theta import (
     Monomial,
+    decomposition_families,
     eq41_sides,
     eq42_sides,
-    eq41_families,
     gauss_theta_sides,
     jtp_sides,
     quintuple_sides,
-    r_decomposition_family,
     regime3_product,
     regime3_sum,
     regime4_product,
     regime4_sum,
+    rho_families,
     rr_G,
     rr_H,
-    rstar_families,
-    eq42_family,
     truncated_gauss_lhs,
     truncated_gauss_rhs,
 )
@@ -200,11 +198,11 @@ def test_08_set_equivalences():
     bound = 10**6
     instances = []
     for s in (2, 4):
-        instances.append((eq41_families(s), SquareProgression(120, (3 * s - 5) ** 2)))
-        instances.append(([r_decomposition_family(s)], SquareProgression(20, (s - 1) ** 2)))
+        instances.append((rho_families(s), SquareProgression(120, (3 * s - 5) ** 2)))
+        instances.append((decomposition_families(s), SquareProgression(20, (s - 1) ** 2)))
     for s in (1, 3):
-        instances.append(([eq42_family(s)], SquareProgression(40, s * s)))
-        instances.append((rstar_families(s), SquareProgression(15, (s + 1) ** 2 // 4)))
+        instances.append((rho_families(s), SquareProgression(40, s * s)))
+        instances.append((decomposition_families(s), SquareProgression(15, (s + 1) ** 2 // 4)))
     ok = True
     for fams, prog in instances:
         report = verify_set_equivalence(fams, prog, bound)

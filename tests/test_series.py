@@ -917,8 +917,8 @@ def test_parity_series_validation():
 
 def test_division_reads_any_iterable_once():
     # div_binomial reads its input once, in order, so a chain that puts a
-    # head in front of a list (the Horner sum's shift) divides like the
-    # concatenated list, and so does a tuple
+    # head in front of a list divides like the concatenated list, and so do
+    # an iterator and a tuple
     rng = random.Random(59)
     for length in (1, 3, 16, 40):
         for c in (1, -1, 2):

@@ -20,10 +20,8 @@ from hexparity.theta import (
     NegativeExponent,
     QuadraticExponentFamily,
     bilateral_sum,
-    eq41_families,
-    r_decomposition_family,
-    rstar_families,
-    eq42_family,
+    decomposition_families,
+    rho_families,
 )
 
 from oracles import holds, is_square
@@ -90,20 +88,20 @@ def test_index_set_matches_indicator():
 
 def test_exponent_values_examples():
     # the values a family hits, read off multiplicity_map's keys
-    assert sorted(multiplicity_map([r_decomposition_family(2)], 25)) == [0, 4, 6, 18, 22]
+    assert sorted(multiplicity_map(decomposition_families(2), 25)) == [0, 4, 6, 18, 22]
     assert sorted(multiplicity_map([QuadraticExponentFamily(1, 0, 0)], 10)) == [0, 1, 4, 9]
-    assert sorted(multiplicity_map([r_decomposition_family(4)], 0)) == [0]
+    assert sorted(multiplicity_map(decomposition_families(4), 0)) == [0]
 
 
 EQUIVALENCE_INSTANCES = [
-    ("mod120", 2, eq41_families(2), SquareProgression(120, 1)),
-    ("mod120", 4, eq41_families(4), SquareProgression(120, 49)),
-    ("mod40", 1, [eq42_family(1)], SquareProgression(40, 1)),
-    ("mod40", 3, [eq42_family(3)], SquareProgression(40, 9)),
-    ("mod20", 2, [r_decomposition_family(2)], SquareProgression(20, 1)),
-    ("mod20", 4, [r_decomposition_family(4)], SquareProgression(20, 9)),
-    ("mod15", 1, rstar_families(1), SquareProgression(15, 1)),
-    ("mod15", 3, rstar_families(3), SquareProgression(15, 4)),
+    ("mod120", 2, rho_families(2), SquareProgression(120, 1)),
+    ("mod120", 4, rho_families(4), SquareProgression(120, 49)),
+    ("mod40", 1, rho_families(1), SquareProgression(40, 1)),
+    ("mod40", 3, rho_families(3), SquareProgression(40, 9)),
+    ("mod20", 2, decomposition_families(2), SquareProgression(20, 1)),
+    ("mod20", 4, decomposition_families(4), SquareProgression(20, 9)),
+    ("mod15", 1, decomposition_families(1), SquareProgression(15, 1)),
+    ("mod15", 3, decomposition_families(3), SquareProgression(15, 4)),
 ]
 
 
@@ -119,7 +117,7 @@ def test_set_equivalences_at_desk_bound():
 
 def test_set_equivalence_reports_disagreement():
     # wrong progression: must FAIL with the mismatching values listed
-    fams = [r_decomposition_family(2)]
+    fams = decomposition_families(2)
     report = verify_set_equivalence(fams, SquareProgression(20, 9), 100, "eq.bad")
     assert report.status == "FAIL"
     assert report.violations
@@ -172,12 +170,12 @@ def test_set_equivalence_failures_report_every_value():
     # against the oracle's
     square = QuadraticExponentFamily(1, 0, 0)
     cases = [
-        (eq41_families(2) * 2, SquareProgression(120, 1)),
-        (eq41_families(2)[:1], SquareProgression(120, 1)),
+        (rho_families(2) * 2, SquareProgression(120, 1)),
+        (rho_families(2)[:1], SquareProgression(120, 1)),
         ([square], SquareProgression(1, 0)),
-        ([r_decomposition_family(2)], SquareProgression(20, 9)),
-        ([r_decomposition_family(2), r_decomposition_family(4)], SquareProgression(20, 1)),
-        (rstar_families(1), SquareProgression(15, 1)),
+        (decomposition_families(2), SquareProgression(20, 9)),
+        (decomposition_families(2) + decomposition_families(4), SquareProgression(20, 1)),
+        (decomposition_families(1), SquareProgression(15, 1)),
     ]
     for families, prog in cases:
         for bound in (0, 1, 40, 300):

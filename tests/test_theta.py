@@ -31,7 +31,6 @@ from hexparity.theta import (
     decomposition_families,
     eq41_sides,
     eq42_sides,
-    eq41_families,
     gauss_theta_sides,
     jtp_sides,
     partial_theta,
@@ -47,7 +46,6 @@ from hexparity.theta import (
     rho_families,
     rr_G,
     rr_H,
-    eq42_family,
     truncated_gauss_lhs,
     truncated_gauss_rhs,
 )
@@ -87,7 +85,7 @@ def test_bilateral_pentagonal_matches_pochhammer():
 
 
 def test_bilateral_order_independence_and_hits():
-    fams = eq41_families(2)
+    fams = rho_families(2)
     a = bilateral_sum(fams, 50)
     b = bilateral_sum(list(reversed(fams)), 50)
     assert a == b
@@ -310,18 +308,16 @@ def test_specialized_sums_equal_bilateral_families():
     # series driving the congruence checks
     order = 250
     assert quintuple_sides(Monomial(-1, 1), Monomial(-1, 5), order)[0] == \
-        bilateral_sum(eq41_families(2), order)
+        bilateral_sum(rho_families(2), order)
     assert quintuple_sides(Monomial(1, 2), Monomial(-1, 5), order)[0] == \
-        bilateral_sum(eq41_families(4), order)
+        bilateral_sum(rho_families(4), order)
     assert jtp_sides(-1, 1, -1, 5, order)[0] == \
-        bilateral_sum([eq42_family(3)], order)
+        bilateral_sum(rho_families(3), order)
     assert jtp_sides(-1, 3, -1, 5, order)[0] == \
-        bilateral_sum([eq42_family(1)], order)
-    from hexparity.theta import rstar_families
-
+        bilateral_sum(rho_families(1), order)
     for s in (1, 3):
         assert quintuple_sides(Monomial(1, s), Monomial(1, 10), order)[0] == \
-            bilateral_sum(rstar_families(s), order)
+            bilateral_sum(decomposition_families(s), order)
 
 
 def test_theta_sides_agree_at_scale():
@@ -793,8 +789,8 @@ def test_products_take_no_binomial_pass(monkeypatch):
 
 def test_eq41_bilateral_mod2_is_exponent_indicator():
     for s in (2, 4):
-        series = bilateral_sum(eq41_families(s), 10_000)
-        hits = multiplicity_map(eq41_families(s), 10_000)
+        series = bilateral_sum(rho_families(s), 10_000)
+        hits = multiplicity_map(rho_families(s), 10_000)
         assert all(m == 1 for m in hits.values())
         assert sorted(hits) == index_set(
             SquareProgression(120, (3 * s - 5) ** 2), 10_000
