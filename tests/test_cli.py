@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -367,7 +368,7 @@ def test_closed_stdout_is_not_an_internal_error(unbuffered):
 
 
 def test_verify_choices_are_the_registry():
-    subparsers = next(a for a in cli.build_parser()._actions
+    subparsers = next(a for a in cli.PARSER._actions
                       if isinstance(a, argparse._SubParsersAction))
     for command, dest in (("verify", "check"), ("conjecture", "which")):
         positional = next(a for a in subparsers.choices[command]._actions if a.dest == dest)
@@ -420,3 +421,53 @@ def _stable_digest(out: str) -> str:
 def test_json_output_is_stable(capsys, argv):
     code, out, _ = run_cli(capsys, *argv.split(), "--format", "json")
     assert (code, _stable_digest(out)) == STABLE_OUTPUTS[argv]
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    # the parser is built once, at import; main only parses with it
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built an ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    code, out, _ = run_cli(capsys, "verify", "gauss", "--order", "50", "--format", "json")
+    assert (code, _stable_digest(out)) == (
+        0, "0cba1d6bf56df08f0a29233541e2c99a8d00d3cc56c1bda93c0bd782f416a59a")
+
+
+def _run_blanked(capsys, argv):
+    """(exit status, stdout with its [N ms] fields blanked, stderr)."""
+    code, out, err = run_cli(capsys, *argv.split())
+    return code, re.sub(r"\[\d+ ms\]", "[ms]", out), err
+
+
+@pytest.mark.parametrize("last", [
+    ("verify theorem1 --part 1 --order 60", "verify theorem1 --order 60"),
+    ("verify theorem1 --order 60", "verify theorem1 --part 1 --order 60"),
+])
+def test_parsing_leaves_the_parser_unchanged(capsys, monkeypatch, last):
+    # each call, made after a usage error, --help and the other call, gives
+    # what it gives as the first call on a new parser
+    calls = ("verify nosuch", "--help") + last
+    first = {}
+    for argv in calls:
+        monkeypatch.setattr(cli, "PARSER", cli._build_parser())
+        first[argv] = _run_blanked(capsys, argv)
+    assert first["verify nosuch"][0] == cli.EXIT_USAGE
+    assert first["--help"][0] == cli.EXIT_PASS
+    assert first[last[0]][0] == first[last[1]][0] == cli.EXIT_PASS
+    monkeypatch.undo()
+    for argv in calls:
+        assert _run_blanked(capsys, argv) == first[argv], argv
+
+
+@pytest.mark.parametrize("command, names", [
+    ("", ("expand", *REGISTRY)),
+    ("expand", tuple(cli.EXPAND_TARGETS)),
+    ("verify", tuple(REGISTRY["verify"])),
+    ("conjecture", tuple(REGISTRY["conjecture"])),
+])
+def test_help_lists_every_choice(capsys, command, names):
+    code, out, err = run_cli(capsys, *command.split(), "--help")
+    assert (code, err) == (cli.EXIT_PASS, "")
+    assert out.startswith(f"usage: {' '.join(['hexparity', *command.split()])} [-h]")
+    assert "{" + ",".join(names) + "}" in out
