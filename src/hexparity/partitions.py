@@ -10,14 +10,19 @@ decompositions into shifted p(n) values.  All three must agree exactly.
 
 from __future__ import annotations
 
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import islice
 from operator import add
 
 from .series import (
+    _STRUCT_CODES,
     TruncatedSeries,
     _divide_by_euler,
+    _repeated_slot,
+    _restride,
     pochhammer_quotient,
     require_order,
 )
@@ -157,18 +162,57 @@ def p_bruteforce(n: int) -> int:
 def count_restricted(rule: PartResidueRule, n_max: int) -> PartitionTable:
     """Restricted partition counts by unbounded-knapsack DP.
 
-    Admitting a part m divides by (1 - q^m): out[i] = values[i] + out[i - m].
-    Parts are admitted largest first, so before m every admitted part
-    exceeds m and values[1..m] are 0.  Then out[m] = 1, out[i] = values[i]
-    for m < i < 2m, and the lagged pass runs only from 2m on, in place: the
-    tail from 2m is cut off and appended back with its lag, an iterator over
-    values that reads out[i - m] when out[i] is appended (for 2m > n_max the
-    tail is empty).  The DP never reaches the division kernel behind r_gf
-    and p_table.
+    Admitting a part m divides by (1 - q^m).  Parts are admitted largest
+    first, so before m every admitted part exceeds m and the counts of
+    1..m are 0; a part above n_max/2 then only sets its own count to 1, and
+    the table starts as the indicator of 0 and those parts.
+
+    The smaller parts are admitted in two phases.  While the counts are
+    small, they live in one int of unsigned slots of one width, the count
+    of q^i in slot n_max - i from the least significant end, so that
+    multiplying by q^e is a right shift by e slots, which drops everything
+    past q^n_max.  Up to q^n_max, 1/(1 - q^m) is the product of
+    (1 + q^(m*2^j)) over m*2^j <= n_max, one shift-add per factor.  A guard
+    keeps every count exact: the counts are nonnegative, every partial
+    product of those factors is bounded by the whole product, and admitting
+    m multiplies no count by more than n_max//m + 1 < 2^g, g its bit length.
+    So if no slot has reached 2^(bits - g) before m (one AND with a mask),
+    no slot reaches 2^bits and no add carries into the next slot.  If one
+    has, the slots double in width, from 1 byte up to 8.  When 8-byte slots
+    fill up, one struct unpack hands the table to the list passes for the
+    remaining parts: out[i] = values[i] + out[i - m], so out[m] = 1,
+    out[i] = values[i] for m < i < 2m, and the tail from 2m is cut off and
+    appended back with its lag, an iterator over values that reads
+    out[i - m] when out[i] is appended.
+
+    The DP never reaches the division kernel behind r_gf and p_table.
     """
-    values = [0] * (require_order(n_max, "n_max") + 1)
-    values[0] = 1
-    for part in rule.allowed_parts(n_max)[::-1]:
+    count = require_order(n_max, "n_max") + 1
+    parts = rule.allowed_parts(n_max)
+    small = bisect_right(parts, n_max // 2)
+    raw = bytearray(count)
+    for m in (0, *parts[small:]):
+        raw[n_max - m] = 1
+    packed, width, masks = int.from_bytes(raw, "little"), 1, {}
+    while small:
+        m = parts[small - 1]
+        g = (n_max // m + 1).bit_length()
+        if (width, g) not in masks:
+            bits = 8 * width
+            high = (1 << bits) - (1 << max(bits - g, 0))
+            masks[width, g] = _repeated_slot(high, width, count)
+        if packed & masks[width, g]:
+            if width == 8:  # the widest slot struct reads whole
+                break
+            packed, width = _restride(packed, width, 2 * width, count), 2 * width
+            continue
+        while m <= n_max:
+            packed += packed >> 8 * width * m
+            m *= 2
+        small -= 1
+    slots = struct.unpack(f"<{count}{_STRUCT_CODES[width]}", packed.to_bytes(width * count, "little"))
+    values = [*reversed(slots)]
+    for part in reversed(parts[:small]):
         values[part] = 1
         tail = values[2 * part:]
         del values[2 * part:]

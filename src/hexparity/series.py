@@ -349,17 +349,23 @@ def _unpack(packed: int, width: int, count: int) -> list[int]:
     return list(map(sub, slots, repeat(1 << 8 * width - 1)))
 
 
-def _widen(packed: int, width: int, wider: int, count: int) -> int:
-    """A biased packed int of count slots re-encoded at a wider slot width:
-    each slot's bytes go to the low bytes of its wider slot (one strided copy
-    per byte), and the bias is raised by the difference, which no slot
-    carries out of."""
+def _restride(packed: int, width: int, wider: int, count: int) -> int:
+    """A packed int of count nonnegative slots re-encoded at a wider slot
+    width: each slot's bytes go to the low bytes of its wider slot, one
+    strided copy per byte."""
     raw = packed.to_bytes(width * count, "little")
     out = bytearray(wider * count)
     for i in range(width):
         out[i::wider] = raw[i::width]
+    return int.from_bytes(out, "little")
+
+
+def _widen(packed: int, width: int, wider: int, count: int) -> int:
+    """A biased packed int of count slots re-encoded at a wider slot width
+    (_restride), with the bias raised by the difference, which no slot
+    carries out of."""
     raise_bias = (1 << 8 * wider - 1) - (1 << 8 * width - 1)
-    return int.from_bytes(out, "little") + _repeated_slot(raise_bias, wider, count)
+    return _restride(packed, width, wider, count) + _repeated_slot(raise_bias, wider, count)
 
 
 def _slot_width(bound: int, width: int) -> int:

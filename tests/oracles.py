@@ -3,13 +3,16 @@
 Each is the plain, obviously correct form of what the package computes by
 a faster route: square detection by integer square root, the series
 inverse by the schoolbook recurrence, q-Pochhammer quotients by one
-binomial pass per factor, and the GF(2) binomial passes on raw bit ints
-(bit n holding the parity of q^n).
+binomial pass per factor, the restricted partition counts by one list pass
+per part, and the GF(2) binomial passes on raw bit ints (bit n holding the
+parity of q^n).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
+from operator import add
 
 from hexparity.series import NonUnitConstantTerm, TruncatedSeries, div_binomial, mul_binomial
 from hexparity.squares import SquareProgression
@@ -63,6 +66,21 @@ def expand_by_passes(coeffs: list[int], numerators, denominators) -> list[int]:
         for e in range(spec.offset, order + 1, spec.step):
             coeffs = div_binomial(coeffs, -spec.sign, e)
     return coeffs
+
+
+def count_restricted_by_lists(rule, n_max: int) -> tuple[int, ...]:
+    """The counts 0..n_max of partitions into the parts rule allows, one
+    list pass per part, largest first.  Before part m every admitted part
+    exceeds m, so the counts of 1..m are 0, out[m] = 1, and the lagged pass
+    out[i] = values[i] + out[i - m] runs from 2m on."""
+    values = [0] * (n_max + 1)
+    values[0] = 1
+    for part in rule.allowed_parts(n_max)[::-1]:
+        values[part] = 1
+        tail = values[2 * part:]
+        del values[2 * part:]
+        values.extend(map(add, tail, islice(values, part, None)))
+    return tuple(values)
 
 
 def mul_binomial_bits(bits: int, m: int, order: int) -> int:

@@ -22,7 +22,7 @@ from hexparity.partitions import (
 
 from hexparity.theta import part_of
 
-from oracles import inverse
+from oracles import count_restricted_by_lists, inverse
 
 ALL_RULES = [regime3_rule(2), regime3_rule(4), regime4_rule(1), regime4_rule(3)]
 
@@ -172,21 +172,26 @@ def test_gf_route_matches_dp():
 
 def test_dp_route_does_not_use_the_division_kernel(monkeypatch):
     # the product route and the p(n) table of the decomposition route both
-    # divide by (q;q)oo through one kernel; the DP, the third route, must
-    # stay free of it, or the three routes would not be independent
+    # divide by (q;q)oo through one kernel, and the product route also runs
+    # the recurrence and the segment kernel of pochhammer_quotient; the DP,
+    # the third route, must stay free of all three, or the three routes
+    # would not be independent
     import hexparity.partitions as partitions
     import hexparity.series as series
 
-    def broken(coeffs, d, times):
-        raise AssertionError("division kernel called")
+    def broken(*args):
+        raise AssertionError("product-route kernel called")
 
-    want = {rule: r_gf(rule, 300).coeffs for rule in ALL_RULES}
+    # 700 runs every phase of the DP: each slot width and the list passes
+    want = {rule: r_gf(rule, 700).coeffs for rule in ALL_RULES}
     monkeypatch.setattr(series, "_divide_by_euler", broken)
     monkeypatch.setattr(partitions, "_divide_by_euler", broken)
+    monkeypatch.setattr(series, "_lag_segments", broken)
+    monkeypatch.setattr(series, "_expand_by_recurrence", broken)
     for rule in ALL_RULES:
         with pytest.raises(AssertionError):
             r_gf(rule, 50)
-        assert count_restricted(rule, 300).values == want[rule]
+        assert count_restricted(rule, 700).values == want[rule]
     with pytest.raises(AssertionError):
         p_table(50)
 
@@ -202,13 +207,64 @@ def test_restricted_dp_matches_gf_at_every_order():
 
 
 def test_restricted_dp_matches_gf_on_multi_limb_counts():
-    # at 2000 the counts run to several limbs, and the DP's largest-first
-    # passes (every part above 1000 only setting its own count to 1) are
-    # checked against the product route
+    # at 2000 the counts run to several limbs: the parts above 1000 only
+    # set their own counts, the packed phase runs through every slot width,
+    # and the list passes admit the smallest parts with multi-limb counts;
+    # all of it is checked against the product route
     for rule in ALL_RULES:
         table = count_restricted(rule, 2000)
         assert table.values[-1].bit_length() > 64
         assert table.values == r_gf(rule, 2000).coeffs, rule
+
+
+def test_restricted_dp_matches_list_passes_at_every_order():
+    # the packed phase against one list pass per part, at every order to
+    # 400, which passes the first widening to 2, 4 and 8 bytes for every s
+    for rule in ALL_RULES:
+        for n_max in range(401):
+            want = count_restricted_by_lists(rule, n_max)
+            assert count_restricted(rule, n_max).values == want, (rule, n_max)
+
+
+# per s, the least order at which the DP widens its slots to 2, 4 and 8
+# bytes, and at which the packed phase hands parts over to the list passes
+PHASE_ORDERS = {
+    1: {2: 18, 4: 53, 8: 164, "lists": 577},
+    2: {2: 15, 4: 39, 8: 131, "lists": 492},
+    3: {2: 15, 4: 48, 8: 157, "lists": 564},
+    4: {2: 15, 4: 42, 8: 136, "lists": 503},
+}
+
+
+def test_phase_orders_are_where_the_phases_begin(monkeypatch):
+    # each widening is recorded with its new width, and the list passes by
+    # their islice, which nothing else in partitions calls
+    import hexparity.partitions as partitions
+
+    phases = []
+
+    def recording(fn, phase=None):
+        def call(*args):
+            phases.append(phase or args[2])
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(partitions, "_restride", recording(partitions._restride))
+    monkeypatch.setattr(partitions, "islice", recording(partitions.islice, "lists"))
+    for rule in ALL_RULES:
+        for phase, order in PHASE_ORDERS[rule.s].items():
+            for n_max, began in ((order - 1, False), (order, True)):
+                phases.clear()
+                count_restricted(rule, n_max)
+                assert (phase in phases) == began, (rule, phase, n_max)
+
+
+def test_restricted_dp_matches_list_passes_around_phase_orders():
+    for rule in ALL_RULES:
+        for order in PHASE_ORDERS[rule.s].values():
+            for n_max in (order - 1, order, order + 1):
+                want = count_restricted_by_lists(rule, n_max)
+                assert count_restricted(rule, n_max).values == want, (rule, n_max)
 
 
 def test_allowed_parts_match_the_predicate():
